@@ -26,11 +26,20 @@ SHIFT_FACTOR_CHOICES = (1, 2, 4, 8, 16)
 
 
 def _set_threads(threads: int | None) -> None:
+    """Cap the BLAS pools; a value that is not an integer >= 1 is a usage error."""
     if threads is None:
         env = os.environ.get("NRSR_THREADS")
         if not env:
             return
-        threads = int(env)
+        try:
+            threads = int(env)
+        except ValueError:
+            raise UsageError(f"NRSR_THREADS must be an integer >= 1, got '{env}'") from None
+        source = "NRSR_THREADS"
+    else:
+        source = "--threads"
+    if threads < 1:
+        raise UsageError(f"{source} must be an integer >= 1, got {threads}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(threads)
@@ -444,8 +453,8 @@ def cmd_curves(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _set_threads(getattr(args, "threads", None))
     try:
+        _set_threads(getattr(args, "threads", None))
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK

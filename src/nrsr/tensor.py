@@ -7,6 +7,12 @@ Activations and weights live in (batch, channels, height, width)
 arrays of 32-bit floats; gradient checking runs the same ops in
 64-bit, so every op computes in the dtype of its inputs.
 
+conv2d never materialises its whole patch matrix: it builds one
+cache-sized band of output rows at a time, multiplies it and reuses the
+buffer for the next band, and its backward pass rebuilds the bands from
+the padded input. A graph therefore holds, per convolution, the padded
+input rather than a patch matrix kh*kw times the activation's size.
+
 Every op is a pure function of its inputs and safe to call from
 multiple threads; a given Tensor's backward()/grad state must be
 driven by one thread at a time.
@@ -149,24 +155,27 @@ def _pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int) -> np.ndarray:
-    """(B,C,Hp,Wp) -> contiguous (B, C*kh*kw, oh*ow) patch matrix."""
+# Columns of the patch matrix built at once: a band of whole output rows
+# holding about this many (batch, row, column) positions. For 64-channel
+# 3x3 layers a float32 band is 576 x 2304 values (5.3 MB).
+BAND_COLS = 2304
+
+
+def _tap(xp: np.ndarray, u: int, v: int, r0: int, nr: int, sh: int, sw: int, ow: int) -> np.ndarray:
+    """(B,C,nr,ow) view of the padded input under kernel tap (u, v) for output rows r0..r0+nr."""
+    top = u + sh * r0
+    return xp[:, :, top : top + sh * (nr - 1) + 1 : sh, v : v + sw * (ow - 1) + 1 : sw]
+
+
+def _band_cols(buf: np.ndarray, xp: np.ndarray, kh: int, kw: int, sh: int, sw: int,
+               r0: int, nr: int, ow: int) -> np.ndarray:
+    """Fill ``buf`` with the (C*kh*kw, B*nr*ow) patch matrix of one band of output rows."""
     b, c = xp.shape[:2]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw]  # (B, C, oh, ow, kh, kw)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
-    return cols.reshape(b, c * kh * kw, oh * ow)
-
-
-def _col2im(dcols: np.ndarray, xp_shape, kh, kw, sh, sw, oh, ow) -> np.ndarray:
-    """Scatter-add the patch-matrix gradient back onto the padded input."""
-    b, c, hp, wp = xp_shape
-    dxp = np.zeros(xp_shape, dtype=dcols.dtype)
-    d6 = dcols.reshape(b, c, kh, kw, oh, ow)
+    cols = buf[: c * kh * kw * b * nr * ow].reshape(c, kh, kw, b, nr, ow)
     for u in range(kh):
         for v in range(kw):
-            dxp[:, :, u : u + sh * oh : sh, v : v + sw * ow : sw] += d6[:, :, u, v]
-    return dxp
+            np.copyto(cols[:, u, v], _tap(xp, u, v, r0, nr, sh, sw, ow).transpose(1, 0, 2, 3))
+    return cols.reshape(c * kh * kw, b * nr * ow)
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
@@ -175,6 +184,16 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
     ``weights`` has shape (out_channels, in_channels, kernel_h, kernel_w);
     output spatial size follows floor((in + 2*pad - kernel)/stride) + 1.
     Differentiable with respect to input, weights and bias.
+
+    One path serves every kernel, stride and padding. The output is
+    computed a band of output rows at a time (about ``BAND_COLS``
+    positions over the whole batch): the band's (C*kh*kw, B*rows*ow)
+    patch matrix is copied out of the padded input tap by tap, multiplied
+    by the (O, C*kh*kw) weight matrix in one GEMM, and overwritten by the
+    next band. Backward rebuilds each band's patch matrix from the padded
+    input for the weight gradient (grad @ patchesᵀ) and scatters
+    weightsᵀ @ grad back tap by tap for the input gradient, so the graph
+    keeps nothing larger than the padded input.
     """
     _require_4d(x, "input")
     _require_4d(weights, "weights")
@@ -185,35 +204,65 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
         raise ShapeMismatchError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
     if bias is not None and bias.shape != (spec.out_channels,):
         raise ShapeMismatchError(f"bias shape {bias.shape} != ({spec.out_channels},)")
-    b, _, h, w = x.shape
+    b, c, h, w = x.shape
     oh, ow = spec.out_size(h, w)
     if oh < 1 or ow < 1:
         raise ShapeMismatchError(f"kernel {spec.kernel_h}x{spec.kernel_w} exceeds padded input {h}x{w}")
 
+    o, kh, kw, sh, sw = spec.out_channels, spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w
+    k = c * kh * kw
     xp = _pad_hw(x.data, spec.pad)
-    cols = _im2col(xp, spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w, oh, ow)
-    wmat = weights.data.reshape(spec.out_channels, -1)
-    out = np.matmul(wmat, cols)  # (B, O, oh*ow)
-    if bias is not None:
-        out += bias.data[None, :, None]
-    out = out.reshape(b, spec.out_channels, oh, ow)
-
-    xp_shape = xp.shape
+    wmat = weights.data.reshape(o, k)
+    dtype = np.result_type(xp, wmat)
+    rows = min(oh, max(1, BAND_COLS // (b * ow)))  # whole output rows per band
+    out = np.empty((b, o, oh, ow), dtype=dtype)
+    cbuf = np.empty(k * b * rows * ow, dtype=xp.dtype)
+    obuf = np.empty(o * b * rows * ow, dtype=dtype)
+    for r0 in range(0, oh, rows):
+        nr = min(rows, oh - r0)
+        cols = _band_cols(cbuf, xp, kh, kw, sh, sw, r0, nr, ow)
+        res = np.matmul(wmat, cols, out=obuf[: o * b * nr * ow].reshape(o, b * nr * ow))
+        res = res.reshape(o, b, nr, ow).transpose(1, 0, 2, 3)
+        if bias is None:
+            np.copyto(out[:, :, r0 : r0 + nr], res)
+        else:
+            np.add(res, bias.data[None, :, None, None], out=out[:, :, r0 : r0 + nr])
 
     def bw(g: np.ndarray):
-        gm = g.reshape(b, spec.out_channels, oh * ow)
-        if weights.requires_grad or weights._parents:
-            dw = np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(weights.shape)
-            weights.accumulate_grad(dw)
+        need_w = weights.requires_grad or weights._parents
+        need_x = x.requires_grad or x._parents
         if bias is not None and (bias.requires_grad or bias._parents):
-            bias.accumulate_grad(gm.sum(axis=(0, 2)))
-        if x.requires_grad or x._parents:
-            dcols = np.matmul(wmat.T, gm)
-            dxp = _col2im(dcols, xp_shape, spec.kernel_h, spec.kernel_w,
-                          spec.stride_h, spec.stride_w, oh, ow)
+            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+        if not (need_w or need_x):
+            return
+        if need_w:
+            dw = np.zeros((o, k), dtype=np.result_type(g, xp))
+        if need_x:
+            dxp = np.zeros(xp.shape, dtype=np.result_type(wmat, g))
+        gbuf = np.empty(o * b * rows * ow, dtype=g.dtype)
+        # one buffer per band: the rebuilt patch matrix, then weightsᵀ @ grad
+        pbuf = np.empty(k * b * rows * ow, dtype=np.result_type(xp, wmat, g))
+        for r0 in range(0, oh, rows):
+            nr = min(rows, oh - r0)
+            n = b * nr * ow
+            gb = gbuf[: o * n].reshape(o, b, nr, ow)
+            np.copyto(gb, g[:, :, r0 : r0 + nr].transpose(1, 0, 2, 3))
+            gb = gb.reshape(o, n)
+            if need_w:
+                cols = _band_cols(pbuf, xp, kh, kw, sh, sw, r0, nr, ow)
+                dw += gb @ cols.T
+            if need_x:
+                dcols = np.matmul(wmat.T, gb, out=pbuf[: k * n].reshape(k, n))
+                dcols = dcols.reshape(c, kh, kw, b, nr, ow)
+                for u in range(kh):
+                    for v in range(kw):
+                        tap = _tap(dxp, u, v, r0, nr, sh, sw, ow)
+                        np.add(tap, dcols[:, u, v].transpose(1, 0, 2, 3), out=tap)
+        if need_w:
+            weights.accumulate_grad(dw.reshape(weights.shape))
+        if need_x:
             p = spec.pad
-            dx = dxp[:, :, p : p + h, p : p + w] if p else dxp
-            x.accumulate_grad(dx)
+            x.accumulate_grad(dxp[:, :, p : p + h, p : p + w] if p else dxp)
 
     parents = (x, weights) if bias is None else (x, weights, bias)
     return _result(out, parents, bw)
@@ -278,16 +327,21 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"slopes shape {slopes.shape} must be ({x.shape[1]},) for {x.shape[1]} channels"
         )
-    neg = x.data < 0
     a = slopes.data[None, :, None, None]
-    out = np.where(neg, a * x.data, x.data)
+    # a*min(x,0) + max(x,0) equals where(x < 0, a*x, x) elementwise
+    out = a * np.minimum(x.data, 0)
+    out += np.maximum(x.data, 0)
 
     def bw(g: np.ndarray):
         if x.requires_grad or x._parents:
-            x.accumulate_grad(np.where(neg, a * g, g))
+            # slope map: a where x < 0, else 1 (exact, and without a per-element branch)
+            neg = (x.data < 0).astype(a.dtype)
+            smap = neg * a
+            neg -= 1
+            smap -= neg
+            x.accumulate_grad(g * smap)
         if slopes.requires_grad or slopes._parents:
-            ds = np.where(neg, g * x.data, 0.0).sum(axis=(0, 2, 3))
-            slopes.accumulate_grad(ds)
+            slopes.accumulate_grad(np.einsum("bchw,bchw->c", g, np.minimum(x.data, 0)))
 
     return _result(out, (x, slopes), bw)
 

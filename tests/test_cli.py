@@ -320,3 +320,28 @@ class TestThreadControl:
         res = run_cli("evaluate", "--dataset", workdir / "holdout", "--methods", "reference",
                       "--out", tmp_path / "x.csv", env={"NRSR_THREADS": "1"})
         assert res.returncode == 0
+
+    @pytest.mark.parametrize("argv,env", [
+        (("mask", "--kind", "quarter"), {"NRSR_THREADS": "abc"}),
+        (("mask", "--kind", "quarter"), {"NRSR_THREADS": "0"}),
+        (("evaluate", "--dataset", ".", "--threads", "0"), {}),
+        (("evaluate", "--dataset", ".", "--threads", "-2"), {}),
+    ])
+    def test_invalid_thread_count_exits_2(self, tmp_path, argv, env):
+        out = tmp_path / "m.nrsmask"
+        res = run_cli(*argv, "--out", out, env=env)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
+    def test_invalid_thread_count_sets_no_thread_variables(self, monkeypatch):
+        from nrsr import cli
+
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("NRSR_THREADS", "abc")
+        assert cli.main(["gradcheck", "--tolerance", "1e-4"]) == 2
+        assert not any(name in os.environ for name in names)

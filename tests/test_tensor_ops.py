@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import conv2d_oracle
+from nrsr import tensor
 from nrsr.gradcheck import grad_check
+from nrsr.sensors import VEC_SPEC
 from nrsr.tensor import (ConvSpec, ShapeMismatchError, Tensor, UnsupportedConfigError,
                          concat_channels, conv2d, deconv2d, mse_loss, prelu, take_channels)
 
@@ -72,6 +74,78 @@ class TestConv2d:
         with pytest.raises(ShapeMismatchError, match="weights shape"):
             conv2d(t(np.zeros((1, 1, 4, 4), dtype=np.float32)),
                    t(np.zeros((3, 1, 2, 2), dtype=np.float32)), None, spec)
+
+
+def two_row_bands(monkeypatch, batch: int, ow: int) -> None:
+    """Make conv2d work in bands of two output rows (a band holds BAND_COLS // (B*ow) rows)."""
+    monkeypatch.setattr(tensor, "BAND_COLS", 2 * batch * ow + 1)
+
+
+class TestConv2dBands:
+    """conv2d builds its patch matrix one band of output rows at a time.
+
+    These tests shrink the band so that every call spans several bands
+    and ends on a ragged one-row band.
+    """
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_ragged_bands_match_loop_oracle(self, monkeypatch, k, s, p):
+        rng = np.random.default_rng(100 * k + 10 * s + p)
+        spec = ConvSpec(k, k, s, s, pad=p, in_channels=2, out_channels=3)
+        h = next(h for h in range(max(1, k - 2 * p), 20)
+                 if spec.out_size(h, 5)[0] >= 5 and spec.out_size(h, 5)[0] % 2)
+        oh, ow = spec.out_size(h, 5)
+        x = rng.standard_normal((2, 2, h, 5))
+        wt = rng.standard_normal((3, 2, k, k))
+        b = rng.standard_normal(3)
+        two_row_bands(monkeypatch, 2, ow)
+        got = conv2d(t(x), t(wt), t(b), spec).data
+        assert got.shape == (2, 3, oh, ow) and got.flags.c_contiguous
+        np.testing.assert_allclose(got, conv2d_oracle(x, wt, b, (s, s), p), rtol=1e-12, atol=1e-12)
+
+    def test_vectorizer_geometry_matches_loop_oracle(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((1, 1, 40, 24))
+        wt = rng.standard_normal((VEC_SPEC.out_channels, 1, 16, 16))
+        oh, ow = VEC_SPEC.out_size(40, 24)
+        assert (oh, ow) == (5, 3)
+        two_row_bands(monkeypatch, 1, ow)
+        got = conv2d(t(x), t(wt), None, VEC_SPEC).data
+        np.testing.assert_allclose(got, conv2d_oracle(x, wt, None, (8, 8), 4),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,shape", [(1, (1, 2, 5, 3)), (2, (2, 2, 9, 5))])
+    def test_gradient_across_bands(self, monkeypatch, stride, shape):
+        rng = np.random.default_rng(37 + stride)
+        spec = ConvSpec(3, 3, stride, stride, pad=1, in_channels=2, out_channels=3)
+        oh, ow = spec.out_size(*shape[2:])
+        assert oh == 5
+        two_row_bands(monkeypatch, shape[0], ow)
+        leaves = [rng.standard_normal(shape), rng.standard_normal((3, 2, 3, 3)),
+                  rng.standard_normal(3)]
+        assert grad_check(lambda ts: conv2d(ts[0], ts[1], ts[2], spec), leaves) <= 1e-4
+
+    def test_backward_keeps_nothing_larger_than_padded_input(self):
+        rng = np.random.default_rng(41)
+        x = t(rng.standard_normal((2, 64, 24, 24)).astype(np.float32))
+        wt = t(0.05 * rng.standard_normal((64, 64, 3, 3)).astype(np.float32), grad=True)
+        b = t(np.zeros(64, dtype=np.float32), grad=True)
+        out = conv2d(x, wt, b, ConvSpec(3, 3, pad=1, in_channels=64, out_channels=64))
+        padded_bytes = 2 * 64 * 26 * 26 * 4
+        held = []
+        for cell in out._backward.__closure__:
+            v = cell.cell_contents
+            v = v.data if isinstance(v, Tensor) else v
+            if isinstance(v, np.ndarray):
+                while isinstance(v.base, np.ndarray):
+                    v = v.base
+                held.append(v.nbytes)
+        # the padded input itself is kept; a 9x patch matrix would be ~9x larger
+        assert max(held) == padded_bytes
+        out.backward(np.ones_like(out.data))
+        assert wt.grad.flags.c_contiguous and b.grad.shape == (64,)
 
 
 class TestDeconv2d:
@@ -145,6 +219,27 @@ class TestPrelu:
         assert st.grad.reshape(()) == -2.0
         err = grad_check(lambda ts: prelu(ts[0], ts[1]), [x, slopes])
         assert err <= 1e-6
+
+    def test_forward_equals_where_with_signed_zeros(self):
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+        x[0, 0, 0, :4] = [0.0, -0.0, 0.0, -0.0]
+        x[1, 2, 3, 3:] = [-0.0, 0.0]
+        slopes = np.array([0.25, -0.5, 1.75], dtype=np.float32)
+        out = prelu(t(x), t(slopes)).data
+        want = np.where(x < 0, slopes[None, :, None, None] * x, x)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, want)
+
+    def test_channel_without_negatives_gets_zero_slope_gradient(self):
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
+        x[:, 1] = np.abs(x[:, 1])
+        x[0, 1, 0, :2] = [0.0, -0.0]
+        st = t(np.array([0.2, 0.3], dtype=np.float32), grad=True)
+        prelu(t(x), st).backward(rng.standard_normal(x.shape).astype(np.float32))
+        assert st.grad[1] == 0.0
+        assert st.grad[0] != 0.0
 
     def test_slope_count_validated(self):
         with pytest.raises(ShapeMismatchError):
