@@ -14,7 +14,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "Tensor": "tensor", "ConvSpec": "tensor", "conv2d": "tensor", "deconv2d": "tensor",
     "prelu": "tensor", "concat_channels": "tensor", "mse_loss": "tensor",
-    "take_channels": "tensor", "ShapeMismatchError": "tensor", "UnsupportedConfigError": "tensor",
+    "take_channels": "tensor", "no_grad": "tensor", "ShapeMismatchError": "tensor",
+    "UnsupportedConfigError": "tensor",
     "AdamState": "optim", "adam_step": "optim", "NonFiniteGradientError": "optim",
     "grad_check": "gradcheck", "run_standard_checks": "gradcheck",
     "SamplingMask": "masks", "generate_mask": "masks", "expand_mask": "masks",
@@ -26,7 +27,6 @@ _EXPORTS = {
     "LfcrModel": "lfcr", "build_lfcr": "lfcr", "lfcr_forward": "lfcr",
     "param_count": "netutil",
     "VdsrModel": "vdsr", "build_vdsr": "vdsr", "vdsr_forward": "vdsr",
-    "masked_residual_combine": "vdsr",
     "save_checkpoint": "checkpoint", "load_checkpoint": "checkpoint",
     "CheckpointError": "checkpoint",
     "TrainConfig": "training", "PatchSet": "training", "extract_patches": "training",

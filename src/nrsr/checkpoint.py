@@ -37,6 +37,8 @@ MAGIC = b"NRSR1"
 
 SENSOR_CODES = {QUARTER: 0, THREE_QUARTER: 1, LOW_RESOLUTION: 2}
 SENSOR_FROM_CODE = {v: k for k, v in SENSOR_CODES.items()}
+PHASE_CODES = {"lfcr": 0, "vdsr": 1}
+PHASE_FROM_CODE = {v: k for k, v in PHASE_CODES.items()}
 
 
 class CheckpointError(ValueError):
@@ -112,7 +114,7 @@ def _meta_records(sensor_kind: str | None, mask: SamplingMask | None,
     if epoch:
         recs["meta/epoch"] = np.float32(epoch)
     if phase is not None:
-        recs["meta/phase"] = np.float32({"lfcr": 0, "vdsr": 1}[phase])
+        recs["meta/phase"] = np.float32(PHASE_CODES[phase])
     return recs
 
 
@@ -170,27 +172,58 @@ def _rebuild_lfcr(records: dict[str, np.ndarray], sensor_kind: str,
 
 
 def _rebuild_vdsr(records: dict[str, np.ndarray]) -> VdsrModel:
-    layers = []
-    i = 1
-    while f"vdsr/conv{i:02d}/weights" in records:
-        prefix = f"vdsr/conv{i:02d}"
-        slopes = records.get(f"{prefix}/slopes")
-        layers.append(ConvLayer(
-            weights=Tensor(records[f"{prefix}/weights"], requires_grad=True),
-            bias=Tensor(records[f"{prefix}/bias"], requires_grad=True),
-            slopes=None if slopes is None else Tensor(slopes, requires_grad=True),
-        ))
-        i += 1
-    if not layers:
+    """Layers conv01, conv02, ... up to the last consecutive weights record.
+
+    Any depth loads, but the layers must chain from 1 input channel to 1
+    output channel through square odd kernels, with a bias and (on all
+    but the last layer) PReLU slopes of their output width.
+    """
+    depth = 0
+    while f"vdsr/conv{depth + 1:02d}/weights" in records:
+        depth += 1
+    if not depth:
         raise CheckpointError("no VDSR records present")
+    layers = []
+    channels = 1
+    try:
+        for i in range(1, depth + 1):
+            prefix = f"vdsr/conv{i:02d}"
+            final = i == depth
+            w = records[f"{prefix}/weights"]
+            if (w.ndim != 4 or w.shape[1] != channels or (final and w.shape[0] != 1)
+                    or w.shape[2] != w.shape[3] or w.shape[2] % 2 == 0):
+                raise CheckpointError(f"{prefix}/weights has shape {w.shape}, expected "
+                                      f"({1 if final else 'out'}, {channels}, k, k) with k odd")
+            channels = w.shape[0]
+            bias = records[f"{prefix}/bias"]
+            slopes = None if final else records[f"{prefix}/slopes"]
+            for part, v in (("bias", bias), ("slopes", slopes)):
+                if v is not None and v.shape != (channels,):
+                    raise CheckpointError(
+                        f"{prefix}/{part} has shape {v.shape}, expected ({channels},)")
+            layers.append(ConvLayer(
+                weights=Tensor(w, requires_grad=True),
+                bias=Tensor(bias, requires_grad=True),
+                slopes=None if final else Tensor(slopes, requires_grad=True),
+            ))
+    except KeyError as exc:
+        raise CheckpointError(f"missing VDSR record {exc}") from exc
     return VdsrModel(layers=layers)
+
+
+def _decode(records: dict[str, np.ndarray], name: str, table: dict) -> str:
+    """Value that the scalar code record ``name`` stands for in ``table``."""
+    arr = records[name]
+    if arr.size != 1 or arr.item() not in table:
+        raise CheckpointError(f"unknown {name} code {arr.tolist()} (known: {sorted(table)})")
+    return table[arr.item()]
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     records = read_records(path)
     ck = Checkpoint()
     if "meta/sensor_kind" in records:
-        ck.sensor_kind = SENSOR_FROM_CODE[int(records["meta/sensor_kind"])]
+        ck.sensor_kind = _decode(records, "meta/sensor_kind", SENSOR_FROM_CODE)
     if "meta/mask_pattern" in records and ck.sensor_kind != LOW_RESOLUTION:
         seed = int(records.get("meta/mask_seed", np.float32(-1)))
         ck.mask = SamplingMask(
@@ -201,7 +234,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if "meta/epoch" in records:
         ck.epoch = int(records["meta/epoch"])
     if "meta/phase" in records:
-        ck.phase = {0: "lfcr", 1: "vdsr"}[int(records["meta/phase"])]
+        ck.phase = _decode(records, "meta/phase", PHASE_FROM_CODE)
     if "lfcr/vec/weights" in records:
         ck.lfcr = _rebuild_lfcr(records, ck.sensor_kind, ck.mask)
     if "vdsr/conv01/weights" in records:
@@ -211,6 +244,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         for name, arr in records.items():
             if name.startswith("opt/") and name.endswith("/m"):
                 pname = name[len("opt/") : -len("/m")]
+                if f"opt/{pname}/v" not in records:
+                    raise CheckpointError(f"missing optimizer record 'opt/{pname}/v'")
                 st.m[pname] = arr
                 st.v[pname] = records[f"opt/{pname}/v"]
         ck.adam = st

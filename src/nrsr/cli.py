@@ -296,10 +296,8 @@ def cmd_reconstruct(args) -> int:
     import numpy as np
 
     from .checkpoint import load_checkpoint
-    from .evaluate import pad_to_multiple
+    from .evaluate import reconstruct_image
     from .imageio import read_image_gray, save_raw, write_pgm
-    from .lfcr import lfcr_forward
-    from .vdsr import vdsr_forward
 
     mask = _load_mask_for(args.sensor, args.mask)
     ck = load_checkpoint(args.checkpoint)
@@ -313,12 +311,9 @@ def cmd_reconstruct(args) -> int:
     if args.stage == "full" and ck.vdsr is None:
         raise UsageError(f"{args.checkpoint}: no VDSR records; use --stage lfcr")
 
-    image = np.asarray(read_image_gray(args.input), dtype=np.float32)
-    padded, (h, w) = pad_to_multiple(image)
-    out = lfcr_forward(ck.lfcr, padded)
-    if args.stage == "full":
-        _, out = vdsr_forward(ck.vdsr, out)
-    out = out[:h, :w]
+    image = read_image_gray(args.input)
+    method = "lfcr" if args.stage == "lfcr" else "lfcr+vdsr"
+    out = reconstruct_image(image, method, lfcr=ck.lfcr, vdsr=ck.vdsr)
     if args.out.endswith(".f32"):
         save_raw(args.out[: -len(".f32")], out,
                  {"sensor": args.sensor, "stage": args.stage,

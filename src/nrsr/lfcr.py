@@ -23,7 +23,7 @@ from .masks import SamplingMask
 from .netutil import as_batch, from_batch, he_normal, param_count
 from .sensors import VectorizePlan, central_channel_indices
 from .tensor import (ConvSpec, ShapeMismatchError, Tensor, add_channel_bias, concat_channels,
-                     conv2d, deconv2d, prelu, scale, take_channels)
+                     conv2d, deconv2d, no_grad, prelu, scale, take_channels)
 
 HIDDEN_CHANNELS = 192          # 4 * (3/4) * 8^2
 NUM_FC_LAYERS = 10
@@ -126,7 +126,8 @@ def build_lfcr(mask: SamplingMask | None, kind: str, seed: int = 0) -> LfcrModel
 
 
 def lfcr_forward(model: LfcrModel, images: np.ndarray) -> np.ndarray:
-    """Reconstruct (H,W) or (B,H,W) images; output dims equal input dims."""
+    """Reconstruct (H,W) or (B,H,W) images; output dims equal input dims. Builds no graph."""
     batch, single = as_batch(images)
-    out = model.forward_t(Tensor(batch)).data
+    with no_grad():
+        out = model.forward_t(Tensor(batch)).data
     return from_batch(out, single)

@@ -16,10 +16,17 @@ input rather than a patch matrix kh*kw times the activation's size.
 Every op is a pure function of its inputs and safe to call from
 multiple threads; a given Tensor's backward()/grad state must be
 driven by one thread at a time.
+
+Inside ``with no_grad():`` ops build no graph: each returns a plain
+leaf Tensor holding the values the graph path computes, and keeps
+nothing it used. The mode is thread-local; blocks nest, and leaving
+one, also by an exception, restores the mode that held before it.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,9 +115,27 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
 
+class _GradMode(threading.local):
+    enabled = True  # the default each thread starts from
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Run the block's ops on this thread without building a graph."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad or p._parents for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = any(p.requires_grad for p in parents)
         out._parents = parents
         out._backward = backward

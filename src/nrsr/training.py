@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .lfcr import LfcrModel
+from .lfcr import LfcrModel, lfcr_forward
 from .optim import AdamState, adam_step
 from .tensor import Tensor, mse_loss
 from .vdsr import VdsrModel
@@ -322,10 +322,9 @@ def train_vdsr(lfcr_model: LfcrModel, vdsr_model: VdsrModel, patch_set: PatchSet
     state = state or AdamState.for_params(params)
 
     def step(batch: np.ndarray, lr: float) -> float:
-        x = batch[:, None]
-        f_hat = lfcr_model.forward_t(Tensor(x)).data  # frozen: plain values, no graph
-        _, f_tilde = vdsr_model.forward_t(Tensor(f_hat))
-        loss = mse_loss(f_tilde, Tensor(x))
+        f_hat = lfcr_forward(lfcr_model, batch)  # frozen: plain values, no graph
+        _, f_tilde = vdsr_model.forward_t(Tensor(f_hat[:, None]))
+        loss = mse_loss(f_tilde, Tensor(batch[:, None]))
         lv = float(loss.data.reshape(()))
         if not np.isfinite(lv):
             return lv

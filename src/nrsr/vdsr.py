@@ -6,9 +6,6 @@ The network predicts a residual r; the enhanced image is f_hat + r.
 Same pixel-scale convention as the LFCR: inputs are divided by 255
 internally and the final layer's output is rescaled by 255 before its
 bias is added, so an all-zero model returns the input unchanged.
-
-The masked-residual combine used by mask-aware VDSR variants is
-provided for ablations but is not part of the default pipeline.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ import numpy as np
 
 from .netutil import as_batch, from_batch, he_normal
 from .tensor import (ConvSpec, ShapeMismatchError, Tensor, add, add_channel_bias, conv2d,
-                     prelu, scale)
+                     no_grad, prelu, scale)
 
 DEPTH = 20
 WIDTH = 64
@@ -27,7 +24,7 @@ KERNEL = 3
 PIXEL_SCALE = 255.0
 PRELU_INIT = 0.25
 
-__all__ = ["VdsrModel", "build_vdsr", "vdsr_forward", "masked_residual_combine", "receptive_field"]
+__all__ = ["VdsrModel", "build_vdsr", "vdsr_forward", "receptive_field"]
 
 
 @dataclass
@@ -92,23 +89,11 @@ def build_vdsr(seed: int = 0, depth: int = DEPTH) -> VdsrModel:
 
 
 def vdsr_forward(model: VdsrModel, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and enhanced image for (H,W) or (B,H,W) input, any H, W >= 1."""
+    """Residual and enhanced image for (H,W) or (B,H,W) input, any H, W >= 1. Builds no graph."""
     batch, single = as_batch(images)
-    r, f = model.forward_t(Tensor(batch))
+    with no_grad():
+        r, f = model.forward_t(Tensor(batch))
     return from_batch(r.data, single), from_batch(f.data, single)
-
-
-def masked_residual_combine(f_hat: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """f_hat + r * (1 - b): measured positions (b = 1) pass f_hat through unchanged."""
-    f_hat = np.asarray(f_hat)
-    r = np.asarray(r)
-    b = np.asarray(b)
-    if f_hat.shape != r.shape or f_hat.shape != b.shape:
-        raise ShapeMismatchError(
-            f"shapes differ: f_hat {f_hat.shape}, r {r.shape}, b {b.shape}")
-    if not np.all((b == 0) | (b == 1)):
-        raise ValueError("mask b must be binary")
-    return f_hat + r * (1 - b.astype(f_hat.dtype))
 
 
 def receptive_field(model: VdsrModel) -> int:

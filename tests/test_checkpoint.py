@@ -123,3 +123,23 @@ def test_missing_lfcr_layer_detected(tmp_path):
     write_records(path, records)
     with pytest.raises(CheckpointError, match="missing LFCR record"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name,shape", [
+    ("vdsr/conv03/weights", (64, 32, 3, 3)),   # does not chain from conv02's 64 outputs
+    ("vdsr/conv01/weights", (64, 2, 3, 3)),    # input is one channel
+    ("vdsr/conv02/weights", (64, 64, 3, 5)),   # kernels are square
+    ("vdsr/conv02/weights", (64, 64, 2, 2)),   # and odd
+    ("vdsr/conv04/weights", (2, 64, 3, 3)),    # output is one channel
+    ("vdsr/conv02/bias", (32,)),
+    ("vdsr/conv03/slopes", (64, 1)),
+])
+def test_vdsr_layer_shapes_checked_on_load(tmp_path, name, shape):
+    path = tmp_path / "shapes.nrsr"
+    save_checkpoint(path, vdsr=build_vdsr(seed=0, depth=4))
+    assert len(load_checkpoint(path).vdsr.layers) == 4  # reduced depths load
+    records = read_records(path)
+    records[name] = np.zeros(shape, dtype=np.float32)
+    write_records(path, records)
+    with pytest.raises(CheckpointError, match=name):
+        load_checkpoint(path)

@@ -277,6 +277,51 @@ class TestEvaluateCommand:
         assert res.returncode == 2
 
 
+@pytest.fixture(scope="module")
+def resumable_checkpoint(tmp_path_factory):
+    """Records of a phase-2 checkpoint with Adam state, as `nrsr train` writes them."""
+    from nrsr.checkpoint import read_records, save_checkpoint
+    from nrsr.lfcr import build_lfcr
+    from nrsr.masks import generate_mask
+    from nrsr.optim import AdamState
+    from nrsr.vdsr import build_vdsr
+
+    vdsr = build_vdsr(seed=0)
+    path = tmp_path_factory.mktemp("ck") / "good.nrsr"
+    save_checkpoint(path, lfcr=build_lfcr(generate_mask("quarter", 7), "quarter", seed=0),
+                    vdsr=vdsr, adam=AdamState.for_params(vdsr.named_parameters()),
+                    epoch=1, phase="vdsr")
+    return read_records(path)
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("name,value", [
+        ("meta/sensor_kind", np.float32(7)),
+        ("meta/phase", np.float32(5)),
+        ("vdsr/conv03/bias", None),
+        ("vdsr/conv05/slopes", None),
+        ("opt/vdsr/conv02/weights/v", None),
+        ("vdsr/conv03/weights", np.zeros((64, 32, 3, 3), dtype=np.float32)),
+    ])
+    def test_evaluate_exits_2_naming_the_record(self, workdir, resumable_checkpoint, tmp_path,
+                                                name, value):
+        from nrsr.checkpoint import write_records
+
+        records = dict(resumable_checkpoint)
+        if value is None:
+            del records[name]
+        else:
+            records[name] = value
+        bad = tmp_path / "bad.nrsr"
+        write_records(bad, records)
+        res = run_cli("evaluate", "--dataset", workdir / "holdout", "--methods", "lfcr+vdsr",
+                      "--checkpoint", bad, "--out", tmp_path / "e.csv")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert name in res.stderr and "Traceback" not in res.stderr
+        assert not (tmp_path / "e.csv").exists()
+
+
 class TestGradcheckCommand:
     def test_passes_at_default_tolerance(self):
         res = run_cli("gradcheck", "--seed", "0")

@@ -1,13 +1,12 @@
-"""VDSR residual enhancer and the masked-residual combine."""
+"""VDSR residual enhancer."""
 
 import numpy as np
 import pytest
 
 from conftest import synth_image
 from nrsr.gradcheck import grad_check, vdsr_case
-from nrsr.masks import expand_mask, generate_mask
 from nrsr.netutil import param_count, to_dtype_params
-from nrsr.vdsr import build_vdsr, masked_residual_combine, receptive_field, vdsr_forward
+from nrsr.vdsr import build_vdsr, receptive_field, vdsr_forward
 
 
 @pytest.fixture(scope="module")
@@ -90,33 +89,6 @@ class TestForward:
         margin = receptive_field(model) // 2 + 1
         inner = slice(margin, 48 - margin)
         assert np.max(np.abs(r2[inner, inner] - rolled[inner, inner])) <= 1e-4
-
-
-class TestMaskedCombine:
-    def test_all_ones_passthrough(self):
-        f_hat = synth_image(5, 16, 16)
-        r = np.ones_like(f_hat)
-        out = masked_residual_combine(f_hat, r, np.ones_like(f_hat))
-        assert np.array_equal(out, f_hat)
-
-    def test_all_zeros_full_residual(self):
-        f_hat = synth_image(6, 16, 16)
-        r = np.full_like(f_hat, 2.0)
-        out = masked_residual_combine(f_hat, r, np.zeros_like(f_hat))
-        assert np.array_equal(out, f_hat + 2.0)
-
-    def test_quarter_mask_passthrough_count(self):
-        mask = generate_mask("quarter", 7)
-        b = expand_mask(mask, 32, 32).astype(np.float32)
-        f_hat = synth_image(7, 32, 32)
-        r = np.full_like(f_hat, 5.0)  # nowhere zero
-        out = masked_residual_combine(f_hat, r, b)
-        assert int(np.sum(out == f_hat)) == 32 * 32 // 4
-
-    def test_non_binary_rejected(self):
-        f = np.zeros((4, 4), dtype=np.float32)
-        with pytest.raises(ValueError, match="binary"):
-            masked_residual_combine(f, f, np.full((4, 4), 0.5))
 
 
 class TestGradient:
