@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "Tensor": "tensor", "ConvSpec": "tensor", "conv2d": "tensor", "deconv2d": "tensor",
-    "prelu": "tensor", "concat_channels": "tensor", "mse_loss": "tensor",
+    "prelu": "tensor", "linear": "tensor", "concat_channels": "tensor", "mse_loss": "tensor",
     "take_channels": "tensor", "no_grad": "tensor", "ShapeMismatchError": "tensor",
     "UnsupportedConfigError": "tensor",
     "AdamState": "optim", "adam_step": "optim", "NonFiniteGradientError": "optim",

@@ -30,6 +30,7 @@ import numpy as np
 from .lfcr import DECONV_IN, HIDDEN_CHANNELS, NUM_FC_LAYERS, FcBlock, LfcrModel
 from .masks import LOW_RESOLUTION, QUARTER, THREE_QUARTER, SamplingMask
 from .optim import AdamState
+from .sensors import SUPPORT, TARGET, VEC_CHANNELS, VEC_SPEC
 from .tensor import Tensor
 from .vdsr import ConvLayer, VdsrModel
 
@@ -142,33 +143,40 @@ def save_checkpoint(path: str | Path, lfcr: LfcrModel | None = None,
     write_records(path, records)
 
 
+def _lfcr_record_shapes() -> dict[str, tuple[int, ...]]:
+    """Name and shape of every LFCR record, in the order the model uses them."""
+    shapes = {"lfcr/vec/weights": (VEC_CHANNELS, 1, SUPPORT, SUPPORT)}
+    in_ch = VEC_CHANNELS
+    for i in range(NUM_FC_LAYERS):
+        prefix = f"lfcr/fc{i:02d}"
+        shapes[f"{prefix}/weights"] = (HIDDEN_CHANNELS, in_ch, 1, 1)
+        shapes[f"{prefix}/bias"] = (HIDDEN_CHANNELS,)
+        shapes[f"{prefix}/slopes"] = (HIDDEN_CHANNELS,)
+        in_ch = HIDDEN_CHANNELS
+    shapes["lfcr/deconv/weights"] = (DECONV_IN, 1, TARGET, TARGET)
+    shapes["lfcr/deconv/bias"] = (1,)
+    return shapes
+
+
 def _rebuild_lfcr(records: dict[str, np.ndarray], sensor_kind: str,
                   mask: SamplingMask | None) -> LfcrModel:
-    from .sensors import VEC_SPEC
+    for name, shape in _lfcr_record_shapes().items():
+        if name not in records:
+            raise CheckpointError(f"missing LFCR record '{name}'")
+        if records[name].shape != shape:
+            raise CheckpointError(f"{name} has shape {records[name].shape}, expected {shape}")
 
-    try:
-        vec = records["lfcr/vec/weights"]
-        blocks = []
-        for i in range(NUM_FC_LAYERS):
-            prefix = f"lfcr/fc{i:02d}"
-            blocks.append(FcBlock(
-                weights=Tensor(records[f"{prefix}/weights"], requires_grad=True),
-                bias=Tensor(records[f"{prefix}/bias"], requires_grad=True),
-                slopes=Tensor(records[f"{prefix}/slopes"], requires_grad=True),
-            ))
-        model = LfcrModel(
-            sensor_kind=sensor_kind, mask=mask, vec_kernel=vec, vec_spec=VEC_SPEC,
-            blocks=blocks,
-            deconv_weights=Tensor(records["lfcr/deconv/weights"], requires_grad=True),
-            deconv_bias=Tensor(records["lfcr/deconv/bias"], requires_grad=True),
-        )
-    except KeyError as exc:
-        raise CheckpointError(f"missing LFCR record {exc}") from exc
-    if model.blocks[0].weights.shape != (HIDDEN_CHANNELS, 64, 1, 1):
-        raise CheckpointError("unexpected LFCR layer shapes")
-    if model.deconv_weights.shape[0] != DECONV_IN:
-        raise CheckpointError("unexpected LFCR deconv shape")
-    return model
+    def param(name: str) -> Tensor:
+        return Tensor(records[name], requires_grad=True)
+
+    blocks = [FcBlock(weights=param(f"lfcr/fc{i:02d}/weights"), bias=param(f"lfcr/fc{i:02d}/bias"),
+                      slopes=param(f"lfcr/fc{i:02d}/slopes"))
+              for i in range(NUM_FC_LAYERS)]
+    return LfcrModel(
+        sensor_kind=sensor_kind, mask=mask, vec_kernel=records["lfcr/vec/weights"],
+        vec_spec=VEC_SPEC, blocks=blocks,
+        deconv_weights=param("lfcr/deconv/weights"), deconv_bias=param("lfcr/deconv/bias"),
+    )
 
 
 def _rebuild_vdsr(records: dict[str, np.ndarray]) -> VdsrModel:
@@ -219,20 +227,28 @@ def _decode(records: dict[str, np.ndarray], name: str, table: dict) -> str:
     return table[arr.item()]
 
 
+def _count(records: dict[str, np.ndarray], name: str) -> int:
+    """Integer value of the scalar record ``name`` (an epoch, seed or step)."""
+    arr = records[name]
+    if arr.size != 1 or not np.isfinite(arr).all():
+        raise CheckpointError(f"{name} must be one finite number, got {arr.tolist()}")
+    return int(arr.item())
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     records = read_records(path)
     ck = Checkpoint()
     if "meta/sensor_kind" in records:
         ck.sensor_kind = _decode(records, "meta/sensor_kind", SENSOR_FROM_CODE)
     if "meta/mask_pattern" in records and ck.sensor_kind != LOW_RESOLUTION:
-        seed = int(records.get("meta/mask_seed", np.float32(-1)))
+        seed = _count(records, "meta/mask_seed") if "meta/mask_seed" in records else -1
         ck.mask = SamplingMask(
             kind=ck.sensor_kind,
             pattern=records["meta/mask_pattern"].astype(np.int64),
             seed=seed if seed >= 0 else "external",
         )
     if "meta/epoch" in records:
-        ck.epoch = int(records["meta/epoch"])
+        ck.epoch = _count(records, "meta/epoch")
     if "meta/phase" in records:
         ck.phase = _decode(records, "meta/phase", PHASE_FROM_CODE)
     if "lfcr/vec/weights" in records:
@@ -240,7 +256,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if "vdsr/conv01/weights" in records:
         ck.vdsr = _rebuild_vdsr(records)
     if "opt/step" in records:
-        st = AdamState(step=int(records["opt/step"]))
+        st = AdamState(step=_count(records, "opt/step"))
         for name, arr in records.items():
             if name.startswith("opt/") and name.endswith("/m"):
                 pname = name[len("opt/") : -len("/m")]

@@ -146,7 +146,7 @@ def vdsr_case(seed: int, depth: int = 4, param_samples: int | None = 48):
 
 def run_standard_checks(seed: int = 0) -> dict[str, float]:
     """Max relative gradient error for every differentiable operator and both networks."""
-    from .tensor import ConvSpec, concat_channels, conv2d, deconv2d, mse_loss, prelu
+    from .tensor import ConvSpec, concat_channels, conv2d, deconv2d, linear, mse_loss, prelu
 
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
@@ -177,6 +177,11 @@ def run_standard_checks(seed: int = 0) -> dict[str, float]:
     leaves = [rng.standard_normal((2, 1, 4, 4)), rng.standard_normal((2, 1, 4, 4))]
     results["mse_loss"] = grad_check(
         lambda ts: mse_loss(ts[0], ts[1]), leaves, rng=np.random.default_rng(seed))
+
+    leaves = [rng.standard_normal((6, 3)), rng.standard_normal((4, 3, 1, 1)),
+              rng.standard_normal(4)]
+    results["linear"] = grad_check(
+        lambda ts: linear(ts[0], ts[1], ts[2]), leaves, rng=np.random.default_rng(seed))
 
     fn, leaves, samples = lfcr_case(seed)
     results["lfcr_16x16"] = grad_check(fn, leaves, max_checks_per_leaf=samples,

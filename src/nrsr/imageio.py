@@ -85,7 +85,8 @@ def read_image_gray(path: str | Path) -> np.ndarray:
     """Read PGM or PPM; color inputs are converted to float luma, PGM stays uint8."""
     from .metrics import to_grayscale
 
-    magic = Path(path).open("rb").read(2)
+    with open(path, "rb") as fh:
+        magic = fh.read(2)
     if magic == b"P5":
         return read_pgm(path)
     if magic == b"P6":

@@ -1,9 +1,16 @@
 """Locally fully connected reconstruction network.
 
 Layout: fixed vectorizing layer (64 measurement channels per 8x8 target
-block) -> ten 1x1 convolutions with per-channel PReLU, hidden width 192
--> concatenation of the 16 central measurement channels -> stride-8
-deconvolution (kernel 8x8) emitting the reconstructed target blocks.
+block) -> ten fully connected layers with per-channel PReLU, hidden
+width 192, applied to every target block independently -> concatenation
+of the 16 central measurement channels -> stride-8 deconvolution
+(kernel 8x8) emitting the reconstructed target blocks.
+
+The fully connected stack runs on (blocks, channels) row matrices, one
+row per target block of the batch, so each layer is one GEMM. The rows
+are built once after the vectorizing layer and handed to the
+deconvolution as a channels-last view. Layer weights keep the shape of
+the 1x1 convolutions they are equivalent to, (192, 64 | 192, 1, 1).
 
 Pixel values cross the interface on the 0..255 scale. Internally the
 input is divided by 255 to keep activations of order one; the
@@ -23,7 +30,8 @@ from .masks import SamplingMask
 from .netutil import as_batch, from_batch, he_normal, param_count
 from .sensors import VectorizePlan, central_channel_indices
 from .tensor import (ConvSpec, ShapeMismatchError, Tensor, add_channel_bias, concat_channels,
-                     conv2d, deconv2d, no_grad, prelu, scale, take_channels)
+                     deconv2d, from_rows, linear, no_grad, prelu, scale, take_channels, to_rows)
+from .tensor import conv2d  # noqa: F401  (perfbench's tracer wraps nrsr.lfcr.conv2d by name)
 
 HIDDEN_CHANNELS = 192          # 4 * (3/4) * 8^2
 NUM_FC_LAYERS = 10
@@ -37,16 +45,11 @@ __all__ = ["LfcrModel", "build_lfcr", "lfcr_forward", "param_count"]
 
 @dataclass
 class FcBlock:
-    """One 1x1 convolution with bias and per-channel PReLU slopes."""
+    """One fully connected layer, (out, in, 1, 1) weights, with bias and PReLU slopes."""
 
     weights: Tensor
     bias: Tensor
     slopes: Tensor
-
-    @property
-    def spec(self) -> ConvSpec:
-        o, i = self.weights.shape[:2]
-        return ConvSpec(kernel_h=1, kernel_w=1, in_channels=i, out_channels=o)
 
 
 @dataclass
@@ -88,11 +91,13 @@ class LfcrModel:
         if x.shape[2] % sensors.TARGET or x.shape[3] % sensors.TARGET:
             raise ShapeMismatchError(f"input dims must be multiples of 8, got {x.shape[2:]}")
         h = scale(x, 1.0 / PIXEL_SCALE)
-        v = sensors.vectorize_tensor(h, self.plan)
+        v = to_rows(sensors.vectorize_tensor(h, self.plan))
         t = v
         for blk in self.blocks:
-            t = prelu(conv2d(t, blk.weights, blk.bias, blk.spec), blk.slopes)
+            t = prelu(linear(t, blk.weights, blk.bias), blk.slopes)
         t = concat_channels(t, take_channels(v, central_channel_indices()))
+        b, _, height, width = x.shape
+        t = from_rows(t, b, height // sensors.TARGET, width // sensors.TARGET)
         y = deconv2d(t, self.deconv_weights, None, self.deconv_spec)
         return add_channel_bias(scale(y, PIXEL_SCALE), self.deconv_bias)
 

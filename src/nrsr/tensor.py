@@ -1,11 +1,14 @@
 """Dense-array compute core with reverse-mode differentiation.
 
 Only the operations the reconstruction networks need are provided:
-conv2d, deconv2d (stride = kernel), PReLU, channel concatenation,
-elementwise add, scalar scaling, bias broadcast and MSE loss.
-Activations and weights live in (batch, channels, height, width)
-arrays of 32-bit floats; gradient checking runs the same ops in
-64-bit, so every op computes in the dtype of its inputs.
+conv2d, deconv2d (stride = kernel), a fully connected layer on rows,
+PReLU, channel concatenation, elementwise add, scalar scaling, bias
+broadcast and MSE loss. Activations and weights live in (batch,
+channels, height, width) arrays of 32-bit floats, or, for per-position
+fully connected layers, in (positions, channels) row matrices that
+to_rows/from_rows convert to and from; the channel axis is axis 1 in
+both layouts. Gradient checking runs the same ops in 64-bit, so every
+op computes in the dtype of its inputs.
 
 conv2d never materialises its whole patch matrix: it builds one
 cache-sized band of output rows at a time, multiplies it and reuses the
@@ -172,6 +175,11 @@ class ConvSpec:
 def _require_4d(t: Tensor, name: str) -> None:
     if t.data.ndim != 4:
         raise ShapeMismatchError(f"{name} must be 4-D (B,C,H,W), got shape {t.data.shape}")
+
+
+def _require_channels(t: Tensor, name: str) -> None:
+    if t.data.ndim < 2:
+        raise ShapeMismatchError(f"{name} needs a channel axis 1, got shape {t.data.shape}")
 
 
 def _pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
@@ -342,39 +350,109 @@ def deconv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) ->
     return _result(out, parents, bw)
 
 
-def prelu(x: Tensor, slopes: Tensor) -> Tensor:
-    """PReLU with one trainable slope per channel.
+def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+    """Fully connected layer on row vectors: x @ Wᵀ + b.
 
-    out = in where in >= 0, else slope[c] * in.
+    ``x`` is (N, in_features), one row per sample. ``weights`` has
+    out_features on its first axis and in_features entries in the rest,
+    so a (O, C, 1, 1) 1x1-convolution kernel is used as the (O, C)
+    matrix it holds. Forward and both gradients are one GEMM each:
+    dW = gᵀ @ x, dX = g @ W; ``bias`` is (out_features,).
     """
+    if x.data.ndim != 2:
+        raise ShapeMismatchError(f"input must be 2-D (N, features), got shape {x.shape}")
+    n_in = x.shape[1]
+    if weights.data.ndim < 2 or weights.data.size != weights.shape[0] * n_in:
+        raise ShapeMismatchError(f"weights shape {weights.shape} is not (out, {n_in}, ...)")
+    o = weights.shape[0]
+    if bias.shape != (o,):
+        raise ShapeMismatchError(f"bias shape {bias.shape} != ({o},)")
+    wmat = weights.data.reshape(o, n_in)
+    out = x.data @ wmat.T
+    out += bias.data
+
+    def bw(g: np.ndarray):
+        if bias.requires_grad or bias._parents:
+            bias.accumulate_grad(g.sum(axis=0))
+        if weights.requires_grad or weights._parents:
+            weights.accumulate_grad((g.T @ x.data).reshape(weights.shape))
+        if x.requires_grad or x._parents:
+            x.accumulate_grad(g @ wmat)
+
+    return _result(out, (x, weights, bias), bw)
+
+
+def to_rows(x: Tensor) -> Tensor:
+    """(B, C, H, W) -> (B*H*W, C): one row per position, rows in (b, h, w) order."""
     _require_4d(x, "input")
+    b, c, h, w = x.shape
+    out = x.data.transpose(0, 2, 3, 1).reshape(b * h * w, c)
+
+    def bw(g: np.ndarray):
+        if x.requires_grad or x._parents:
+            x.accumulate_grad(g.reshape(b, h, w, c).transpose(0, 3, 1, 2))
+
+    return _result(out, (x,), bw)
+
+
+def from_rows(x: Tensor, batch: int, height: int, width: int) -> Tensor:
+    """Inverse of :func:`to_rows`: (B*H*W, C) -> (B, C, H, W).
+
+    The result is a channels-last view of the rows, not a copy; ops that
+    contract over channels (deconv2d) then read it without a transpose.
+    """
+    if x.data.ndim != 2 or x.shape[0] != batch * height * width:
+        raise ShapeMismatchError(
+            f"rows of shape {x.shape} do not hold a {batch}x{height}x{width} grid")
+    c = x.shape[1]
+    out = x.data.reshape(batch, height, width, c).transpose(0, 3, 1, 2)
+
+    def bw(g: np.ndarray):
+        if x.requires_grad or x._parents:
+            x.accumulate_grad(g.transpose(0, 2, 3, 1).reshape(-1, c))
+
+    return _result(out, (x,), bw)
+
+
+def prelu(x: Tensor, slopes: Tensor) -> Tensor:
+    """PReLU with one trainable slope per channel; channels are axis 1.
+
+    out = in where in >= 0, else slope[c] * in. Serves (N, C) rows and
+    (B, C, H, W) maps alike.
+    """
+    _require_channels(x, "input")
     if slopes.data.ndim != 1 or slopes.shape[0] != x.shape[1]:
         raise ShapeMismatchError(
             f"slopes shape {slopes.shape} must be ({x.shape[1]},) for {x.shape[1]} channels"
         )
-    a = slopes.data[None, :, None, None]
+    a = slopes.data.reshape((-1,) + (1,) * (x.data.ndim - 2))
     # a*min(x,0) + max(x,0) equals where(x < 0, a*x, x) elementwise
-    out = a * np.minimum(x.data, 0)
+    out = np.minimum(x.data, 0, dtype=np.result_type(x.data, a))
+    out *= a
     out += np.maximum(x.data, 0)
 
     def bw(g: np.ndarray):
-        if x.requires_grad or x._parents:
-            # slope map: a where x < 0, else 1 (exact, and without a per-element branch)
-            neg = (x.data < 0).astype(a.dtype)
-            smap = neg * a
-            neg -= 1
-            smap -= neg
-            x.accumulate_grad(g * smap)
+        # one full-size buffer: min(x, 0) for the slope gradient, then the input gradient
+        buf = np.minimum(x.data, 0, dtype=np.result_type(x.data, a, g))
         if slopes.requires_grad or slopes._parents:
-            slopes.accumulate_grad(np.einsum("bchw,bchw->c", g, np.minimum(x.data, 0)))
+            n, c = x.shape[:2]
+            slopes.accumulate_grad(
+                np.einsum("ncl,ncl->c", g.reshape(n, c, -1), buf.reshape(n, c, -1)))
+        if x.requires_grad or x._parents:
+            # slope map: a where x < 0 (a*1), else 1 (a*0 + 1); exact, no per-element branch
+            neg = buf < 0
+            np.multiply(neg, a, out=buf)
+            buf += ~neg
+            buf *= g
+            x.accumulate_grad(buf)
 
     return _result(out, (x, slopes), bw)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the channel axis, a's channels first."""
-    _require_4d(a, "a")
-    _require_4d(b, "b")
+    """Concatenate along the channel axis (axis 1), a's channels first."""
+    _require_channels(a, "a")
+    _require_channels(b, "b")
     if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise ShapeMismatchError(f"batch/spatial dims differ: {a.shape} vs {b.shape}")
     na = a.shape[1]
@@ -390,8 +468,8 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 
 def take_channels(x: Tensor, indices) -> Tensor:
-    """Select channels by index; gradient scatters back to the selected channels."""
-    _require_4d(x, "input")
+    """Select channels (axis 1) by index; gradient scatters back to the selected channels."""
+    _require_channels(x, "input")
     idx = np.asarray(indices, dtype=np.intp)
     out = x.data[:, idx]
 

@@ -126,6 +126,27 @@ def test_missing_lfcr_layer_detected(tmp_path):
 
 
 @pytest.mark.parametrize("name,shape", [
+    ("lfcr/fc00/weights", (192, 100, 1, 1)),
+    ("lfcr/fc05/weights", (192, 100, 1, 1)),
+    ("lfcr/fc09/weights", (192, 192)),
+    ("lfcr/fc03/bias", (191,)),
+    ("lfcr/fc07/slopes", (192, 1)),
+    ("lfcr/deconv/weights", (208, 2, 8, 8)),
+    ("lfcr/deconv/weights", (192, 1, 8, 8)),
+    ("lfcr/deconv/bias", (2,)),
+    ("lfcr/vec/weights", (64, 1, 8, 8)),
+])
+def test_lfcr_layer_shapes_checked_on_load(tmp_path, name, shape):
+    path = tmp_path / "shapes.nrsr"
+    save_checkpoint(path, lfcr=build_lfcr(generate_mask("quarter", 0), "quarter", seed=0))
+    records = read_records(path)
+    records[name] = np.zeros(shape, dtype=np.float32)
+    write_records(path, records)
+    with pytest.raises(CheckpointError, match=name):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name,shape", [
     ("vdsr/conv03/weights", (64, 32, 3, 3)),   # does not chain from conv02's 64 outputs
     ("vdsr/conv01/weights", (64, 2, 3, 3)),    # input is one channel
     ("vdsr/conv02/weights", (64, 64, 3, 5)),   # kernels are square

@@ -302,6 +302,11 @@ class TestBadCheckpoint:
         ("vdsr/conv05/slopes", None),
         ("opt/vdsr/conv02/weights/v", None),
         ("vdsr/conv03/weights", np.zeros((64, 32, 3, 3), dtype=np.float32)),
+        ("meta/epoch", np.array([1, 2], dtype=np.float32)),
+        ("meta/mask_seed", np.array([7, 7], dtype=np.float32)),
+        ("opt/step", np.zeros((2, 2), dtype=np.float32)),
+        ("meta/epoch", np.float32(np.nan)),
+        ("lfcr/fc05/weights", np.zeros((192, 100, 1, 1), dtype=np.float32)),
     ])
     def test_evaluate_exits_2_naming_the_record(self, workdir, resumable_checkpoint, tmp_path,
                                                 name, value):
@@ -327,7 +332,7 @@ class TestGradcheckCommand:
         res = run_cli("gradcheck", "--seed", "0")
         assert res.returncode == 0, res.stdout + res.stderr
         assert "all gradient checks passed" in res.stdout
-        for op in ("conv2d", "deconv2d", "prelu", "concat_channels", "mse_loss",
+        for op in ("conv2d", "deconv2d", "prelu", "concat_channels", "mse_loss", "linear",
                    "lfcr_16x16", "vdsr_depth4"):
             assert op in res.stdout
 

@@ -1,5 +1,8 @@
 """PGM/PPM parsing and the raw-float sidecar format."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,20 @@ def test_ppm_read_and_grayscale(tmp_path):
     assert np.array_equal(read_ppm(path), rgb)
     gray = read_image_gray(path)
     np.testing.assert_allclose(gray, 76.245)
+
+
+@pytest.mark.parametrize("magic", [b"P5", b"P6", b"P2"])
+def test_read_image_gray_closes_its_file(tmp_path, magic):
+    path = tmp_path / "x.img"
+    path.write_bytes(magic + b"\n1 1\n255\n" + b"\x80" * (3 if magic == b"P6" else 1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            read_image_gray(path)
+        except ImageFormatError:
+            assert magic == b"P2"
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def test_wrong_magic_rejected(tmp_path):

@@ -8,7 +8,8 @@ from nrsr import tensor
 from nrsr.gradcheck import grad_check
 from nrsr.sensors import VEC_SPEC
 from nrsr.tensor import (ConvSpec, ShapeMismatchError, Tensor, UnsupportedConfigError,
-                         concat_channels, conv2d, deconv2d, mse_loss, prelu, take_channels)
+                         concat_channels, conv2d, deconv2d, from_rows, linear, mse_loss, prelu,
+                         take_channels, to_rows)
 
 
 def t(arr, grad=False):
@@ -245,6 +246,112 @@ class TestPrelu:
         with pytest.raises(ShapeMismatchError):
             prelu(t(np.zeros((1, 3, 2, 2), dtype=np.float32)),
                   t(np.array([0.1, 0.2], dtype=np.float32)))
+
+
+    def test_rows_forward_equals_where_with_signed_zeros(self):
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal((7, 3)).astype(np.float32)
+        x[0] = [0.0, -0.0, 0.0]
+        slopes = np.array([0.25, -0.5, 1.75], dtype=np.float32)
+        out = prelu(t(x), t(slopes)).data
+        assert out.dtype == np.float32
+        assert np.array_equal(out, np.where(x < 0, slopes * x, x))
+
+    def test_rows_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(59)
+        x = rng.standard_normal((6, 4))
+        x = np.where(np.abs(x) < 0.05, 0.3, x)
+        assert grad_check(lambda ts: prelu(ts[0], ts[1]), [x, rng.uniform(0.1, 0.9, 4)]) <= 1e-4
+
+    def test_rows_channel_without_negatives_gets_zero_slope_gradient(self):
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal((9, 2))
+        x[:, 1] = np.abs(x[:, 1])
+        x[:2, 1] = [0.0, -0.0]
+        xt, st = t(x, grad=True), t(np.array([0.2, 0.3]), grad=True)
+        g = rng.standard_normal(x.shape)
+        prelu(xt, st).backward(g)
+        assert st.grad[1] == 0.0
+        np.testing.assert_allclose(st.grad[0], np.sum(g[:, 0] * np.minimum(x[:, 0], 0)),
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(xt.grad, g * np.where(x < 0, [0.2, 0.3], 1.0))
+
+    def test_needs_a_channel_axis(self):
+        with pytest.raises(ShapeMismatchError, match="channel axis"):
+            prelu(t(np.zeros(3, dtype=np.float32)), t(np.zeros(3, dtype=np.float32)))
+
+
+class TestLinear:
+    """Fully connected layer on (rows, features) matrices."""
+
+    def test_matches_numpy_reference(self):
+        rng = np.random.default_rng(67)
+        x = rng.standard_normal((5, 3)).astype(np.float32)
+        wt = rng.standard_normal((4, 3, 1, 1)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        out = linear(t(x), t(wt), t(b)).data
+        assert out.shape == (5, 4) and out.dtype == np.float32
+        want = x.astype(np.float64) @ wt.reshape(4, 3).T.astype(np.float64) + b
+        np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-5)
+        x64, w64 = x.astype(np.float64), wt.reshape(4, 3).astype(np.float64)
+        np.testing.assert_allclose(linear(t(x64), t(w64), t(b.astype(np.float64))).data,
+                                   x64 @ w64.T + b, rtol=1e-12, atol=1e-12)
+
+    def test_equals_1x1_conv_on_rows(self):
+        rng = np.random.default_rng(71)
+        x = rng.standard_normal((2, 3, 4, 5))
+        wt = rng.standard_normal((6, 3, 1, 1))
+        b = rng.standard_normal(6)
+        conv = conv2d(t(x), t(wt), t(b), ConvSpec(1, 1, in_channels=3, out_channels=6))
+        rows = linear(to_rows(t(x)), t(wt), t(b))
+        back = from_rows(rows, 2, 4, 5).data
+        np.testing.assert_allclose(back, conv.data, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(rows.data, to_rows(conv).data)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(73)
+        leaves = [rng.standard_normal((6, 3)), rng.standard_normal((4, 3, 1, 1)),
+                  rng.standard_normal(4)]
+        assert grad_check(lambda ts: linear(ts[0], ts[1], ts[2]), leaves) <= 1e-4
+
+    def test_gradients_are_the_gemms(self):
+        rng = np.random.default_rng(79)
+        x, wt, b = (t(rng.standard_normal(s), grad=True) for s in ((6, 3), (4, 3), (4,)))
+        g = rng.standard_normal((6, 4))
+        linear(x, wt, b).backward(g)
+        np.testing.assert_allclose(wt.grad, g.T @ x.data, rtol=1e-12)
+        np.testing.assert_allclose(x.grad, g @ wt.data, rtol=1e-12)
+        np.testing.assert_allclose(b.grad, g.sum(axis=0), rtol=1e-12)
+
+    def test_shape_mismatch_rejected(self):
+        w = t(np.zeros((4, 3, 1, 1), dtype=np.float32))
+        b = t(np.zeros(4, dtype=np.float32))
+        with pytest.raises(ShapeMismatchError, match="2-D"):
+            linear(t(np.zeros((1, 3, 2, 2), dtype=np.float32)), w, b)
+        with pytest.raises(ShapeMismatchError, match="weights shape"):
+            linear(t(np.zeros((5, 2), dtype=np.float32)), w, b)
+        with pytest.raises(ShapeMismatchError, match="bias shape"):
+            linear(t(np.zeros((5, 3), dtype=np.float32)), w, t(np.zeros(3, dtype=np.float32)))
+
+
+class TestRows:
+    def test_round_trip_and_order(self):
+        x = np.arange(2 * 3 * 4 * 5, dtype=np.float32).reshape(2, 3, 4, 5)
+        rows = to_rows(t(x))
+        assert rows.shape == (40, 3) and rows.data.flags.c_contiguous
+        assert np.array_equal(rows.data[1 * 20 + 2 * 5 + 3], x[1, :, 2, 3])
+        assert np.array_equal(from_rows(rows, 2, 4, 5).data, x)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(83)
+        leaves = [rng.standard_normal((2, 3, 2, 4))]
+        assert grad_check(lambda ts: to_rows(ts[0]), leaves) <= 1e-4
+        leaves = [rng.standard_normal((16, 3))]
+        assert grad_check(lambda ts: from_rows(ts[0], 2, 2, 4), leaves) <= 1e-4
+
+    def test_grid_mismatch_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="grid"):
+            from_rows(t(np.zeros((15, 3), dtype=np.float32)), 2, 2, 4)
 
 
 class TestConcat:
