@@ -30,8 +30,8 @@ import numpy as np
 from .lfcr import DECONV_IN, HIDDEN_CHANNELS, NUM_FC_LAYERS, FcBlock, LfcrModel
 from .masks import LOW_RESOLUTION, QUARTER, THREE_QUARTER, SamplingMask
 from .optim import AdamState
-from .sensors import SUPPORT, TARGET, VEC_CHANNELS, VEC_SPEC
-from .tensor import Tensor
+from .sensors import SUPPORT, TARGET, VEC_CHANNELS, plan_from_kernel
+from .tensor import ShapeMismatchError, Tensor
 from .vdsr import ConvLayer, VdsrModel
 
 MAGIC = b"NRSR1"
@@ -165,6 +165,10 @@ def _rebuild_lfcr(records: dict[str, np.ndarray], sensor_kind: str,
             raise CheckpointError(f"missing LFCR record '{name}'")
         if records[name].shape != shape:
             raise CheckpointError(f"{name} has shape {records[name].shape}, expected {shape}")
+    try:
+        plan = plan_from_kernel(records["lfcr/vec/weights"])
+    except ShapeMismatchError as exc:
+        raise CheckpointError(f"lfcr/vec/weights: {exc}") from exc
 
     def param(name: str) -> Tensor:
         return Tensor(records[name], requires_grad=True)
@@ -174,7 +178,7 @@ def _rebuild_lfcr(records: dict[str, np.ndarray], sensor_kind: str,
               for i in range(NUM_FC_LAYERS)]
     return LfcrModel(
         sensor_kind=sensor_kind, mask=mask, vec_kernel=records["lfcr/vec/weights"],
-        vec_spec=VEC_SPEC, blocks=blocks,
+        blocks=blocks, plan=plan,
         deconv_weights=param("lfcr/deconv/weights"), deconv_bias=param("lfcr/deconv/bias"),
     )
 

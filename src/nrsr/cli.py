@@ -192,18 +192,52 @@ def _load_dataset_images(data_dir: str):
     return images, [p.name for p in paths]
 
 
-def _find_resume(ckdir, prefix: str):
-    from pathlib import Path
+def _checkpoint_models(path: str):
+    from .checkpoint import load_checkpoint
 
-    files = sorted(Path(ckdir).glob(f"{prefix}-epoch*.nrsr"))
-    return files[-1] if files else None
+    ck = load_checkpoint(path)
+    if ck.lfcr is None:
+        raise UsageError(f"{path}: no LFCR model records")
+    return ck
+
+
+def _checkpoint_for(path, sensor: str, mask):
+    """Load ``path`` and check it was trained for ``sensor`` and ``mask``."""
+    import numpy as np
+
+    ck = _checkpoint_models(path)
+    if ck.sensor_kind != sensor:
+        raise UsageError(f"checkpoint was trained for sensor '{ck.sensor_kind}', not '{sensor}'")
+    if mask is not None and ck.mask is not None and not np.array_equal(mask.pattern, ck.mask.pattern):
+        raise UsageError("mask file does not match the checkpoint's mask pattern")
+    return ck
+
+
+def _start_checkpoint(args, ckdir, mask):
+    """The checkpoint a training run starts from, or None for a fresh start.
+
+    With --resume it is the newest phase-2 checkpoint in ``ckdir``, else
+    the newest phase-1 one; --phase vdsr starts from the newest phase-1
+    checkpoint and needs one. It must match --sensor and --mask.
+    """
+    prefixes = ("vdsr", "lfcr") if args.resume else ("lfcr",) if args.phase == "vdsr" else ()
+    for prefix in prefixes:
+        files = sorted(ckdir.glob(f"{prefix}-epoch*.nrsr"))
+        if files:
+            ck = _checkpoint_for(files[-1], args.sensor, mask)
+            print(f"{'resuming' if args.resume else 'starting'} from {files[-1]} "
+                  f"(phase {ck.phase}, epoch {ck.epoch})")
+            return ck
+    if args.phase == "vdsr":
+        raise UsageError(f"--phase vdsr needs a phase-1 checkpoint (lfcr-epoch*.nrsr) in {ckdir}")
+    return None
 
 
 def cmd_train(args) -> int:
     from dataclasses import replace
     from pathlib import Path
 
-    from .checkpoint import load_checkpoint, save_checkpoint
+    from .checkpoint import save_checkpoint
     from .lfcr import build_lfcr
     from .training import (SHIFT_FACTORS, TrainConfig, build_patch_set, load_config,
                            save_config, train_lfcr, train_vdsr, write_log_csv)
@@ -228,8 +262,9 @@ def cmd_train(args) -> int:
         config = replace(config, **overrides)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ckdir = out / "checkpoints"
+    ck = _start_checkpoint(args, ckdir, mask)
+    out.mkdir(parents=True, exist_ok=True)
     save_config(config, out / "train_config.txt")
 
     images, ids = _load_dataset_images(args.data)
@@ -238,53 +273,23 @@ def cmd_train(args) -> int:
           f"({len(images)} images, shift x{len(config.shift_set)}, "
           f"flips {'x8' if config.flips_rotations else 'off'})")
 
-    lfcr_model = None
-    state = None
-    start_epoch = 0
-    resume_phase = "lfcr"
-    if args.resume:
-        latest_vdsr = _find_resume(ckdir, "vdsr")
-        latest_lfcr = _find_resume(ckdir, "lfcr")
-        latest = latest_vdsr or latest_lfcr
-        if latest is not None:
-            ck = load_checkpoint(latest)
-            lfcr_model = ck.lfcr
-            state = ck.adam
-            start_epoch = ck.epoch
-            resume_phase = ck.phase or "lfcr"
-            print(f"resuming from {latest} (phase {resume_phase}, epoch {start_epoch})")
+    lfcr_model = ck.lfcr if ck else build_lfcr(mask, args.sensor, seed=config.seed)
+    vdsr_model = ck.vdsr if ck else None
+    # Adam state and start epoch continue only the phase the checkpoint was saved in
+    resumed = {ck.phase: {"state": ck.adam, "start_epoch": ck.epoch}} if ck else {}
 
-    if lfcr_model is None:
-        lfcr_model = build_lfcr(mask, args.sensor, seed=config.seed)
+    def report(phase: str, res) -> None:
+        write_log_csv(out / f"{phase}_train_log.csv", res.rows)
+        print(f"phase {phase} done: {len(res.rows)} steps" + (
+            f", final epoch loss {res.epoch_losses[-1]:.6g}" if res.epoch_losses else ""))
 
-    run_lfcr = args.phase in ("both", "lfcr") and resume_phase == "lfcr"
-    run_vdsr = args.phase in ("both", "vdsr")
-    vdsr_model = None
-
-    if run_lfcr:
-        res = train_lfcr(lfcr_model, patch_set, config, checkpoint_dir=ckdir,
-                         state=state if resume_phase == "lfcr" else None,
-                         start_epoch=start_epoch if resume_phase == "lfcr" else 0)
-        write_log_csv(out / "lfcr_train_log.csv", res.rows)
-        print(f"phase 1 done: {len(res.rows)} steps, "
-              f"final epoch loss {res.epoch_losses[-1]:.6g}" if res.epoch_losses
-              else "phase 1: nothing to do")
-        state = None
-        start_epoch = 0
-
-    if run_vdsr:
-        if args.resume and resume_phase == "vdsr":
-            ck = load_checkpoint(_find_resume(ckdir, "vdsr"))
-            vdsr_model = ck.vdsr
-        if vdsr_model is None:
-            vdsr_model = build_vdsr(seed=config.seed + 1)
-        res = train_vdsr(lfcr_model, vdsr_model, patch_set, config, checkpoint_dir=ckdir,
-                         state=state if resume_phase == "vdsr" else None,
-                         start_epoch=start_epoch if resume_phase == "vdsr" else 0)
-        write_log_csv(out / "vdsr_train_log.csv", res.rows)
-        if res.epoch_losses:
-            print(f"phase 2 done: {len(res.rows)} steps, "
-                  f"final epoch loss {res.epoch_losses[-1]:.6g}")
+    if args.phase != "vdsr" and "vdsr" not in resumed:
+        report("lfcr", train_lfcr(lfcr_model, patch_set, config, checkpoint_dir=ckdir,
+                                  **resumed.get("lfcr", {})))
+    if args.phase != "lfcr":
+        vdsr_model = vdsr_model or build_vdsr(seed=config.seed + 1)
+        report("vdsr", train_vdsr(lfcr_model, vdsr_model, patch_set, config, checkpoint_dir=ckdir,
+                                  **resumed.get("vdsr", {})))
 
     final = out / "final.nrsr"
     save_checkpoint(final, lfcr=lfcr_model, vdsr=vdsr_model)
@@ -293,21 +298,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    import numpy as np
-
-    from .checkpoint import load_checkpoint
     from .evaluate import reconstruct_image
     from .imageio import read_image_gray, save_raw, write_pgm
 
     mask = _load_mask_for(args.sensor, args.mask)
-    ck = load_checkpoint(args.checkpoint)
-    if ck.lfcr is None:
-        raise UsageError(f"{args.checkpoint}: no LFCR model records")
-    if ck.sensor_kind != args.sensor:
-        raise UsageError(f"checkpoint was trained for sensor '{ck.sensor_kind}', "
-                         f"not '{args.sensor}'")
-    if mask is not None and ck.mask is not None and not np.array_equal(mask.pattern, ck.mask.pattern):
-        raise UsageError("mask file does not match the checkpoint's mask pattern")
+    ck = _checkpoint_for(args.checkpoint, args.sensor, mask)
     if args.stage == "full" and ck.vdsr is None:
         raise UsageError(f"{args.checkpoint}: no VDSR records; use --stage lfcr")
 
@@ -322,15 +317,6 @@ def cmd_reconstruct(args) -> int:
         write_pgm(args.out, out)
     print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _checkpoint_models(path: str):
-    from .checkpoint import load_checkpoint
-
-    ck = load_checkpoint(path)
-    if ck.lfcr is None:
-        raise UsageError(f"{path}: no LFCR model records")
-    return ck
 
 
 def cmd_evaluate(args) -> int:

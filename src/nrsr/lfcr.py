@@ -57,7 +57,6 @@ class LfcrModel:
     sensor_kind: str
     mask: SamplingMask | None
     vec_kernel: np.ndarray            # fixed (64, 1, 16, 16)
-    vec_spec: ConvSpec
     blocks: list[FcBlock]
     deconv_weights: Tensor            # (208, 1, 8, 8)
     deconv_bias: Tensor               # (1,)
@@ -104,7 +103,7 @@ class LfcrModel:
 
 def build_lfcr(mask: SamplingMask | None, kind: str, seed: int = 0) -> LfcrModel:
     """LFCR model for the given sensor, He-initialized from the seed."""
-    vec_kernel, vec_spec = sensors.build_vectorizing_kernel(mask, kind)
+    vec_kernel, _ = sensors.build_vectorizing_kernel(mask, kind)
     rng = np.random.default_rng(seed)
     blocks = []
     in_ch = sensors.VEC_CHANNELS
@@ -123,7 +122,6 @@ def build_lfcr(mask: SamplingMask | None, kind: str, seed: int = 0) -> LfcrModel
         sensor_kind=kind,
         mask=mask,
         vec_kernel=vec_kernel,
-        vec_spec=vec_spec,
         blocks=blocks,
         deconv_weights=Tensor(dw, requires_grad=True),
         deconv_bias=Tensor(np.zeros(1, dtype=np.float32), requires_grad=True),

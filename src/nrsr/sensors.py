@@ -33,7 +33,7 @@ VEC_CHANNELS = SUPPORT_CELLS * SUPPORT_CELLS
 VEC_PAD = 4
 
 VEC_SPEC = ConvSpec(kernel_h=SUPPORT, kernel_w=SUPPORT, stride_h=TARGET, stride_w=TARGET,
-                    pad=VEC_PAD, in_channels=1, out_channels=VEC_CHANNELS, trainable=False)
+                    pad=VEC_PAD, in_channels=1, out_channels=VEC_CHANNELS)
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def build_vectorizing_kernel(mask: SamplingMask | None, kind: str) -> tuple[np.n
     Channel c = 8*r + q reads only inside cell (r, q) of the support
     window: weight 1 at the measured quadrant (quarter), 1/3 at the three
     uncovered quadrants (three-quarter), or 1/4 at all four quadrants
-    (low-resolution). Marked non-trainable via the spec.
+    (low-resolution).
     """
     if kind not in SENSOR_KINDS:
         raise ShapeMismatchError(f"unknown sensor kind '{kind}'")

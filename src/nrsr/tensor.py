@@ -156,7 +156,6 @@ class ConvSpec:
     pad: int = 0
     in_channels: int = 1
     out_channels: int = 1
-    trainable: bool = True
 
     def __post_init__(self):
         if self.kernel_h < 1 or self.kernel_w < 1:

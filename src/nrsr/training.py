@@ -253,14 +253,41 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start : start + batch_size]
 
 
-def _run_phase(step_fn, patches: np.ndarray, config: TrainConfig, lr_scale: float,
-               save_fn, start_epoch: int, state: AdamState) -> TrainResult:
+def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: TrainConfig,
+               lr_scale: float, checkpoint_dir: str | Path | None, state: AdamState | None,
+               start_epoch: int) -> TrainResult:
+    """The training loop of both phases: fit ``models[phase]`` to ``loss_fn``.
+
+    ``loss_fn`` maps a batch of reference patches to the scalar loss
+    Tensor. Every model in ``models`` (keyed like ``save_checkpoint``'s
+    arguments) goes into the per-epoch ``<phase>-epochNNNN.nrsr``
+    checkpoint, together with the Adam state.
+    """
+    patches = patch_set.patches
     if len(patches) == 0:
         raise ConfigError("empty patch set")
+    params = models[phase].named_parameters()
+    state = state or AdamState.for_params(params)
+    if checkpoint_dir is not None:
+        checkpoint_dir = Path(checkpoint_dir)
+        checkpoint_dir.mkdir(parents=True, exist_ok=True)
+    saved: list[str] = []
+
+    def step(batch: np.ndarray, lr: float) -> float:
+        # the graph lives in this frame only, so it is freed before the next forward
+        loss = loss_fn(batch)
+        value = float(loss.data.reshape(()))
+        if not np.isfinite(value):
+            raise NonFiniteLossError(state.step + 1, saved[-1] if saved else None)
+        for _, p in params:
+            p.zero_grad()
+        loss.backward()
+        adam_step(params, state, lr)
+        return value
+
     rng = np.random.default_rng(config.seed)
     rows: list[LogRow] = []
     epoch_losses: list[float] = []
-    saved: list[str] = []
     for epoch in range(1, config.epochs + 1):
         lr = lr_schedule(epoch, config) * lr_scale
         if epoch <= start_epoch:
@@ -270,14 +297,14 @@ def _run_phase(step_fn, patches: np.ndarray, config: TrainConfig, lr_scale: floa
             continue
         losses = []
         for batch_idx in _epoch_batches(len(patches), config.batch_size, rng):
-            loss = step_fn(patches[batch_idx], lr)
-            if not np.isfinite(loss):
-                raise NonFiniteLossError(state.step, saved[-1] if saved else None)
+            loss = step(patches[batch_idx], lr)
             rows.append(LogRow(epoch=epoch, step=state.step, lr=lr, loss=loss))
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
-        if save_fn is not None:
-            saved.append(save_fn(epoch))
+        if checkpoint_dir is not None:
+            path = checkpoint_dir / f"{phase}-epoch{epoch:04d}.nrsr"
+            save_checkpoint(path, **models, adam=state, epoch=epoch, phase=phase)
+            saved.append(str(path))
     return TrainResult(rows=rows, epoch_losses=epoch_losses, checkpoints=saved)
 
 
@@ -285,64 +312,23 @@ def train_lfcr(model: LfcrModel, patch_set: PatchSet, config: TrainConfig,
                checkpoint_dir: str | Path | None = None,
                state: AdamState | None = None, start_epoch: int = 0) -> TrainResult:
     """Phase 1: fit the LFCR to reproduce reference patches from its own sampling."""
-    params = model.named_parameters()
-    state = state or AdamState.for_params(params)
 
-    def step(batch: np.ndarray, lr: float) -> float:
-        x = Tensor(batch[:, None])
-        pred = model.forward_t(x)
-        loss = mse_loss(pred, Tensor(batch[:, None]))
-        lv = float(loss.data.reshape(()))
-        if not np.isfinite(lv):
-            return lv  # the phase loop aborts with the last good checkpoint
-        for _, p in params:
-            p.zero_grad()
-        loss.backward()
-        adam_step(params, state, lr)
-        return lv
+    def loss_fn(batch: np.ndarray) -> Tensor:
+        return mse_loss(model.forward_t(Tensor(batch[:, None])), Tensor(batch[:, None]))
 
-    save_fn = None
-    if checkpoint_dir is not None:
-        ckdir = Path(checkpoint_dir)
-        ckdir.mkdir(parents=True, exist_ok=True)
-
-        def save_fn(epoch: int) -> str:
-            path = ckdir / f"lfcr-epoch{epoch:04d}.nrsr"
-            save_checkpoint(path, lfcr=model, adam=state, epoch=epoch, phase="lfcr")
-            return str(path)
-
-    return _run_phase(step, patch_set.patches, config, 1.0, save_fn, start_epoch, state)
+    return _run_phase("lfcr", {"lfcr": model}, loss_fn, patch_set, config, 1.0,
+                      checkpoint_dir, state, start_epoch)
 
 
 def train_vdsr(lfcr_model: LfcrModel, vdsr_model: VdsrModel, patch_set: PatchSet,
                config: TrainConfig, checkpoint_dir: str | Path | None = None,
                state: AdamState | None = None, start_epoch: int = 0) -> TrainResult:
     """Phase 2: freeze the LFCR, fit the VDSR on its outputs at a tenth of the base lr."""
-    params = vdsr_model.named_parameters()
-    state = state or AdamState.for_params(params)
 
-    def step(batch: np.ndarray, lr: float) -> float:
+    def loss_fn(batch: np.ndarray) -> Tensor:
         f_hat = lfcr_forward(lfcr_model, batch)  # frozen: plain values, no graph
         _, f_tilde = vdsr_model.forward_t(Tensor(f_hat[:, None]))
-        loss = mse_loss(f_tilde, Tensor(batch[:, None]))
-        lv = float(loss.data.reshape(()))
-        if not np.isfinite(lv):
-            return lv
-        for _, p in params:
-            p.zero_grad()
-        loss.backward()
-        adam_step(params, state, lr)
-        return lv
+        return mse_loss(f_tilde, Tensor(batch[:, None]))
 
-    save_fn = None
-    if checkpoint_dir is not None:
-        ckdir = Path(checkpoint_dir)
-        ckdir.mkdir(parents=True, exist_ok=True)
-
-        def save_fn(epoch: int) -> str:
-            path = ckdir / f"vdsr-epoch{epoch:04d}.nrsr"
-            save_checkpoint(path, lfcr=lfcr_model, vdsr=vdsr_model, adam=state,
-                            epoch=epoch, phase="vdsr")
-            return str(path)
-
-    return _run_phase(step, patch_set.patches, config, 0.1, save_fn, start_epoch, state)
+    return _run_phase("vdsr", {"lfcr": lfcr_model, "vdsr": vdsr_model}, loss_fn, patch_set,
+                      config, 0.1, checkpoint_dir, state, start_epoch)

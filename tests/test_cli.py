@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import synth_image_u8
+from nrsr.checkpoint import load_checkpoint
 from nrsr.imageio import load_raw, read_pgm, write_pgm
 
 TOP_HELP_SNAPSHOT = """\
@@ -30,6 +32,12 @@ positional arguments:
 options:
   -h, --help   show this help message and exit
 """
+
+
+def assert_same_params(a, b):
+    assert [n for n, _ in a.named_parameters()] == [n for n, _ in b.named_parameters()]
+    for (name, p), (_, q) in zip(a.named_parameters(), b.named_parameters()):
+        assert np.array_equal(p.data, q.data), name
 
 
 def run_cli(*args, **kwargs):
@@ -192,6 +200,58 @@ class TestTrainCommand:
         steps = [int(line.split(",")[1]) for line in log]
         assert steps == [3, 4]
 
+    def test_phase_vdsr_starts_from_the_phase_1_lfcr(self, workdir, tmp_path):
+        out = tmp_path / "split"
+        common = ["--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                  "--data", workdir / "data", "--out", out, "--epochs", "1",
+                  "--shift-da", "1", "--no-flips", "--seed", "5", "--threads", "1"]
+        assert run_cli("train", *common, "--phase", "lfcr").returncode == 0
+        res = run_cli("train", *common, "--phase", "vdsr")
+        assert res.returncode == 0, res.stderr
+        assert "starting from" in res.stdout
+        final = load_checkpoint(out / "final.nrsr")
+        assert final.vdsr is not None
+        phase_1 = load_checkpoint(out / "checkpoints" / "lfcr-epoch0001.nrsr")
+        assert_same_params(final.lfcr, phase_1.lfcr)
+
+    def test_phase_vdsr_without_phase_1_checkpoint_exits_2(self, workdir, tmp_path):
+        res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                      "--data", workdir / "data", "--out", tmp_path / "o", "--epochs", "1",
+                      "--phase", "vdsr")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "lfcr-epoch" in res.stderr
+        assert not (tmp_path / "o" / "final.nrsr").exists()
+
+    def test_resume_keeps_the_vdsr(self, workdir, trained, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(trained[0], out)
+        res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                      "--data", workdir / "data", "--out", out, "--epochs", "1",
+                      "--shift-da", "1", "--no-flips", "--seed", "5", "--phase", "lfcr", "--resume")
+        assert res.returncode == 0, res.stderr
+        final = load_checkpoint(out / "final.nrsr")
+        assert final.vdsr is not None
+        resumed = load_checkpoint(out / "checkpoints" / "vdsr-epoch0001.nrsr")
+        assert_same_params(final.vdsr, resumed.vdsr)
+
+    @pytest.mark.parametrize("sensor,seed,message", [
+        ("three-quarter", 7, "checkpoint was trained for sensor 'quarter', not 'three-quarter'"),
+        ("quarter", 99, "mask file does not match the checkpoint's mask pattern"),
+    ])
+    def test_resume_refuses_another_sensor_or_mask(self, workdir, trained, tmp_path,
+                                                   sensor, seed, message):
+        out = tmp_path / "run"
+        shutil.copytree(trained[0], out)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        mask = tmp_path / "other.nrsmask"
+        assert run_cli("mask", "--kind", sensor, "--seed", seed, "--out", mask).returncode == 0
+        res = run_cli("train", "--sensor", sensor, "--mask", mask, "--data", workdir / "data",
+                      "--out", out, "--epochs", "2", "--shift-da", "1", "--no-flips", "--resume")
+        assert res.returncode == 2
+        assert res.stderr == f"error: {message}\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_missing_data_dir_exits_2(self, workdir, tmp_path):
         res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
                       "--data", tmp_path / "nope", "--out", tmp_path / "o", "--epochs", "1")
@@ -307,6 +367,7 @@ class TestBadCheckpoint:
         ("opt/step", np.zeros((2, 2), dtype=np.float32)),
         ("meta/epoch", np.float32(np.nan)),
         ("lfcr/fc05/weights", np.zeros((192, 100, 1, 1), dtype=np.float32)),
+        ("lfcr/vec/weights", np.zeros((64, 1, 16, 16), dtype=np.float32)),
     ])
     def test_evaluate_exits_2_naming_the_record(self, workdir, resumable_checkpoint, tmp_path,
                                                 name, value):
@@ -347,8 +408,6 @@ class TestCurvesCommand:
         pattern = str(trained[0] / "final.nrsr").replace("run", "run-f{factor}")
         link = workdir / "run-f1"
         if not link.exists():
-            import shutil
-
             shutil.copytree(trained[0], link)
         out = tmp_path / "curves.csv"
         res = run_cli("curves", "--dataset", workdir / "holdout",

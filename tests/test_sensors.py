@@ -114,7 +114,7 @@ class TestVectorizingKernel:
     def test_quarter_channels_have_single_unit_weight(self):
         kernel, spec = build_vectorizing_kernel(generate_mask("quarter", 4), "quarter")
         assert kernel.shape == (64, 1, 16, 16)
-        assert spec == VEC_SPEC and not spec.trainable
+        assert spec == VEC_SPEC
         for ch in range(64):
             nz = kernel[ch, 0][kernel[ch, 0] != 0]
             assert nz.shape == (1,) and nz[0] == 1.0

@@ -221,6 +221,14 @@ class TestTrainLfcr:
         if isinstance(exc_info.value, NonFiniteLossError):
             assert exc_info.value.last_checkpoint is not None
 
+    def test_non_finite_loss_names_the_failing_step(self):
+        model = build_lfcr(generate_mask("quarter", 5), "quarter", seed=0)
+        patches = np.full((2, 48, 48), np.nan, dtype=np.float32)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteLossError, match="non-finite loss at step 1$") as exc_info:
+                train_lfcr(model, PatchSet(patches=patches), TrainConfig(epochs=1, batch_size=8))
+        assert exc_info.value.step == 1 and exc_info.value.last_checkpoint is None
+
     def test_resume_continues_step_counter(self, tmp_path):
         cfg = TrainConfig(epochs=4, batch_size=8, seed=1)
         model = build_lfcr(generate_mask("quarter", 6), "quarter", seed=0)
