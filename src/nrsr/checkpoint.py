@@ -12,11 +12,13 @@ Binary layout, little endian throughout::
         payload   float32 * prod(dims)
 
 Network parameters use their layer names ("lfcr/fc00/weights",
-"vdsr/conv01/bias", ...); the fixed vectorizing kernel is stored as
-"lfcr/vec/weights". Sensor metadata rides along as scalar or small
+"vdsr/conv01/bias", ...). Sensor metadata rides along as scalar or small
 records under "meta/" (sensor kind code, mask pattern, mask seed), and
 optimizer state saved mid-training uses "opt/step" plus
-"opt/<param>/m" and "opt/<param>/v" records.
+"opt/<param>/m" and "opt/<param>/v" records. The fixed vectorizing
+kernel is still written, first, as "lfcr/vec/weights"; it must equal
+the kernel of "meta/sensor_kind" and "meta/mask_pattern", and loading
+rejects any other.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from .lfcr import DECONV_IN, HIDDEN_CHANNELS, NUM_FC_LAYERS, FcBlock, LfcrModel
-from .masks import LOW_RESOLUTION, QUARTER, THREE_QUARTER, SamplingMask
+from .masks import (LOW_RESOLUTION, MASKED_KINDS, QUARTER, THREE_QUARTER, MaskFormatError,
+                    SamplingMask)
 from .optim import AdamState
-from .sensors import SUPPORT, TARGET, VEC_CHANNELS, plan_from_kernel
-from .tensor import ShapeMismatchError, Tensor
+from .sensors import TARGET, VEC_CHANNELS, build_vectorizing_kernel
+from .tensor import Tensor
 from .vdsr import ConvLayer, VdsrModel
 
 MAGIC = b"NRSR1"
@@ -44,6 +47,13 @@ PHASE_FROM_CODE = {v: k for k, v in PHASE_CODES.items()}
 
 class CheckpointError(ValueError):
     """Raised for malformed checkpoint files or incompatible contents."""
+
+
+class _Records(dict):
+    """Records by name; looking up a missing name raises CheckpointError naming it."""
+
+    def __missing__(self, name: str):
+        raise CheckpointError(f"missing record '{name}'")
 
 
 def write_records(path: str | Path, records: dict[str, np.ndarray]) -> None:
@@ -76,7 +86,7 @@ def read_records(path: str | Path) -> dict[str, np.ndarray]:
         return chunk
 
     (count,) = struct.unpack("<I", take(4))
-    records: dict[str, np.ndarray] = {}
+    records = _Records()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         name = take(name_len).decode("utf-8")
@@ -94,8 +104,6 @@ def read_records(path: str | Path) -> dict[str, np.ndarray]:
 class Checkpoint:
     """Decoded checkpoint contents; either model may be absent."""
 
-    sensor_kind: str | None = None
-    mask: SamplingMask | None = None
     lfcr: LfcrModel | None = None
     vdsr: VdsrModel | None = None
     adam: AdamState | None = None
@@ -103,11 +111,11 @@ class Checkpoint:
     phase: str | None = None
 
 
-def _meta_records(sensor_kind: str | None, mask: SamplingMask | None,
-                  epoch: int, phase: str | None) -> dict[str, np.ndarray]:
+def _meta_records(lfcr: LfcrModel | None, epoch: int, phase: str | None) -> dict[str, np.ndarray]:
     recs: dict[str, np.ndarray] = {}
-    if sensor_kind is not None:
-        recs["meta/sensor_kind"] = np.float32(SENSOR_CODES[sensor_kind])
+    mask = lfcr.mask if lfcr is not None else None
+    if lfcr is not None:
+        recs["meta/sensor_kind"] = np.float32(SENSOR_CODES[lfcr.sensor_kind])
     if mask is not None:
         recs["meta/mask_pattern"] = mask.pattern.astype(np.float32)
         seed = mask.seed if isinstance(mask.seed, int) else -1
@@ -123,18 +131,14 @@ def save_checkpoint(path: str | Path, lfcr: LfcrModel | None = None,
                     vdsr: VdsrModel | None = None, adam: AdamState | None = None,
                     epoch: int = 0, phase: str | None = None) -> None:
     records: dict[str, np.ndarray] = {}
-    sensor_kind = None
-    mask = None
     if lfcr is not None:
-        sensor_kind = lfcr.sensor_kind
-        mask = lfcr.mask
         records["lfcr/vec/weights"] = lfcr.vec_kernel
         for name, p in lfcr.named_parameters():
             records[name] = p.data
     if vdsr is not None:
         for name, p in vdsr.named_parameters():
             records[name] = p.data
-    records.update(_meta_records(sensor_kind, mask, epoch, phase))
+    records.update(_meta_records(lfcr, epoch, phase))
     if adam is not None:
         records["opt/step"] = np.float32(adam.step)
         for name, m in adam.m.items():
@@ -144,8 +148,8 @@ def save_checkpoint(path: str | Path, lfcr: LfcrModel | None = None,
 
 
 def _lfcr_record_shapes() -> dict[str, tuple[int, ...]]:
-    """Name and shape of every LFCR record, in the order the model uses them."""
-    shapes = {"lfcr/vec/weights": (VEC_CHANNELS, 1, SUPPORT, SUPPORT)}
+    """Name and shape of every trained LFCR record, in the order the model uses them."""
+    shapes: dict[str, tuple[int, ...]] = {}
     in_ch = VEC_CHANNELS
     for i in range(NUM_FC_LAYERS):
         prefix = f"lfcr/fc{i:02d}"
@@ -160,15 +164,12 @@ def _lfcr_record_shapes() -> dict[str, tuple[int, ...]]:
 
 def _rebuild_lfcr(records: dict[str, np.ndarray], sensor_kind: str,
                   mask: SamplingMask | None) -> LfcrModel:
+    if not np.array_equal(records["lfcr/vec/weights"], build_vectorizing_kernel(mask, sensor_kind)[0]):
+        raise CheckpointError(f"lfcr/vec/weights is not the vectorizing kernel of the "
+                              f"'{sensor_kind}' sensor that the meta/ records name")
     for name, shape in _lfcr_record_shapes().items():
-        if name not in records:
-            raise CheckpointError(f"missing LFCR record '{name}'")
         if records[name].shape != shape:
             raise CheckpointError(f"{name} has shape {records[name].shape}, expected {shape}")
-    try:
-        plan = plan_from_kernel(records["lfcr/vec/weights"])
-    except ShapeMismatchError as exc:
-        raise CheckpointError(f"lfcr/vec/weights: {exc}") from exc
 
     def param(name: str) -> Tensor:
         return Tensor(records[name], requires_grad=True)
@@ -177,8 +178,7 @@ def _rebuild_lfcr(records: dict[str, np.ndarray], sensor_kind: str,
                       slopes=param(f"lfcr/fc{i:02d}/slopes"))
               for i in range(NUM_FC_LAYERS)]
     return LfcrModel(
-        sensor_kind=sensor_kind, mask=mask, vec_kernel=records["lfcr/vec/weights"],
-        blocks=blocks, plan=plan,
+        sensor_kind=sensor_kind, mask=mask, blocks=blocks,
         deconv_weights=param("lfcr/deconv/weights"), deconv_bias=param("lfcr/deconv/bias"),
     )
 
@@ -197,29 +197,25 @@ def _rebuild_vdsr(records: dict[str, np.ndarray]) -> VdsrModel:
         raise CheckpointError("no VDSR records present")
     layers = []
     channels = 1
-    try:
-        for i in range(1, depth + 1):
-            prefix = f"vdsr/conv{i:02d}"
-            final = i == depth
-            w = records[f"{prefix}/weights"]
-            if (w.ndim != 4 or w.shape[1] != channels or (final and w.shape[0] != 1)
-                    or w.shape[2] != w.shape[3] or w.shape[2] % 2 == 0):
-                raise CheckpointError(f"{prefix}/weights has shape {w.shape}, expected "
-                                      f"({1 if final else 'out'}, {channels}, k, k) with k odd")
-            channels = w.shape[0]
-            bias = records[f"{prefix}/bias"]
-            slopes = None if final else records[f"{prefix}/slopes"]
-            for part, v in (("bias", bias), ("slopes", slopes)):
-                if v is not None and v.shape != (channels,):
-                    raise CheckpointError(
-                        f"{prefix}/{part} has shape {v.shape}, expected ({channels},)")
-            layers.append(ConvLayer(
-                weights=Tensor(w, requires_grad=True),
-                bias=Tensor(bias, requires_grad=True),
-                slopes=None if final else Tensor(slopes, requires_grad=True),
-            ))
-    except KeyError as exc:
-        raise CheckpointError(f"missing VDSR record {exc}") from exc
+    for i in range(1, depth + 1):
+        prefix = f"vdsr/conv{i:02d}"
+        final = i == depth
+        w = records[f"{prefix}/weights"]
+        if (w.ndim != 4 or w.shape[1] != channels or (final and w.shape[0] != 1)
+                or w.shape[2] != w.shape[3] or w.shape[2] % 2 == 0):
+            raise CheckpointError(f"{prefix}/weights has shape {w.shape}, expected "
+                                  f"({1 if final else 'out'}, {channels}, k, k) with k odd")
+        channels = w.shape[0]
+        bias = records[f"{prefix}/bias"]
+        slopes = None if final else records[f"{prefix}/slopes"]
+        for part, v in (("bias", bias), ("slopes", slopes)):
+            if v is not None and v.shape != (channels,):
+                raise CheckpointError(f"{prefix}/{part} has shape {v.shape}, expected ({channels},)")
+        layers.append(ConvLayer(
+            weights=Tensor(w, requires_grad=True),
+            bias=Tensor(bias, requires_grad=True),
+            slopes=None if final else Tensor(slopes, requires_grad=True),
+        ))
     return VdsrModel(layers=layers)
 
 
@@ -239,24 +235,31 @@ def _count(records: dict[str, np.ndarray], name: str) -> int:
     return int(arr.item())
 
 
+def _sensor(records: dict[str, np.ndarray]) -> tuple[str | None, SamplingMask | None]:
+    """Sensor kind and mask that the meta/ records name; an LFCR needs both."""
+    if not records.keys() & {"meta/sensor_kind", "meta/mask_pattern", "lfcr/vec/weights"}:
+        return None, None
+    kind = _decode(records, "meta/sensor_kind", SENSOR_FROM_CODE)
+    if kind not in MASKED_KINDS:
+        return kind, None
+    seed = _count(records, "meta/mask_seed") if "meta/mask_seed" in records else -1
+    try:
+        return kind, SamplingMask(kind=kind, pattern=records["meta/mask_pattern"].astype(np.int64),
+                                  seed=seed if seed >= 0 else "external")
+    except MaskFormatError as exc:
+        raise CheckpointError(f"meta/mask_pattern: {exc}") from exc
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     records = read_records(path)
     ck = Checkpoint()
-    if "meta/sensor_kind" in records:
-        ck.sensor_kind = _decode(records, "meta/sensor_kind", SENSOR_FROM_CODE)
-    if "meta/mask_pattern" in records and ck.sensor_kind != LOW_RESOLUTION:
-        seed = _count(records, "meta/mask_seed") if "meta/mask_seed" in records else -1
-        ck.mask = SamplingMask(
-            kind=ck.sensor_kind,
-            pattern=records["meta/mask_pattern"].astype(np.int64),
-            seed=seed if seed >= 0 else "external",
-        )
+    sensor_kind, mask = _sensor(records)
     if "meta/epoch" in records:
         ck.epoch = _count(records, "meta/epoch")
     if "meta/phase" in records:
         ck.phase = _decode(records, "meta/phase", PHASE_FROM_CODE)
     if "lfcr/vec/weights" in records:
-        ck.lfcr = _rebuild_lfcr(records, ck.sensor_kind, ck.mask)
+        ck.lfcr = _rebuild_lfcr(records, sensor_kind, mask)
     if "vdsr/conv01/weights" in records:
         ck.vdsr = _rebuild_vdsr(records)
     if "opt/step" in records:
@@ -264,8 +267,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         for name, arr in records.items():
             if name.startswith("opt/") and name.endswith("/m"):
                 pname = name[len("opt/") : -len("/m")]
-                if f"opt/{pname}/v" not in records:
-                    raise CheckpointError(f"missing optimizer record 'opt/{pname}/v'")
                 st.m[pname] = arr
                 st.v[pname] = records[f"opt/{pname}/v"]
         ck.adam = st

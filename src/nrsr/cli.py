@@ -206,9 +206,9 @@ def _checkpoint_for(path, sensor: str, mask):
     import numpy as np
 
     ck = _checkpoint_models(path)
-    if ck.sensor_kind != sensor:
-        raise UsageError(f"checkpoint was trained for sensor '{ck.sensor_kind}', not '{sensor}'")
-    if mask is not None and ck.mask is not None and not np.array_equal(mask.pattern, ck.mask.pattern):
+    if ck.lfcr.sensor_kind != sensor:
+        raise UsageError(f"checkpoint was trained for sensor '{ck.lfcr.sensor_kind}', not '{sensor}'")
+    if mask is not None and not np.array_equal(mask.pattern, ck.lfcr.mask.pattern):
         raise UsageError("mask file does not match the checkpoint's mask pattern")
     return ck
 
@@ -239,7 +239,7 @@ def cmd_train(args) -> int:
 
     from .checkpoint import save_checkpoint
     from .lfcr import build_lfcr
-    from .training import (SHIFT_FACTORS, TrainConfig, build_patch_set, load_config,
+    from .training import (SHIFT_FACTORS, TrainConfig, build_patch_set, load_config, read_log_csv,
                            save_config, train_lfcr, train_vdsr, write_log_csv)
     from .vdsr import build_vdsr
 
@@ -279,7 +279,12 @@ def cmd_train(args) -> int:
     resumed = {ck.phase: {"state": ck.adam, "start_epoch": ck.epoch}} if ck else {}
 
     def report(phase: str, res) -> None:
-        write_log_csv(out / f"{phase}_train_log.csv", res.rows)
+        # a resumed phase keeps the logged rows of the epochs its checkpoint covers
+        log = out / f"{phase}_train_log.csv"
+        start = resumed.get(phase, {}).get("start_epoch", 0)
+        kept = ([row for row in read_log_csv(log) if row.epoch <= start]
+                if start and log.exists() else [])
+        write_log_csv(log, kept + res.rows)
         print(f"phase {phase} done: {len(res.rows)} steps" + (
             f", final epoch loss {res.epoch_losses[-1]:.6g}" if res.epoch_losses else ""))
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .imageio import ImageFormatError, read_image_gray
 from .lfcr import LfcrModel, lfcr_forward
-from .masks import SamplingMask
 from .metrics import bicubic_upscale, psnr, ssim
 from .sensors import sample_low_resolution
 from .vdsr import VdsrModel, vdsr_forward
@@ -131,19 +130,14 @@ def list_dataset(dataset_dir: str | Path) -> list[Path]:
 
 
 def evaluate(method: str, dataset_dir: str | Path, lfcr: LfcrModel | None = None,
-             vdsr: VdsrModel | None = None, mask: SamplingMask | None = None,
-             sensor: str | None = None) -> EvalReport:
+             vdsr: VdsrModel | None = None) -> EvalReport:
     """Score one method over every readable image of a dataset directory."""
-    if sensor is None:
-        if method == "bicubic":
-            sensor = "low-resolution"
-        elif lfcr is not None:
-            sensor = lfcr.sensor_kind
-        else:
-            sensor = "none"
-    if mask is not None and lfcr is not None and lfcr.mask is not None:
-        if not np.array_equal(mask.pattern, lfcr.mask.pattern):
-            raise ValueError("supplied mask does not match the checkpoint's mask")
+    if method == "bicubic":
+        sensor = "low-resolution"
+    elif lfcr is not None:
+        sensor = lfcr.sensor_kind
+    else:
+        sensor = "none"
     report = EvalReport(method=method, sensor=sensor)
     start = time.perf_counter()
     for path in list_dataset(dataset_dir):

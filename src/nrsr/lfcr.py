@@ -28,9 +28,9 @@ import numpy as np
 from . import sensors
 from .masks import SamplingMask
 from .netutil import as_batch, from_batch, he_normal, param_count
-from .sensors import VectorizePlan, central_channel_indices
-from .tensor import (ConvSpec, ShapeMismatchError, Tensor, add_channel_bias, concat_channels,
-                     deconv2d, from_rows, linear, no_grad, prelu, scale, take_channels, to_rows)
+from .sensors import TapTable, central_channel_indices
+from .tensor import (ConvSpec, Tensor, add_channel_bias, concat_channels, deconv2d, from_rows,
+                     linear, no_grad, prelu, scale, take_channels, to_rows)
 from .tensor import conv2d  # noqa: F401  (perfbench's tracer wraps nrsr.lfcr.conv2d by name)
 
 HIDDEN_CHANNELS = 192          # 4 * (3/4) * 8^2
@@ -56,15 +56,18 @@ class FcBlock:
 class LfcrModel:
     sensor_kind: str
     mask: SamplingMask | None
-    vec_kernel: np.ndarray            # fixed (64, 1, 16, 16)
     blocks: list[FcBlock]
     deconv_weights: Tensor            # (208, 1, 8, 8)
     deconv_bias: Tensor               # (1,)
-    plan: VectorizePlan = field(repr=False, default=None)
+    plan: TapTable = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.plan is None:
-            self.plan = sensors.plan_from_kernel(self.vec_kernel)
+        self.plan = sensors.vectorize_plan(self.mask, self.sensor_kind)
+
+    @property
+    def vec_kernel(self) -> np.ndarray:
+        """The vectorizing layer as a dense (64, 1, 16, 16) convolution kernel."""
+        return sensors.build_vectorizing_kernel(self.mask, self.sensor_kind)[0]
 
     @property
     def deconv_spec(self) -> ConvSpec:
@@ -84,11 +87,7 @@ class LfcrModel:
         return params
 
     def forward_t(self, x: Tensor) -> Tensor:
-        """Graph-building forward pass; x is (B,1,H,W) with H, W multiples of 8."""
-        if x.data.ndim != 4 or x.shape[1] != 1:
-            raise ShapeMismatchError(f"input must be (B,1,H,W), got {x.shape}")
-        if x.shape[2] % sensors.TARGET or x.shape[3] % sensors.TARGET:
-            raise ShapeMismatchError(f"input dims must be multiples of 8, got {x.shape[2:]}")
+        """Graph-building forward pass; the vectorizing layer checks that x is (B,1,8m,8n)."""
         h = scale(x, 1.0 / PIXEL_SCALE)
         v = to_rows(sensors.vectorize_tensor(h, self.plan))
         t = v
@@ -103,7 +102,6 @@ class LfcrModel:
 
 def build_lfcr(mask: SamplingMask | None, kind: str, seed: int = 0) -> LfcrModel:
     """LFCR model for the given sensor, He-initialized from the seed."""
-    vec_kernel, _ = sensors.build_vectorizing_kernel(mask, kind)
     rng = np.random.default_rng(seed)
     blocks = []
     in_ch = sensors.VEC_CHANNELS
@@ -121,7 +119,6 @@ def build_lfcr(mask: SamplingMask | None, kind: str, seed: int = 0) -> LfcrModel
     return LfcrModel(
         sensor_kind=kind,
         mask=mask,
-        vec_kernel=vec_kernel,
         blocks=blocks,
         deconv_weights=Tensor(dw, requires_grad=True),
         deconv_bias=Tensor(np.zeros(1, dtype=np.float32), requires_grad=True),

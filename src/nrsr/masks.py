@@ -62,10 +62,10 @@ class SamplingMask:
         pat.setflags(write=False)
         object.__setattr__(self, "pattern", pat)
 
-    def cell_quadrants(self, cells_h: int, cells_w: int, phase: tuple[int, int] = (0, 0)) -> np.ndarray:
-        """Quadrant digit per cell for a cells_h x cells_w grid starting at the given cell phase."""
-        rows = (np.arange(cells_h) + phase[0]) % PATTERN_CELLS
-        cols = (np.arange(cells_w) + phase[1]) % PATTERN_CELLS
+    def cell_quadrants(self, cells_h: int, cells_w: int) -> np.ndarray:
+        """Quadrant digit per cell for a cells_h x cells_w grid anchored at the origin."""
+        rows = np.arange(cells_h) % PATTERN_CELLS
+        cols = np.arange(cells_w) % PATTERN_CELLS
         return self.pattern[np.ix_(rows, cols)]
 
 

@@ -14,6 +14,8 @@ Channel c corresponds to low-resolution cell c of the support block,
 cells enumerated row-major over the 8x8 cell grid. Averages are
 computed as tap-sum divided by tap count, in row-major tap order, so
 results match a direct nested-loop gather bit for bit.
+The layer is a function of the sensor kind and mask: ``vectorize_plan``
+derives its tap table and the dense kernel is drawn from that table.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ TARGET = 8          # target block edge in HR pixels
 SUPPORT_CELLS = 8   # support block edge in cells
 VEC_CHANNELS = SUPPORT_CELLS * SUPPORT_CELLS
 VEC_PAD = 4
+
+TapTable = tuple[tuple[tuple[int, int], ...], ...]  # [channel][tap] -> (u, v) in the window
 
 VEC_SPEC = ConvSpec(kernel_h=SUPPORT, kernel_w=SUPPORT, stride_h=TARGET, stride_w=TARGET,
                     pad=VEC_PAD, in_channels=1, out_channels=VEC_CHANNELS)
@@ -119,13 +123,12 @@ def _cell_taps(kind: str, quadrant: int | None) -> list[tuple[int, int]]:
     return [divmod(q, 2) for q in range(4) if q != quadrant]
 
 
-def build_vectorizing_kernel(mask: SamplingMask | None, kind: str) -> tuple[np.ndarray, ConvSpec]:
-    """Fixed (64, 1, 16, 16) weights mimicking the sensor, plus their ConvSpec.
+def vectorize_plan(mask: SamplingMask | None, kind: str) -> TapTable:
+    """Per-channel tap offsets (u, v) within the 16x16 window, row-major.
 
     Channel c = 8*r + q reads only inside cell (r, q) of the support
-    window: weight 1 at the measured quadrant (quarter), 1/3 at the three
-    uncovered quadrants (three-quarter), or 1/4 at all four quadrants
-    (low-resolution).
+    window: the measured quadrant (quarter), the three uncovered
+    quadrants (three-quarter) or all four quadrants (low-resolution).
     """
     if kind not in SENSOR_KINDS:
         raise ShapeMismatchError(f"unknown sensor kind '{kind}'")
@@ -134,30 +137,29 @@ def build_vectorizing_kernel(mask: SamplingMask | None, kind: str) -> tuple[np.n
             raise ShapeMismatchError(f"sensor kind '{kind}' requires a mask")
         if mask.kind != kind:
             raise ShapeMismatchError(f"mask kind '{mask.kind}' does not match sensor '{kind}'")
+    return tuple(
+        tuple((2 * r + dy, 2 * c + dx) for dy, dx in _cell_taps(kind, _window_quadrant(mask, r, c)))
+        for r in range(SUPPORT_CELLS) for c in range(SUPPORT_CELLS))
+
+
+def build_vectorizing_kernel(mask: SamplingMask | None, kind: str) -> tuple[np.ndarray, ConvSpec]:
+    """Fixed (64, 1, 16, 16) weights mimicking the sensor, plus their ConvSpec.
+
+    Each channel weighs its taps from ``vectorize_plan`` equally: 1, 1/3
+    or 1/4.
+    """
     w = np.zeros((VEC_CHANNELS, 1, SUPPORT, SUPPORT), dtype=np.float32)
-    for r in range(SUPPORT_CELLS):
-        for c in range(SUPPORT_CELLS):
-            taps = _cell_taps(kind, _window_quadrant(mask, r, c))
-            for dy, dx in taps:
-                w[r * SUPPORT_CELLS + c, 0, 2 * r + dy, 2 * c + dx] = 1.0 / len(taps)
+    for ch, taps in enumerate(vectorize_plan(mask, kind)):
+        for u, v in taps:
+            w[ch, 0, u, v] = 1.0 / len(taps)
     return w, VEC_SPEC
 
 
-@dataclass(frozen=True)
-class VectorizePlan:
-    """Per-channel tap offsets within the 16x16 window, for the gather path."""
-
-    kind: str
-    taps: tuple[tuple[tuple[int, int], ...], ...]  # [channel][tap] -> (u, v)
-    counts: tuple[int, ...]
-
-
-def plan_from_kernel(kernel: np.ndarray) -> VectorizePlan:
-    """Recover the gather plan from a dense vectorizing kernel."""
+def _kernel_taps(kernel: np.ndarray) -> TapTable:
+    """Tap table of a dense vectorizing kernel; rejects any other kernel."""
     if kernel.shape != (VEC_CHANNELS, 1, SUPPORT, SUPPORT):
         raise ShapeMismatchError(f"kernel shape {kernel.shape} != (64, 1, 16, 16)")
     taps = []
-    counts = []
     for ch in range(VEC_CHANNELS):
         pos = np.argwhere(kernel[ch, 0] != 0)
         n = len(pos)
@@ -166,26 +168,19 @@ def plan_from_kernel(kernel: np.ndarray) -> VectorizePlan:
         if not np.allclose(kernel[ch, 0][tuple(pos.T)], 1.0 / n):
             raise ShapeMismatchError(f"channel {ch} weights are not 1/{n}")
         taps.append(tuple((int(u), int(v)) for u, v in pos))
-        counts.append(n)
-    kind = {1: QUARTER, 3: THREE_QUARTER, 4: LOW_RESOLUTION}[counts[0]]
-    return VectorizePlan(kind=kind, taps=tuple(taps), counts=tuple(counts))
+    return tuple(taps)
 
 
-def build_vectorize_plan(mask: SamplingMask | None, kind: str) -> VectorizePlan:
-    kernel, _ = build_vectorizing_kernel(mask, kind)
-    return plan_from_kernel(kernel)
-
-
-def _gather(xp: np.ndarray, plan: VectorizePlan, oh: int, ow: int) -> np.ndarray:
+def _gather(xp: np.ndarray, plan: TapTable, oh: int, ow: int) -> np.ndarray:
     """Sum taps per channel over the padded batch and divide by tap count."""
     b = xp.shape[0]
     out = np.empty((b, VEC_CHANNELS, oh, ow), dtype=xp.dtype)
-    for ch, taps in enumerate(plan.taps):
+    for ch, taps in enumerate(plan):
         u, v = taps[0]
         acc = xp[:, 0, u : u + TARGET * oh : TARGET, v : v + TARGET * ow : TARGET].copy()
         for u, v in taps[1:]:
             acc += xp[:, 0, u : u + TARGET * oh : TARGET, v : v + TARGET * ow : TARGET]
-        out[:, ch] = acc / xp.dtype.type(plan.counts[ch])
+        out[:, ch] = acc / xp.dtype.type(len(taps))
     return out
 
 
@@ -202,12 +197,12 @@ def vectorize(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     h, w = f.shape
     if h % TARGET or w % TARGET:
         raise ShapeMismatchError(f"image dims must be multiples of 8, got {f.shape}")
-    plan = plan_from_kernel(kernel)
+    plan = _kernel_taps(kernel)
     xp = np.pad(f[None, None], ((0, 0), (0, 0), (VEC_PAD, VEC_PAD), (VEC_PAD, VEC_PAD)))
     return _gather(xp, plan, h // TARGET, w // TARGET)[0]
 
 
-def vectorize_tensor(x: Tensor, plan: VectorizePlan) -> Tensor:
+def vectorize_tensor(x: Tensor, plan: TapTable) -> Tensor:
     """Differentiable batched vectorizing layer: (B,1,H,W) -> (B,64,H/8,W/8)."""
     if x.data.ndim != 4 or x.shape[1] != 1:
         raise ShapeMismatchError(f"input must be (B,1,H,W), got {x.shape}")
@@ -222,8 +217,8 @@ def vectorize_tensor(x: Tensor, plan: VectorizePlan) -> Tensor:
         if not (x.requires_grad or x._parents):
             return
         dxp = np.zeros_like(xp)
-        for ch, taps in enumerate(plan.taps):
-            gc = g[:, ch] / xp.dtype.type(plan.counts[ch])
+        for ch, taps in enumerate(plan):
+            gc = g[:, ch] / xp.dtype.type(len(taps))
             for u, v in taps:
                 dxp[:, 0, u : u + TARGET * oh : TARGET, v : v + TARGET * ow : TARGET] += gc
         x.accumulate_grad(dxp[:, :, VEC_PAD : VEC_PAD + h, VEC_PAD : VEC_PAD + w])

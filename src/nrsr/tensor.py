@@ -114,9 +114,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
 
 class _GradMode(threading.local):
     enabled = True  # the default each thread starts from

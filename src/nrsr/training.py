@@ -247,6 +247,16 @@ def write_log_csv(path: str | Path, rows: list[LogRow]) -> None:
             writer.writerow([row.epoch, row.step, repr(row.lr), repr(row.loss)])
 
 
+def read_log_csv(path: str | Path) -> list[LogRow]:
+    """Rows of a log that ``write_log_csv`` wrote."""
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))[1:]
+    try:
+        return [LogRow(int(e), int(s), float(lr), float(loss)) for e, s, lr, loss in lines]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed training log ({exc})") from exc
+
+
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):

@@ -36,10 +36,10 @@ def test_model_round_trip_bit_exact_forward(tmp_path):
     path = tmp_path / "m.nrsr"
     save_checkpoint(path, lfcr=model, vdsr=vdsr, epoch=4, phase="vdsr")
     ck = load_checkpoint(path)
-    assert ck.sensor_kind == "three-quarter"
+    assert ck.lfcr.sensor_kind == "three-quarter"
     assert ck.epoch == 4 and ck.phase == "vdsr"
-    assert np.array_equal(ck.mask.pattern, mask.pattern)
-    assert ck.mask.seed == 5
+    assert np.array_equal(ck.lfcr.mask.pattern, mask.pattern)
+    assert ck.lfcr.mask.seed == 5
 
     f = synth_image(0, 32, 32)
     assert np.array_equal(lfcr_forward(ck.lfcr, f), lfcr_forward(model, f))
@@ -85,8 +85,8 @@ def test_low_resolution_checkpoint_has_no_mask(tmp_path):
     path = tmp_path / "lr.nrsr"
     save_checkpoint(path, lfcr=model)
     ck = load_checkpoint(path)
-    assert ck.sensor_kind == "low-resolution"
-    assert ck.mask is None
+    assert ck.lfcr.sensor_kind == "low-resolution"
+    assert ck.lfcr.mask is None
     assert ck.lfcr is not None
 
 
@@ -121,7 +121,7 @@ def test_missing_lfcr_layer_detected(tmp_path):
     records = read_records(path)
     del records["lfcr/fc03/bias"]
     write_records(path, records)
-    with pytest.raises(CheckpointError, match="missing LFCR record"):
+    with pytest.raises(CheckpointError, match="missing record 'lfcr/fc03/bias'"):
         load_checkpoint(path)
 
 

@@ -12,6 +12,8 @@ import pytest
 from conftest import synth_image_u8
 from nrsr.checkpoint import load_checkpoint
 from nrsr.imageio import load_raw, read_pgm, write_pgm
+from nrsr.masks import generate_mask
+from nrsr.sensors import build_vectorizing_kernel
 
 TOP_HELP_SNAPSHOT = """\
 usage: nrsr [-h] command ...
@@ -198,7 +200,20 @@ class TestTrainCommand:
         assert "resuming from" in r2.stdout
         log = (out / "lfcr_train_log.csv").read_text().splitlines()[1:]
         steps = [int(line.split(",")[1]) for line in log]
-        assert steps == [3, 4]
+        assert steps == [1, 2, 3, 4]
+
+    def test_resumed_log_equals_uninterrupted_log(self, workdir, tmp_path):
+        common = ["--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                  "--data", workdir / "data", "--shift-da", "1", "--no-flips",
+                  "--batch-size", "8", "--phase", "lfcr", "--threads", "1"]
+        whole, split = tmp_path / "whole", tmp_path / "split"
+        assert run_cli("train", *common, "--out", whole, "--epochs", "2").returncode == 0
+        assert run_cli("train", *common, "--out", split, "--epochs", "1").returncode == 0
+        res = run_cli("train", *common, "--out", split, "--epochs", "2", "--resume")
+        assert res.returncode == 0, res.stderr
+        log = (whole / "lfcr_train_log.csv").read_bytes()
+        assert log.count(b"\n") == 3
+        assert (split / "lfcr_train_log.csv").read_bytes() == log
 
     def test_phase_vdsr_starts_from_the_phase_1_lfcr(self, workdir, tmp_path):
         out = tmp_path / "split"
@@ -368,6 +383,13 @@ class TestBadCheckpoint:
         ("meta/epoch", np.float32(np.nan)),
         ("lfcr/fc05/weights", np.zeros((192, 100, 1, 1), dtype=np.float32)),
         ("lfcr/vec/weights", np.zeros((64, 1, 16, 16), dtype=np.float32)),
+        ("meta/sensor_kind", None),
+        ("meta/mask_pattern", np.full((8, 8), 5, dtype=np.float32)),
+        ("meta/mask_pattern", np.zeros((8, 7), dtype=np.float32)),
+        ("meta/mask_pattern", None),
+        # the kernel of another sensor, as if swapped in from another checkpoint
+        ("lfcr/vec/weights",
+         build_vectorizing_kernel(generate_mask("three-quarter", 7), "three-quarter")[0]),
     ])
     def test_evaluate_exits_2_naming_the_record(self, workdir, resumable_checkpoint, tmp_path,
                                                 name, value):

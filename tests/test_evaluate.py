@@ -105,13 +105,6 @@ def test_full_pipeline_runs(dataset):
     assert rep_l.sensor == "three-quarter"
 
 
-def test_mask_checkpoint_agreement_enforced(dataset):
-    model = build_lfcr(generate_mask("quarter", 0), "quarter", seed=0)
-    other = generate_mask("quarter", 99)
-    with pytest.raises(ValueError, match="does not match"):
-        evaluate("lfcr", dataset, lfcr=model, mask=other)
-
-
 def test_empty_report_means_are_nan():
     rep = EvalReport(method="bicubic", sensor="low-resolution")
     assert math.isnan(rep.mean_psnr) and math.isnan(rep.mean_ssim)

@@ -7,10 +7,9 @@ from conftest import (integer_image, sample_low_resolution_oracle, sample_three_
                       synth_image, vectorize_oracle)
 from nrsr.gradcheck import grad_check
 from nrsr.masks import SamplingMask, expand_mask, generate_mask
-from nrsr.sensors import (VEC_SPEC, MeasurementGrid, build_vectorize_plan,
-                          build_vectorizing_kernel, central_channel_indices, plan_from_kernel,
-                          sample_low_resolution, sample_quarter, sample_three_quarter, vectorize,
-                          vectorize_tensor)
+from nrsr.sensors import (VEC_SPEC, MeasurementGrid, build_vectorizing_kernel,
+                          central_channel_indices, sample_low_resolution, sample_quarter,
+                          sample_three_quarter, vectorize, vectorize_plan, vectorize_tensor)
 from nrsr.tensor import ShapeMismatchError, Tensor, conv2d
 
 
@@ -195,17 +194,27 @@ class TestVectorize:
         with pytest.raises(ShapeMismatchError, match="multiples of 8"):
             vectorize(np.zeros((12, 16), dtype=np.float32), kernel)
 
+    @pytest.mark.parametrize("edit,match", [
+        (lambda k: np.zeros_like(k), "channel 0 has 0 taps"),
+        (lambda k: 2 * k, "channel 0 weights are not 1/3"),
+        (lambda k: k[:, :, :8, :8], "kernel shape"),
+    ])
+    def test_functional_path_rejects_other_kernels(self, edit, match):
+        kernel, _ = build_vectorizing_kernel(generate_mask("three-quarter", 2), "three-quarter")
+        with pytest.raises(ShapeMismatchError, match=match):
+            vectorize(np.zeros((16, 16), dtype=np.float32), edit(kernel))
+
     def test_tensor_op_matches_functional_path(self):
         mask = generate_mask("three-quarter", 2)
         kernel, _ = build_vectorizing_kernel(mask, "three-quarter")
-        plan = plan_from_kernel(kernel)
+        plan = vectorize_plan(mask, "three-quarter")
         fs = np.stack([integer_image(s, 16, 16) for s in range(3)])
         out = vectorize_tensor(Tensor(fs[:, None]), plan).data
         for i in range(3):
             assert np.array_equal(out[i], vectorize(fs[i], kernel))
 
     def test_tensor_op_gradient(self):
-        plan = build_vectorize_plan(generate_mask("three-quarter", 1), "three-quarter")
+        plan = vectorize_plan(generate_mask("three-quarter", 1), "three-quarter")
         x = np.random.default_rng(0).uniform(0, 255, (1, 1, 16, 16))
         assert grad_check(lambda ts: vectorize_tensor(ts[0], plan), [x]) <= 1e-4
 
