@@ -243,8 +243,11 @@ def _sensor(records: dict[str, np.ndarray]) -> tuple[str | None, SamplingMask | 
     if kind not in MASKED_KINDS:
         return kind, None
     seed = _count(records, "meta/mask_seed") if "meta/mask_seed" in records else -1
+    pattern = records["meta/mask_pattern"]
+    if not (np.isfinite(pattern).all() and np.array_equal(pattern, np.trunc(pattern))):
+        raise CheckpointError("meta/mask_pattern: quadrant digits must be whole numbers")
     try:
-        return kind, SamplingMask(kind=kind, pattern=records["meta/mask_pattern"].astype(np.int64),
+        return kind, SamplingMask(kind=kind, pattern=pattern.astype(np.int64),
                                   seed=seed if seed >= 0 else "external")
     except MaskFormatError as exc:
         raise CheckpointError(f"meta/mask_pattern: {exc}") from exc

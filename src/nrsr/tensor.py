@@ -13,8 +13,14 @@ op computes in the dtype of its inputs.
 conv2d never materialises its whole patch matrix: it builds one
 cache-sized band of output rows at a time, multiplies it and reuses the
 buffer for the next band, and its backward pass rebuilds the bands from
-the padded input. A graph therefore holds, per convolution, the padded
-input rather than a patch matrix kh*kw times the activation's size.
+the input. Taps are read straight from the unpadded input and the zero
+padding is never stored, so a graph holds, per convolution, only the
+input it already shares with the op that produced it.
+
+Tensor.backward consumes the graph it sweeps: each interior node drops
+its gradient and its links to its inputs once its own backward has run,
+so a training step's activations and interior gradients are freed layer
+by layer during the sweep. Gradients persist on leaves only.
 
 Every op is a pure function of its inputs and safe to call from
 multiple threads; a given Tensor's backward()/grad state must be
@@ -47,9 +53,9 @@ class Tensor:
     """Array node of the computation graph.
 
     ``data`` is the value buffer, ``grad`` an optional same-shape
-    gradient buffer filled by :meth:`backward`. Graph edges are kept in
-    ``_parents`` together with a closure that routes the incoming
-    gradient to them.
+    gradient buffer that :meth:`backward` fills on leaves. Graph edges
+    are kept in ``_parents`` together with a closure that routes the
+    incoming gradient to them, until a backward() sweep consumes them.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -86,11 +92,15 @@ class Tensor:
             self.grad += g
 
     def backward(self, seed: np.ndarray | None = None) -> None:
-        """Reverse-mode sweep from this node.
+        """Reverse-mode sweep from this node; consumes the graph.
 
         ``seed`` defaults to ones (the usual scalar-loss case).
-        Gradients accumulate into ``grad`` of every reachable tensor
-        with ``requires_grad`` set.
+        Gradients accumulate into ``grad`` of every reachable leaf with
+        ``requires_grad`` set, and persist there only. Each interior node
+        is released as soon as its own backward has run: its ``grad``
+        and ``_parents`` are cleared, so activations and interior
+        gradients are freed layer by layer during the sweep. A second
+        backward() through a consumed node raises RuntimeError.
         """
         if seed is None:
             seed = np.ones_like(self.data)
@@ -110,9 +120,18 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.accumulate_grad(np.asarray(seed, dtype=self.data.dtype))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _consumed
+
+
+def _consumed(g: np.ndarray) -> None:
+    raise RuntimeError("backward() reached a graph that an earlier backward() consumed; "
+                       "run the forward pass again")
 
 
 class _GradMode(threading.local):
@@ -178,32 +197,52 @@ def _require_channels(t: Tensor, name: str) -> None:
         raise ShapeMismatchError(f"{name} needs a channel axis 1, got shape {t.data.shape}")
 
 
-def _pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-
-
 # Columns of the patch matrix built at once: a band of whole output rows
 # holding about this many (batch, row, column) positions. For 64-channel
 # 3x3 layers a float32 band is 576 x 2304 values (5.3 MB).
 BAND_COLS = 2304
 
 
-def _tap(xp: np.ndarray, u: int, v: int, r0: int, nr: int, sh: int, sw: int, ow: int) -> np.ndarray:
-    """(B,C,nr,ow) view of the padded input under kernel tap (u, v) for output rows r0..r0+nr."""
-    top = u + sh * r0
-    return xp[:, :, top : top + sh * (nr - 1) + 1 : sh, v : v + sw * (ow - 1) + 1 : sw]
+def _axis_taps(k: int, stride: int, pad: int, size: int, start: int,
+               n: int) -> list[tuple[int, int, slice]]:
+    """Per kernel offset along one axis, the outputs start..start+n-1 that read inside the input.
+
+    Output i of the axis reads input index i*stride + offset - pad. Entry
+    ``offset`` is (a, e, src): band-local outputs a..e-1 read inside
+    0..size-1, at the input indices ``src``; the others read zero padding.
+    """
+    taps = []
+    for off in range(k):
+        first = stride * start + off - pad  # input index of band-local output 0
+        a = min(n, max(0, -(first // stride)))
+        e = max(a, min(n, (size - 1 - first) // stride + 1))
+        lo = first + stride * a
+        taps.append((a, e, slice(lo, lo + stride * (e - a - 1) + 1, stride)))
+    return taps
 
 
-def _band_cols(buf: np.ndarray, xp: np.ndarray, kh: int, kw: int, sh: int, sw: int,
+def _band_cols(buf: np.ndarray, x: np.ndarray, kh: int, kw: int, sh: int, sw: int, pad: int,
                r0: int, nr: int, ow: int) -> np.ndarray:
-    """Fill ``buf`` with the (C*kh*kw, B*nr*ow) patch matrix of one band of output rows."""
-    b, c = xp.shape[:2]
+    """Fill ``buf`` with the (C*kh*kw, B*nr*ow) patch matrix of one band of output rows.
+
+    Each tap is copied from the unpadded input, clipped to the rows and
+    columns it reads inside it; the band's border strips that read the
+    zero padding are zero-filled.
+    """
+    b, c, h, w = x.shape
     cols = buf[: c * kh * kw * b * nr * ow].reshape(c, kh, kw, b, nr, ow)
-    for u in range(kh):
-        for v in range(kw):
-            np.copyto(cols[:, u, v], _tap(xp, u, v, r0, nr, sh, sw, ow).transpose(1, 0, 2, 3))
+    col_taps = _axis_taps(kw, sw, pad, w, 0, ow)
+    for u, (ra, re, rs) in enumerate(_axis_taps(kh, sh, pad, h, r0, nr)):
+        for v, (ca, ce, cs) in enumerate(col_taps):
+            dst = cols[:, u, v]
+            if ra == re or ca == ce:
+                dst.fill(0)
+                continue
+            dst[:, :, :ra] = 0
+            dst[:, :, re:] = 0
+            dst[:, :, ra:re, :ca] = 0
+            dst[:, :, ra:re, ce:] = 0
+            np.copyto(dst[:, :, ra:re, ca:ce], x[:, :, rs, cs].transpose(1, 0, 2, 3))
     return cols.reshape(c * kh * kw, b * nr * ow)
 
 
@@ -217,12 +256,13 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
     One path serves every kernel, stride and padding. The output is
     computed a band of output rows at a time (about ``BAND_COLS``
     positions over the whole batch): the band's (C*kh*kw, B*rows*ow)
-    patch matrix is copied out of the padded input tap by tap, multiplied
+    patch matrix is copied out of the unpadded input tap by tap, each tap
+    clipped to the input and its padding strips zero-filled, multiplied
     by the (O, C*kh*kw) weight matrix in one GEMM, and overwritten by the
-    next band. Backward rebuilds each band's patch matrix from the padded
-    input for the weight gradient (grad @ patchesᵀ) and scatters
-    weightsᵀ @ grad back tap by tap for the input gradient, so the graph
-    keeps nothing larger than the padded input.
+    next band. Backward rebuilds each band's patch matrix the same way
+    for the weight gradient (grad @ patchesᵀ) and scatters
+    weightsᵀ @ grad back through the same clipped taps into the input
+    gradient, so the graph keeps nothing but the input itself.
     """
     _require_4d(x, "input")
     _require_4d(weights, "weights")
@@ -238,18 +278,19 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
     if oh < 1 or ow < 1:
         raise ShapeMismatchError(f"kernel {spec.kernel_h}x{spec.kernel_w} exceeds padded input {h}x{w}")
 
-    o, kh, kw, sh, sw = spec.out_channels, spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w
+    o, kh, kw, sh, sw, pad = (spec.out_channels, spec.kernel_h, spec.kernel_w,
+                              spec.stride_h, spec.stride_w, spec.pad)
     k = c * kh * kw
-    xp = _pad_hw(x.data, spec.pad)
+    xd = x.data
     wmat = weights.data.reshape(o, k)
-    dtype = np.result_type(xp, wmat)
+    dtype = np.result_type(xd, wmat)
     rows = min(oh, max(1, BAND_COLS // (b * ow)))  # whole output rows per band
     out = np.empty((b, o, oh, ow), dtype=dtype)
-    cbuf = np.empty(k * b * rows * ow, dtype=xp.dtype)
+    cbuf = np.empty(k * b * rows * ow, dtype=xd.dtype)
     obuf = np.empty(o * b * rows * ow, dtype=dtype)
     for r0 in range(0, oh, rows):
         nr = min(rows, oh - r0)
-        cols = _band_cols(cbuf, xp, kh, kw, sh, sw, r0, nr, ow)
+        cols = _band_cols(cbuf, xd, kh, kw, sh, sw, pad, r0, nr, ow)
         res = np.matmul(wmat, cols, out=obuf[: o * b * nr * ow].reshape(o, b * nr * ow))
         res = res.reshape(o, b, nr, ow).transpose(1, 0, 2, 3)
         if bias is None:
@@ -265,12 +306,13 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
         if not (need_w or need_x):
             return
         if need_w:
-            dw = np.zeros((o, k), dtype=np.result_type(g, xp))
+            dw = np.zeros((o, k), dtype=np.result_type(g, xd))
         if need_x:
-            dxp = np.zeros(xp.shape, dtype=np.result_type(wmat, g))
+            dx = np.zeros(xd.shape, dtype=np.result_type(wmat, g))
+            col_taps = _axis_taps(kw, sw, pad, w, 0, ow)
         gbuf = np.empty(o * b * rows * ow, dtype=g.dtype)
         # one buffer per band: the rebuilt patch matrix, then weightsᵀ @ grad
-        pbuf = np.empty(k * b * rows * ow, dtype=np.result_type(xp, wmat, g))
+        pbuf = np.empty(k * b * rows * ow, dtype=np.result_type(xd, wmat, g))
         for r0 in range(0, oh, rows):
             nr = min(rows, oh - r0)
             n = b * nr * ow
@@ -278,20 +320,21 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
             np.copyto(gb, g[:, :, r0 : r0 + nr].transpose(1, 0, 2, 3))
             gb = gb.reshape(o, n)
             if need_w:
-                cols = _band_cols(pbuf, xp, kh, kw, sh, sw, r0, nr, ow)
+                cols = _band_cols(pbuf, xd, kh, kw, sh, sw, pad, r0, nr, ow)
                 dw += gb @ cols.T
             if need_x:
                 dcols = np.matmul(wmat.T, gb, out=pbuf[: k * n].reshape(k, n))
                 dcols = dcols.reshape(c, kh, kw, b, nr, ow)
-                for u in range(kh):
-                    for v in range(kw):
-                        tap = _tap(dxp, u, v, r0, nr, sh, sw, ow)
-                        np.add(tap, dcols[:, u, v].transpose(1, 0, 2, 3), out=tap)
+                for u, (ra, re, rs) in enumerate(_axis_taps(kh, sh, pad, h, r0, nr)):
+                    for v, (ca, ce, cs) in enumerate(col_taps):
+                        if ra < re and ca < ce:
+                            tap = dx[:, :, rs, cs]
+                            np.add(tap, dcols[:, u, v, :, ra:re, ca:ce].transpose(1, 0, 2, 3),
+                                   out=tap)
         if need_w:
             weights.accumulate_grad(dw.reshape(weights.shape))
         if need_x:
-            p = spec.pad
-            x.accumulate_grad(dxp[:, :, p : p + h, p : p + w] if p else dxp)
+            x.accumulate_grad(dx)
 
     parents = (x, weights) if bias is None else (x, weights, bias)
     return _result(out, parents, bw)

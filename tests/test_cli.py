@@ -390,6 +390,8 @@ class TestBadCheckpoint:
         # the kernel of another sensor, as if swapped in from another checkpoint
         ("lfcr/vec/weights",
          build_vectorizing_kernel(generate_mask("three-quarter", 7), "three-quarter")[0]),
+        # every digit raised by 0.5: truncating would load the same mask
+        ("meta/mask_pattern", generate_mask("quarter", 7).pattern.astype(np.float32) + 0.5),
     ])
     def test_evaluate_exits_2_naming_the_record(self, workdir, resumable_checkpoint, tmp_path,
                                                 name, value):

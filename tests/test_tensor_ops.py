@@ -117,6 +117,27 @@ class TestConv2dBands:
         np.testing.assert_allclose(got, conv2d_oracle(x, wt, None, (8, 8), 4),
                                    rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("k,s,p,shape", [(3, 1, 1, (2, 2, 7, 5)), (3, 2, 2, (2, 2, 9, 4)),
+                                             (2, 3, 1, (1, 2, 8, 7)), (16, 8, 4, (1, 1, 24, 16))])
+    def test_clipped_taps_equal_explicit_zero_padding(self, monkeypatch, k, s, p, shape):
+        rng = np.random.default_rng(7 * k + s + p)
+        c, o = shape[1], 3
+        spec = ConvSpec(k, k, s, s, pad=p, in_channels=c, out_channels=o)
+        unpadded = ConvSpec(k, k, s, s, pad=0, in_channels=c, out_channels=o)
+        x = rng.standard_normal(shape).astype(np.float32)
+        wt = rng.standard_normal((o, c, k, k)).astype(np.float32)
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        two_row_bands(monkeypatch, shape[0], spec.out_size(*shape[2:])[1])
+        runs = []
+        for inp, sp in ((x, spec), (xp, unpadded)):
+            xt, wtt = t(inp, grad=True), t(wt, grad=True)
+            out = conv2d(xt, wtt, None, sp)
+            out.backward(np.linspace(-1, 1, out.data.size, dtype=np.float32).reshape(out.shape))
+            runs.append((out.data, wtt.grad, xt.grad))
+        (out, dw, dx), (out_p, dw_p, dx_p) = runs
+        assert np.array_equal(out, out_p) and np.array_equal(dw, dw_p)
+        assert np.array_equal(dx, dx_p[:, :, p : p + shape[2], p : p + shape[3]])
+
     @pytest.mark.parametrize("stride,shape", [(1, (1, 2, 5, 3)), (2, (2, 2, 9, 5))])
     def test_gradient_across_bands(self, monkeypatch, stride, shape):
         rng = np.random.default_rng(37 + stride)
@@ -134,7 +155,7 @@ class TestConv2dBands:
         wt = t(0.05 * rng.standard_normal((64, 64, 3, 3)).astype(np.float32), grad=True)
         b = t(np.zeros(64, dtype=np.float32), grad=True)
         out = conv2d(x, wt, b, ConvSpec(3, 3, pad=1, in_channels=64, out_channels=64))
-        padded_bytes = 2 * 64 * 26 * 26 * 4
+        input_bytes = 2 * 64 * 24 * 24 * 4
         held = []
         for cell in out._backward.__closure__:
             v = cell.cell_contents
@@ -143,8 +164,8 @@ class TestConv2dBands:
                 while isinstance(v.base, np.ndarray):
                     v = v.base
                 held.append(v.nbytes)
-        # the padded input itself is kept; a 9x patch matrix would be ~9x larger
-        assert max(held) == padded_bytes
+        # only the input itself is kept: no padded copy (26x26), no 9x patch matrix
+        assert max(held) == input_bytes
         out.backward(np.ones_like(out.data))
         assert wt.grad.flags.c_contiguous and b.grad.shape == (64,)
 
