@@ -29,10 +29,9 @@ _EXPORTS = {
     "VdsrModel": "vdsr", "build_vdsr": "vdsr", "vdsr_forward": "vdsr",
     "save_checkpoint": "checkpoint", "load_checkpoint": "checkpoint",
     "CheckpointError": "checkpoint",
-    "TrainConfig": "training", "PatchSet": "training", "extract_patches": "training",
-    "augment_flip_rotate": "training", "augment_shift": "training",
-    "build_patch_set": "training", "lr_schedule": "training", "train_lfcr": "training",
-    "train_vdsr": "training", "NonFiniteLossError": "training", "ConfigError": "training",
+    "TrainConfig": "training", "PatchSet": "training", "build_patch_set": "training",
+    "lr_schedule": "training", "train_lfcr": "training", "train_vdsr": "training",
+    "NonFiniteLossError": "training", "ConfigError": "training",
     "to_grayscale": "metrics", "psnr": "metrics", "ssim": "metrics",
     "bicubic_upscale": "metrics",
     # the evaluate() op lives in the nrsr.evaluate module (kept off this

@@ -214,7 +214,7 @@ def vectorize_tensor(x: Tensor, plan: TapTable) -> Tensor:
     out = _gather(xp, plan, oh, ow)
 
     def bw(g: np.ndarray):
-        if not (x.requires_grad or x._parents):
+        if not x.requires_grad:
             return
         dxp = np.zeros_like(xp)
         for ch, taps in enumerate(plan):

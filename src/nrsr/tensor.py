@@ -56,6 +56,8 @@ class Tensor:
     gradient buffer that :meth:`backward` fills on leaves. Graph edges
     are kept in ``_parents`` together with a closure that routes the
     incoming gradient to them, until a backward() sweep consumes them.
+    Only nodes with ``requires_grad`` get edges, so a backward closure
+    needs to ask an input for nothing else.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -154,8 +156,8 @@ def no_grad():
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_mode.enabled and any(p.requires_grad or p._parents for p in parents):
-        out.requires_grad = any(p.requires_grad for p in parents)
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = parents
         out._backward = backward
     return out
@@ -299,9 +301,9 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
             np.add(res, bias.data[None, :, None, None], out=out[:, :, r0 : r0 + nr])
 
     def bw(g: np.ndarray):
-        need_w = weights.requires_grad or weights._parents
-        need_x = x.requires_grad or x._parents
-        if bias is not None and (bias.requires_grad or bias._parents):
+        need_w = weights.requires_grad
+        need_x = x.requires_grad
+        if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if not (need_w or need_x):
             return
@@ -376,12 +378,12 @@ def deconv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) ->
 
     def bw(g: np.ndarray):
         g6 = g.reshape(b, spec.out_channels, h, kh, w, kw).transpose(0, 2, 4, 1, 3, 5)
-        if weights.requires_grad or weights._parents:
+        if weights.requires_grad:
             dw = np.tensordot(x.data, g6, axes=([0, 2, 3], [0, 1, 2]))
             weights.accumulate_grad(dw)
-        if bias is not None and (bias.requires_grad or bias._parents):
+        if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             dx = np.tensordot(g6, weights.data, axes=([3, 4, 5], [1, 2, 3]))
             x.accumulate_grad(dx.transpose(0, 3, 1, 2))
 
@@ -411,11 +413,11 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     out += bias.data
 
     def bw(g: np.ndarray):
-        if bias.requires_grad or bias._parents:
+        if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=0))
-        if weights.requires_grad or weights._parents:
+        if weights.requires_grad:
             weights.accumulate_grad((g.T @ x.data).reshape(weights.shape))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x.accumulate_grad(g @ wmat)
 
     return _result(out, (x, weights, bias), bw)
@@ -428,7 +430,7 @@ def to_rows(x: Tensor) -> Tensor:
     out = x.data.transpose(0, 2, 3, 1).reshape(b * h * w, c)
 
     def bw(g: np.ndarray):
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x.accumulate_grad(g.reshape(b, h, w, c).transpose(0, 3, 1, 2))
 
     return _result(out, (x,), bw)
@@ -447,7 +449,7 @@ def from_rows(x: Tensor, batch: int, height: int, width: int) -> Tensor:
     out = x.data.reshape(batch, height, width, c).transpose(0, 3, 1, 2)
 
     def bw(g: np.ndarray):
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x.accumulate_grad(g.transpose(0, 2, 3, 1).reshape(-1, c))
 
     return _result(out, (x,), bw)
@@ -473,11 +475,11 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     def bw(g: np.ndarray):
         # one full-size buffer: min(x, 0) for the slope gradient, then the input gradient
         buf = np.minimum(x.data, 0, dtype=np.result_type(x.data, a, g))
-        if slopes.requires_grad or slopes._parents:
+        if slopes.requires_grad:
             n, c = x.shape[:2]
             slopes.accumulate_grad(
                 np.einsum("ncl,ncl->c", g.reshape(n, c, -1), buf.reshape(n, c, -1)))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             # slope map: a where x < 0 (a*1), else 1 (a*0 + 1); exact, no per-element branch
             neg = buf < 0
             np.multiply(neg, a, out=buf)
@@ -498,9 +500,9 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     out = np.concatenate([a.data, b.data], axis=1)
 
     def bw(g: np.ndarray):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a.accumulate_grad(g[:, :na])
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b.accumulate_grad(g[:, na:])
 
     return _result(out, (a, b), bw)
@@ -513,7 +515,7 @@ def take_channels(x: Tensor, indices) -> Tensor:
     out = x.data[:, idx]
 
     def bw(g: np.ndarray):
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             dx = np.zeros_like(x.data)
             np.add.at(dx, (slice(None), idx), g)
             x.accumulate_grad(dx)
@@ -528,9 +530,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bw(g: np.ndarray):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a.accumulate_grad(g)
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b.accumulate_grad(g)
 
     return _result(out, (a, b), bw)
@@ -542,7 +544,7 @@ def scale(x: Tensor, factor: float) -> Tensor:
     out = x.data * f
 
     def bw(g: np.ndarray):
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x.accumulate_grad(g * f)
 
     return _result(out, (x,), bw)
@@ -556,9 +558,9 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
     out = x.data + bias.data[None, :, None, None]
 
     def bw(g: np.ndarray):
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x.accumulate_grad(g)
-        if bias.requires_grad or bias._parents:
+        if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
 
     return _result(out, (x, bias), bw)
@@ -574,9 +576,9 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
     def bw(g: np.ndarray):
         go = g.reshape(()) * 2.0 / n
-        if pred.requires_grad or pred._parents:
+        if pred.requires_grad:
             pred.accumulate_grad(go * diff)
-        if target.requires_grad or target._parents:
+        if target.requires_grad:
             target.accumulate_grad(-go * diff)
 
     return _result(out, (pred, target), bw)

@@ -1,21 +1,26 @@
-"""Patch extraction, augmentation and the two-phase training loop.
+"""Patch sets, the learning-rate schedule and the two-phase training loop.
 
 Phase 1 fits the LFCR alone (loss between its output and the
 reference); phase 2 freezes the LFCR and fits the VDSR on the combined
 output at a tenfold reduced initial learning rate. The joint
 fine-tuning phase is intentionally absent.
 
-Shift augmentation is realized by cropping the reference at small even
-offsets before patch extraction. The sensor mask stays anchored to the
-crop origin, so the same content meets the mask in up to 16 different
-alignments while every extracted patch keeps mask phase (0, 0).
+A patch set stores no patches: it keeps the source images and one
+``(source, y, x, tag)`` row per patch, and each batch crops its rows and
+applies their flip/rotate tag when the loop asks for it. Shift
+augmentation crops the reference at small even offsets before the patch
+grid is laid, so a row's ``(y, x)`` is shift plus grid offset. The sensor
+mask stays anchored to the patch origin, so the same content meets the
+mask in up to 16 different alignments while every patch keeps mask
+phase (0, 0).
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +84,12 @@ class TrainConfig:
                 raise ConfigError(f"shifts must be non-negative and even, got ({dy},{dx})")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if not np.all(np.isfinite([self.initial_lr, self.lr_decay_factor, self.lr_floor])):
+            raise ConfigError("initial_lr, lr_decay_factor and lr_floor must be finite")
         if self.initial_lr <= 0 or self.lr_decay_every < 1 or self.lr_decay_factor <= 0:
             raise ConfigError("learning-rate schedule values must be positive")
+        if self.lr_floor < 0:
+            raise ConfigError(f"lr_floor must be >= 0, got {self.lr_floor}")
 
 
 _CONFIG_FIELDS = {
@@ -133,87 +142,73 @@ def load_config(path: str | Path) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
-@dataclass(frozen=True)
-class PatchInfo:
-    image_id: str
-    offset: tuple[int, int]
-    shift: tuple[int, int] = (0, 0)
-    transform: int = 0  # dihedral tag: 0..3 rotations, 4..7 flipped rotations
-
-
 @dataclass
 class PatchSet:
-    patches: np.ndarray  # (N, patch_size, patch_size) float32
-    provenance: list[PatchInfo] = field(default_factory=list)
+    """Training patches as an index into their source images, nothing copied.
+
+    Row ``(source, y, x, tag)`` of ``index`` is the ``size``-square crop of
+    ``sources[source]`` at ``(y, x)``, turned by the dihedral ``tag``:
+    ``rot90`` ``tag % 4`` times, then ``fliplr`` for tags 4..7.
+    ``PatchSet(patches=a)`` indexes each ``a[i]`` as one whole patch at
+    ``(0, 0)``, tag 0.
+    """
+
+    sources: Sequence[np.ndarray] = ()
+    index: np.ndarray = field(default_factory=lambda: np.zeros((0, 4), dtype=np.int64))
+    size: int = 0
+    patches: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, patches):
+        if patches is not None:
+            patches = np.asarray(patches)
+            if patches.ndim != 3 or patches.shape[1] != patches.shape[2]:
+                raise ConfigError(f"patches must be (N, size, size), got {patches.shape}")
+            self.sources, self.size = patches, patches.shape[1]
+            self.index = np.zeros((len(patches), 4), dtype=np.int64)
+            self.index[:, 0] = np.arange(len(patches))
 
     def __len__(self) -> int:
-        return len(self.patches)
+        return len(self.index)
 
-
-def extract_patches(images: list[np.ndarray], config: TrainConfig,
-                    image_ids: list[str] | None = None,
-                    shift: tuple[int, int] = (0, 0)) -> PatchSet:
-    """Patches at stride-multiple offsets; undersized images are skipped with a warning."""
-    ids = image_ids or [f"image{i:03d}" for i in range(len(images))]
-    out = []
-    prov = []
-    ps, stride = config.patch_size, config.patch_stride
-    for img, image_id in zip(images, ids):
-        img = np.asarray(img, dtype=np.float32)
-        h, w = img.shape
-        if h < ps or w < ps:
-            warnings.warn(f"{image_id}: {h}x{w} smaller than patch size {ps}, skipped")
-            continue
-        for y in range(0, h - ps + 1, stride):
-            for x in range(0, w - ps + 1, stride):
-                out.append(img[y : y + ps, x : x + ps])
-                prov.append(PatchInfo(image_id=image_id, offset=(y, x), shift=shift))
-    patches = np.stack(out) if out else np.zeros((0, ps, ps), dtype=np.float32)
-    return PatchSet(patches=patches, provenance=prov)
-
-
-def augment_flip_rotate(patch: np.ndarray) -> list[np.ndarray]:
-    """The 8 dihedral-group images of a square patch (duplicates kept)."""
-    patch = np.asarray(patch)
-    if patch.shape[0] != patch.shape[1]:
-        raise ConfigError(f"flip/rotate augmentation needs square patches, got {patch.shape}")
-    rots = [np.rot90(patch, k) for k in range(4)]
-    return rots + [np.fliplr(r) for r in rots]
-
-
-def augment_shift(image: np.ndarray, shift_set) -> list[np.ndarray]:
-    """Crop at each (dy, dx), trimming so dims stay multiples of 8."""
-    image = np.asarray(image)
-    h, w = image.shape
-    out = []
-    for dy, dx in shift_set:
-        if dy >= h or dx >= w:
-            raise ConfigError(f"shift ({dy},{dx}) exceeds image dims {h}x{w}")
-        ch, cw = (h - dy) // 8 * 8, (w - dx) // 8 * 8
-        out.append(image[dy : dy + ch, dx : dx + cw])
-    return out
+    def batch(self, rows) -> np.ndarray:
+        """The patches of ``index[rows]``, stacked as ``(len(rows), size, size)``."""
+        s = self.size
+        out = []
+        for src, y, x, tag in self.index[rows].tolist():
+            crop = np.rot90(self.sources[src][y : y + s, x : x + s], tag % 4)
+            out.append(np.fliplr(crop) if tag >= 4 else crop)
+        return np.stack(out)
 
 
 def build_patch_set(images: list[np.ndarray], config: TrainConfig,
                     image_ids: list[str] | None = None) -> PatchSet:
-    """Full data pipeline: shift crops, patch extraction, then flip/rotate."""
+    """Index every (image, shift, y, x, tag) patch, in that order.
+
+    Each shift ``(dy, dx)`` crops the image at that origin, trimmed to
+    multiples of 8, and patches sit at stride multiples inside the crop;
+    ``y``, ``x`` are source coordinates. A crop smaller than a patch is
+    skipped with a warning.
+    """
     ids = image_ids or [f"image{i:03d}" for i in range(len(images))]
-    patches = []
-    prov = []
+    ps, stride = config.patch_size, config.patch_stride
+    tags = np.arange(8 if config.flips_rotations else 1)
+    sources, blocks = [], []
     for img, image_id in zip(images, ids):
-        for shift, shifted in zip(config.shift_set, augment_shift(img, config.shift_set)):
-            base = extract_patches([shifted], config, image_ids=[image_id], shift=shift)
-            for p, info in zip(base.patches, base.provenance):
-                if config.flips_rotations:
-                    for tag, aug in enumerate(augment_flip_rotate(p)):
-                        patches.append(np.ascontiguousarray(aug))
-                        prov.append(replace(info, transform=tag))
-                else:
-                    patches.append(p)
-                    prov.append(info)
-    ps = config.patch_size
-    stacked = np.stack(patches) if patches else np.zeros((0, ps, ps), dtype=np.float32)
-    return PatchSet(patches=stacked, provenance=prov)
+        img = np.asarray(img, dtype=np.float32)
+        h, w = img.shape
+        used = len(blocks)
+        for dy, dx in config.shift_set:
+            ch, cw = max(h - dy, 0) // 8 * 8, max(w - dx, 0) // 8 * 8
+            if ch < ps or cw < ps:
+                warnings.warn(f"{image_id}: {ch}x{cw} smaller than patch size {ps}, skipped")
+                continue
+            grid = np.meshgrid([len(sources)], np.arange(dy, dy + ch - ps + 1, stride),
+                               np.arange(dx, dx + cw - ps + 1, stride), tags, indexing="ij")
+            blocks.append(np.stack(grid, axis=-1).reshape(-1, 4))
+        if len(blocks) > used:
+            sources.append(img)
+    index = np.concatenate(blocks) if blocks else np.zeros((0, 4), dtype=np.int64)
+    return PatchSet(sources, index, ps)
 
 
 def lr_schedule(epoch: int, config: TrainConfig) -> float:
@@ -273,8 +268,7 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
     arguments) goes into the per-epoch ``<phase>-epochNNNN.nrsr``
     checkpoint, together with the Adam state.
     """
-    patches = patch_set.patches
-    if len(patches) == 0:
+    if len(patch_set) == 0:
         raise ConfigError("empty patch set")
     params = models[phase].named_parameters()
     state = state or AdamState.for_params(params)
@@ -302,12 +296,12 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
         lr = lr_schedule(epoch, config) * lr_scale
         if epoch <= start_epoch:
             # keep the data-order stream aligned when resuming
-            for _ in _epoch_batches(len(patches), config.batch_size, rng):
+            for _ in _epoch_batches(len(patch_set), config.batch_size, rng):
                 pass
             continue
         losses = []
-        for batch_idx in _epoch_batches(len(patches), config.batch_size, rng):
-            loss = step(patches[batch_idx], lr)
+        for batch_idx in _epoch_batches(len(patch_set), config.batch_size, rng):
+            loss = step(patch_set.batch(batch_idx), lr)
             rows.append(LogRow(epoch=epoch, step=state.step, lr=lr, loss=loss))
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))

@@ -83,6 +83,20 @@ class TestSpentGraph:
             scale(interior[-2], 2.0).backward()
 
 
+def test_only_nodes_that_require_grad_have_edges():
+    # backward closures ask an input only for requires_grad; this holds because
+    # an op links its inputs exactly when one of them requires a gradient
+    model = build_vdsr(seed=6, depth=5)
+    nodes = graph_nodes(vdsr_loss(model, seed=1))
+    interior = [n for n in nodes if n._parents]
+    assert len(interior) == 13
+    assert all(n.requires_grad for n in interior)
+    for _, p in model.named_parameters():
+        p.requires_grad = False
+    frozen = vdsr_loss(model, seed=1)
+    assert frozen._parents == () and not frozen.requires_grad
+
+
 def test_vdsr_train_step_peak_memory_bounded():
     # one 64-channel float32 activation at batch 2 x 24x24 is 288 KiB. A
     # full-depth step measured ~118 of them while backward kept every

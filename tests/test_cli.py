@@ -272,6 +272,42 @@ class TestTrainCommand:
                       "--data", tmp_path / "nope", "--out", tmp_path / "o", "--epochs", "1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("source, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("config", "initial_lr=nan"),
+        ("config", "lr_decay_factor=inf"), ("config", "lr_floor=-1e-8")])
+    def test_bad_learning_rate_exits_2_before_training(self, workdir, tmp_path, source, value):
+        if source == "config":
+            (tmp_path / "cfg.txt").write_text(value + "\n")
+            extra = ["--config", tmp_path / "cfg.txt"]
+        else:
+            extra = [source, value]
+        out = tmp_path / "out"
+        res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                      "--data", workdir / "data", "--out", out, "--epochs", "1",
+                      "--no-flips", "--phase", "lfcr", *extra)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert not (out / "final.nrsr").exists()
+
+    def test_shift_beyond_the_image_is_skipped(self, workdir, tmp_path):
+        # the 56x56 images fit no patch at shift (56, 0): skipped like an undersized image
+        (tmp_path / "cfg.txt").write_text("shift_set=0:0,56:0\n")
+        res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                      "--data", workdir / "data", "--out", tmp_path / "out", "--epochs", "1",
+                      "--no-flips", "--phase", "lfcr", "--config", tmp_path / "cfg.txt")
+        assert res.returncode == 0, res.stderr
+        assert "training samples: 2 " in res.stdout
+        assert "t0.pgm: 0x56 smaller than patch size 48, skipped" in res.stderr
+
+    def test_every_crop_too_small_exits_2(self, workdir, tmp_path):
+        (tmp_path / "cfg.txt").write_text("shift_set=56:0,10:0\n")
+        res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                      "--data", workdir / "data", "--out", tmp_path / "out", "--epochs", "1",
+                      "--phase", "lfcr", "--config", tmp_path / "cfg.txt")
+        assert res.returncode == 2
+        assert res.stderr.endswith("\nerror: empty patch set\n"), res.stderr
+        assert not (tmp_path / "out" / "final.nrsr").exists()
+
     def test_divergence_exits_3_referencing_checkpoint(self, workdir, tmp_path):
         res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
                       "--data", workdir / "data", "--out", tmp_path / "diverge",

@@ -1,5 +1,7 @@
 """Patch pipeline, schedule, and the two-phase training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,8 @@ from nrsr.lfcr import build_lfcr, lfcr_forward
 from nrsr.masks import generate_mask
 from nrsr.metrics import psnr
 from nrsr.training import (SHIFT_FACTORS, ConfigError, NonFiniteLossError, PatchSet, TrainConfig,
-                           augment_flip_rotate, augment_shift, build_patch_set, extract_patches,
-                           load_config, lr_schedule, save_config, train_lfcr, train_vdsr,
-                           write_log_csv)
+                           build_patch_set, load_config, lr_schedule, save_config, train_lfcr,
+                           train_vdsr, write_log_csv)
 from nrsr.vdsr import build_vdsr, vdsr_forward
 
 
@@ -49,6 +50,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bad value"):
             load_config(path)
 
+    @pytest.mark.parametrize("line", [
+        "initial_lr=nan", "initial_lr=inf", "lr_decay_factor=nan", "lr_decay_factor=inf",
+        "lr_floor=nan", "lr_floor=inf", "lr_floor=-1e-8"])
+    def test_non_finite_or_negative_lr_rejected(self, tmp_path, line):
+        path = tmp_path / "cfg.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="must be finite|lr_floor must be >= 0"):
+            load_config(path)
+
+    def test_zero_lr_floor_accepted(self):
+        assert lr_schedule(100, TrainConfig(lr_floor=0.0)) == pytest.approx(1e-13)
+
     def test_shift_factor_sets(self):
         for factor, shifts in SHIFT_FACTORS.items():
             assert len(shifts) == factor
@@ -57,90 +70,153 @@ class TestConfig:
         assert SHIFT_FACTORS[16] == TrainConfig().shift_set
 
 
+def dihedral(patch: np.ndarray, tag: int) -> np.ndarray:
+    turned = np.rot90(patch, tag % 4)
+    return np.fliplr(turned) if tag >= 4 else turned
+
+
+def one_shift(**kwargs) -> TrainConfig:
+    return TrainConfig(shift_set=((0, 0),), flips_rotations=False, **kwargs)
+
+
 class TestExtractPatches:
     def test_offsets_grid(self):
-        cfg = TrainConfig()
-        ps = extract_patches([synth_image(0, 96, 96)], cfg)
+        ps = build_patch_set([synth_image(0, 96, 96)], one_shift())
         assert len(ps) == 4
-        assert sorted(p.offset for p in ps.provenance) == [(0, 0), (0, 40), (40, 0), (40, 40)]
+        assert ps.index.tolist() == [[0, 0, 0, 0], [0, 0, 40, 0], [0, 40, 0, 0], [0, 40, 40, 0]]
 
     def test_exact_fit_single_patch(self):
-        ps = extract_patches([synth_image(1, 48, 48)], TrainConfig())
-        assert len(ps) == 1
-        assert ps.provenance[0].offset == (0, 0)
+        ps = build_patch_set([synth_image(1, 48, 48)], one_shift())
+        assert ps.index.tolist() == [[0, 0, 0, 0]]
 
     def test_offsets_are_multiples_of_8(self):
-        cfg = TrainConfig(patch_size=16, patch_stride=24)
-        ps = extract_patches([synth_image(2, 90, 70)], cfg)
+        cfg = TrainConfig(patch_size=16, patch_stride=24, shift_set=((0, 0), (2, 4)),
+                          flips_rotations=False)
+        ps = build_patch_set([synth_image(2, 90, 70)], cfg)
         assert len(ps) > 0
-        for info in ps.provenance:
-            assert info.offset[0] % 8 == 0 and info.offset[1] % 8 == 0
+        shifts = {(y % 8, x % 8) for _, y, x, _ in ps.index}
+        assert shifts == {(0, 0), (2, 4)}
+        for _, y, x, _ in ps.index:
+            assert (y - y % 8) % 24 == 0 and (x - x % 8) % 24 == 0  # stride multiples
 
     def test_undersized_skipped_with_warning(self):
-        with pytest.warns(UserWarning, match="smaller than patch size"):
-            ps = extract_patches([synth_image(3, 40, 40)], TrainConfig())
-        assert len(ps) == 0
+        with pytest.warns(UserWarning, match="40x40 smaller than patch size 48, skipped"):
+            ps = build_patch_set([synth_image(3, 40, 40)], one_shift())
+        assert len(ps) == 0 and len(ps.sources) == 0
 
     def test_patch_content_matches_source(self):
         img = synth_image(4, 96, 96)
-        ps = extract_patches([img], TrainConfig())
-        for patch, info in zip(ps.patches, ps.provenance):
-            y, x = info.offset
-            assert np.array_equal(patch, img[y : y + 48, x : x + 48])
+        ps = build_patch_set([img], TrainConfig())
+        batch = ps.batch(np.arange(len(ps)))
+        assert batch.shape == (len(ps), 48, 48) and batch.dtype == np.float32
+        for patch, (src, y, x, tag) in zip(batch, ps.index):
+            assert src == 0
+            assert np.array_equal(patch, dihedral(img[y : y + 48, x : x + 48], tag))
 
 
 class TestAugmentations:
     def test_flip_rotate_count_and_constant(self):
-        out = augment_flip_rotate(np.full((8, 8), 9.0, dtype=np.float32))
-        assert len(out) == 8
-        for p in out:
-            assert np.all(p == 9.0)
+        cfg = TrainConfig(patch_size=8, patch_stride=8, shift_set=((0, 0),))
+        ps = build_patch_set([np.full((8, 8), 9.0)], cfg)
+        assert ps.index[:, 3].tolist() == list(range(8))
+        assert np.all(ps.batch(np.arange(8)) == 9.0)
 
     def test_flip_rotate_closed_under_composition(self):
-        patch = synth_image(5, 16, 16)
-        first = augment_flip_rotate(patch)
+        cfg = TrainConfig(patch_size=16, patch_stride=8, shift_set=((0, 0),))
+        first = build_patch_set([synth_image(5, 16, 16)], cfg).batch(np.arange(8))
         keys = {p.tobytes() for p in first}
         assert len(keys) == 8  # generic patch: all eight distinct
-        twice = {q.tobytes() for p in first for q in augment_flip_rotate(p)}
-        assert twice == keys
+        index = np.array([(i, 0, 0, tag) for i in range(8) for tag in range(8)])
+        twice = PatchSet(list(first), index, 16).batch(np.arange(len(index)))
+        assert {q.tobytes() for q in twice} == keys
 
     def test_shift_identity_and_count(self):
         img = synth_image(6, 96, 96)
-        shifts = TrainConfig().shift_set
-        out = augment_shift(img, shifts)
-        assert len(out) == 16
-        assert np.array_equal(out[0], img[:96, :96])
-        for (dy, dx), crop in zip(shifts, out):
-            assert crop.shape == ((96 - dy) // 8 * 8, (96 - dx) // 8 * 8)
-            assert np.array_equal(crop, img[dy : dy + crop.shape[0], dx : dx + crop.shape[1]])
+        cfg = TrainConfig(patch_size=16, patch_stride=8, flips_rotations=False)
+        ps = build_patch_set([img], cfg)
+        rows = iter(ps.index.tolist())
+        for dy, dx in cfg.shift_set:
+            # each shift crop is trimmed to multiples of 8 before the grid is laid
+            ch, cw = (96 - dy) // 8 * 8, (96 - dx) // 8 * 8
+            for y in range(dy, dy + ch - 16 + 1, 8):
+                for x in range(dx, dx + cw - 16 + 1, 8):
+                    assert next(rows) == [0, y, x, 0]
+        assert next(rows, None) is None
+        assert np.array_equal(ps.batch(np.array([0])), img[None, :16, :16])
 
     def test_shift_changes_sampling_but_not_constants(self):
         from nrsr.sensors import sample_quarter
 
         mask = generate_mask("quarter", 3)
-        img = synth_image(7, 64, 64)
-        crops = augment_shift(img, ((0, 0), (2, 0)))
-        a = sample_quarter(crops[0][:56, :56], mask)
-        b = sample_quarter(crops[1][:56, :56], mask)
-        assert not np.array_equal(a, b)
-        const = np.full((64, 64), 50.0, dtype=np.float32)
-        ca, cb = augment_shift(const, ((0, 0), (2, 0)))
-        assert np.array_equal(sample_quarter(ca[:56, :56], mask),
-                              sample_quarter(cb[:56, :56], mask))
+        cfg = TrainConfig(patch_size=56, patch_stride=8, shift_set=((0, 0), (2, 0)),
+                          flips_rotations=False)
 
-    def test_oversized_shift_rejected(self):
-        with pytest.raises(ConfigError, match="exceeds"):
-            augment_shift(np.zeros((8, 8)), ((8, 0),))
+        def at_origin(img):
+            ps = build_patch_set([img], cfg)
+            rows = [i for i, (_, y, x, _) in enumerate(ps.index) if (y, x) in ((0, 0), (2, 0))]
+            return ps.batch(np.array(rows))
+
+        a, b = at_origin(synth_image(7, 64, 64))
+        assert not np.array_equal(sample_quarter(a, mask), sample_quarter(b, mask))
+        ca, cb = at_origin(np.full((64, 64), 50.0, dtype=np.float32))
+        assert np.array_equal(sample_quarter(ca, mask), sample_quarter(cb, mask))
+
+    def test_oversized_shift_skipped(self):
+        # a shift at or beyond the image's dims is one more crop smaller than a patch
+        cfg = TrainConfig(patch_size=8, patch_stride=8, shift_set=((0, 0), (8, 0), (10, 2)),
+                          flips_rotations=False)
+        with pytest.warns(UserWarning, match="smaller than patch size 8") as record:
+            ps = build_patch_set([np.zeros((8, 8), dtype=np.float32)], cfg)
+        assert [str(w.message) for w in record] == [
+            "image000: 0x8 smaller than patch size 8, skipped",
+            "image000: 0x0 smaller than patch size 8, skipped"]
+        assert ps.index.tolist() == [[0, 0, 0, 0]]
 
     def test_total_sample_count(self):
         # large enough that every shift keeps the same patch grid
-        cfg = TrainConfig()
         img = synth_image(8, 104, 104)
-        ps = build_patch_set([img], cfg)
-        base = extract_patches([img], cfg)
-        assert len(ps) == len(base) * 8 * 16
+        base = build_patch_set([img], one_shift())
+        assert len(build_patch_set([img], TrainConfig())) == len(base) * 8 * 16
         no_flips = build_patch_set([img], TrainConfig(flips_rotations=False))
         assert len(no_flips) == len(base) * 16
+
+
+class TestPatchSet:
+    def test_patches_batch_is_indexing(self):
+        a = np.random.default_rng(0).uniform(0, 255, (6, 16, 16))
+        ps = PatchSet(patches=a)
+        assert len(ps) == 6 and ps.size == 16
+        for rows in (np.array([4, 0, 5]), np.arange(6), np.array([2])):
+            out = ps.batch(rows)
+            assert out.dtype == a.dtype and np.array_equal(out, a[rows])
+
+    def test_patches_must_be_square(self):
+        with pytest.raises(ConfigError, match="size, size"):
+            PatchSet(patches=np.zeros((2, 16, 24)))
+
+    def test_sources_are_kept_once_and_rows_indexed_across_images(self):
+        imgs = [synth_image(9 + k, 56, 64).astype(np.float32) for k in range(2)]
+        with pytest.warns(UserWarning, match="small: .* smaller than patch size"):
+            ps = build_patch_set([imgs[0], np.zeros((40, 40)), imgs[1]], TrainConfig(),
+                                 image_ids=["a", "small", "b"])
+        assert len(ps.sources) == 2
+        assert ps.sources[0] is imgs[0] and ps.sources[1] is imgs[1]  # float32 in, no copy
+        half = len(ps) // 2
+        assert set(ps.index[:half, 0]) == {0} and set(ps.index[half:, 0]) == {1}
+
+    def test_build_memory_scales_with_sources_not_augmentation(self):
+        # the x128 (16 shifts x 8 tags) augmentation costs 32 bytes per index row,
+        # 0.4x these sources; stored patches would take 115x them
+        imgs = [synth_image(20 + k, 160, 240).astype(np.float32) for k in range(4)]
+        source_bytes = sum(img.nbytes for img in imgs)
+        tracemalloc.start()
+        try:
+            ps = build_patch_set(imgs, TrainConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * source_bytes, (peak, source_bytes)
+        assert len(ps) == 4 * 15 * 128 and ps.index.nbytes == 32 * len(ps)
 
 
 class TestLrSchedule:
