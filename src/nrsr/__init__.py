@@ -20,8 +20,8 @@ _EXPORTS = {
     "grad_check": "gradcheck", "run_standard_checks": "gradcheck",
     "SamplingMask": "masks", "generate_mask": "masks", "expand_mask": "masks",
     "load_mask": "masks", "save_mask": "masks", "MaskFormatError": "masks",
-    "MeasurementGrid": "sensors", "sample_quarter": "sensors",
-    "sample_three_quarter": "sensors", "sample_low_resolution": "sensors",
+    "sample_quarter": "sensors", "sample_three_quarter": "sensors",
+    "sample_low_resolution": "sensors",
     "build_vectorizing_kernel": "sensors", "vectorize": "sensors",
     "central_channel_indices": "sensors",
     "LfcrModel": "lfcr", "build_lfcr": "lfcr", "lfcr_forward": "lfcr",

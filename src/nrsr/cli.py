@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -171,9 +172,9 @@ def cmd_sample(args) -> int:
     if args.sensor == "quarter":
         values = sample_quarter(image, mask)
     elif args.sensor == "three-quarter":
-        values = sample_three_quarter(image, mask).values
+        values = sample_three_quarter(image, mask)
     else:
-        values = sample_low_resolution(image).values
+        values = sample_low_resolution(image)
     raw, sidecar = save_raw(args.out, values, meta)
     print(f"wrote {raw} and {sidecar}")
     return EXIT_OK
@@ -239,8 +240,8 @@ def cmd_train(args) -> int:
 
     from .checkpoint import save_checkpoint
     from .lfcr import build_lfcr
-    from .training import (SHIFT_FACTORS, TrainConfig, build_patch_set, load_config, read_log_csv,
-                           save_config, train_lfcr, train_vdsr, write_log_csv)
+    from .training import (SHIFT_FACTORS, ConfigError, TrainConfig, build_patch_set, load_config,
+                           read_log_csv, save_config, train_lfcr, train_vdsr, write_log_csv)
     from .vdsr import build_vdsr
 
     mask = _load_mask_for(args.sensor, args.mask)
@@ -264,11 +265,13 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     ckdir = out / "checkpoints"
     ck = _start_checkpoint(args, ckdir, mask)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(config, out / "train_config.txt")
-
+    # read the data before anything is written to --out
     images, ids = _load_dataset_images(args.data)
     patch_set = build_patch_set(images, config, image_ids=ids)
+    if len(patch_set) == 0:
+        raise ConfigError("empty patch set")
+    out.mkdir(parents=True, exist_ok=True)
+    save_config(config, out / "train_config.txt")
     print(f"training samples: {len(patch_set)} "
           f"({len(images)} images, shift x{len(config.shift_set)}, "
           f"flips {'x8' if config.flips_rotations else 'off'})")
@@ -436,12 +439,18 @@ def cmd_curves(args) -> int:
     return EXIT_OK
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _set_threads(getattr(args, "threads", None))
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
     except OSError as exc:

@@ -14,7 +14,6 @@ reproduced here; e.g. three-quarter sampling with LFCR+VDSR reaches
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -76,9 +75,6 @@ class EvalReport:
             "mean_ssim": round(self.mean_ssim, 6) if self.rows else None,
             "runtime_s": round(self.runtime_s, 3),
         }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), indent=2, sort_keys=True) + "\n"
 
     def table(self) -> str:
         lines = [f"{'image':24s} {'psnr_db':>10s} {'ssim':>8s}"]

@@ -28,7 +28,7 @@ import numpy as np
 from . import sensors
 from .masks import SamplingMask
 from .netutil import as_batch, from_batch, he_normal, param_count
-from .sensors import TapTable, central_channel_indices
+from .sensors import central_channel_indices
 from .tensor import (ConvSpec, Tensor, add_channel_bias, concat_channels, deconv2d, from_rows,
                      linear, no_grad, prelu, scale, take_channels, to_rows)
 from .tensor import conv2d  # noqa: F401  (perfbench's tracer wraps nrsr.lfcr.conv2d by name)
@@ -59,10 +59,10 @@ class LfcrModel:
     blocks: list[FcBlock]
     deconv_weights: Tensor            # (208, 1, 8, 8)
     deconv_bias: Tensor               # (1,)
-    plan: TapTable = field(init=False, repr=False)
+    sensitivity: np.ndarray = field(init=False, repr=False)   # (8, 8) sensitivity tile
 
     def __post_init__(self):
-        self.plan = sensors.vectorize_plan(self.mask, self.sensor_kind)
+        self.sensitivity = sensors.sensitivity_tile(self.mask, self.sensor_kind)
 
     @property
     def vec_kernel(self) -> np.ndarray:
@@ -89,7 +89,7 @@ class LfcrModel:
     def forward_t(self, x: Tensor) -> Tensor:
         """Graph-building forward pass; the vectorizing layer checks that x is (B,1,8m,8n)."""
         h = scale(x, 1.0 / PIXEL_SCALE)
-        v = to_rows(sensors.vectorize_tensor(h, self.plan))
+        v = to_rows(sensors.vectorize_tensor(h, self.sensitivity))
         t = v
         for blk in self.blocks:
             t = prelu(linear(t, blk.weights, blk.bias), blk.slopes)

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from .sensors import MeasurementGrid
 from .tensor import ShapeMismatchError
 
 PEAK = 255.0
@@ -107,11 +106,11 @@ def _upscale_axis(arr: np.ndarray, factor: int, axis: int) -> np.ndarray:
     return np.moveaxis(acc, 0, axis)
 
 
-def bicubic_upscale(low: MeasurementGrid | np.ndarray, factor: int = 2) -> np.ndarray:
+def bicubic_upscale(low: np.ndarray, factor: int = 2) -> np.ndarray:
     """Twofold cubic-convolution upscaling (a=-0.5, half-pixel aligned, edges clamped)."""
     if factor != 2:
         raise ValueError(f"only factor 2 is supported, got {factor}")
-    values = low.values if isinstance(low, MeasurementGrid) else np.asarray(low)
+    values = np.asarray(low)
     if values.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D grid, got {values.shape}")
     out = _upscale_axis(values.astype(np.float64), factor, axis=0)

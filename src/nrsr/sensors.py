@@ -8,24 +8,28 @@ the 0..255 value scale:
   the mean of the three uncovered HR pixels.
 * low-resolution: the measurement is the mean of all four HR pixels.
 
+A sensor is encoded once, as its binary sensitivity map: 1 where an HR
+pixel feeds its cell's measurement (``expand_mask`` for the masked
+kinds, all ones for low-resolution). The map has period 8, so its 8x8
+tile (``sensitivity_tile``) is the whole sensor. A cell's measurement
+is the sum of its sensitive pixels in quadrant order divided by their
+count (1, 3 or 4), so results match a direct nested-loop gather bit for
+bit.
+
 The vectorizing convolution gathers every 16x16 support block's
 measurements into 64 channels (kernel 16x16, stride 8, zero padding 4).
 Channel c corresponds to low-resolution cell c of the support block,
-cells enumerated row-major over the 8x8 cell grid. Averages are
-computed as tap-sum divided by tap count, in row-major tap order, so
-results match a direct nested-loop gather bit for bit.
-The layer is a function of the sensor kind and mask: ``vectorize_plan``
-derives its tap table and the dense kernel is drawn from that table.
+cells enumerated row-major over the 8x8 cell grid. It measures the
+image once, pads the measurements by 2 cells and copies each window
+out of four 4x4-cell blocks; its dense kernel is drawn from the tile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .masks import (LOW_RESOLUTION, MASKED_KINDS, QUARTER, SENSOR_KINDS, THREE_QUARTER,
-                    SamplingMask, expand_mask)
+from .masks import (LOW_RESOLUTION, QUARTER, SENSOR_KINDS, THREE_QUARTER, SamplingMask,
+                    expand_mask)
 from .tensor import ConvSpec, ShapeMismatchError, Tensor, _result
 
 SUPPORT = 16        # support block edge in HR pixels
@@ -33,20 +37,12 @@ TARGET = 8          # target block edge in HR pixels
 SUPPORT_CELLS = 8   # support block edge in cells
 VEC_CHANNELS = SUPPORT_CELLS * SUPPORT_CELLS
 VEC_PAD = 4
-
-TapTable = tuple[tuple[tuple[int, int], ...], ...]  # [channel][tap] -> (u, v) in the window
+PAD_CELLS = VEC_PAD // 2
+HALF = SUPPORT_CELLS // 2   # window stride in cells; a window is 2x2 blocks of HALF x HALF cells
+HALVES = ((0, 0), (0, 1), (1, 0), (1, 1))   # (row, col) block of the window, in channel order
 
 VEC_SPEC = ConvSpec(kernel_h=SUPPORT, kernel_w=SUPPORT, stride_h=TARGET, stride_w=TARGET,
                     pad=VEC_PAD, in_channels=1, out_channels=VEC_CHANNELS)
-
-
-@dataclass(frozen=True)
-class MeasurementGrid:
-    """One value per low-resolution sensor pixel (dims = HR dims / 2)."""
-
-    values: np.ndarray
-    kind: str
-    mask: SamplingMask | None = None
 
 
 def _check_even(f: np.ndarray) -> None:
@@ -63,9 +59,47 @@ def _as_float(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _quadrant_planes(f: np.ndarray) -> list[np.ndarray]:
-    """The four HR quadrant planes of each 2x2 cell, in quadrant order."""
-    return [f[q // 2 :: 2, q % 2 :: 2] for q in range(4)]
+def sensitivity_tile(mask: SamplingMask | None, kind: str) -> np.ndarray:
+    """The (8, 8) uint8 tile of the sensor's period-8 sensitivity map."""
+    if kind not in SENSOR_KINDS:
+        raise ShapeMismatchError(f"unknown sensor kind '{kind}'")
+    if kind == LOW_RESOLUTION:
+        return np.ones((TARGET, TARGET), dtype=np.uint8)
+    if mask is None:
+        raise ShapeMismatchError(f"sensor kind '{kind}' requires a mask")
+    if mask.kind != kind:
+        raise ShapeMismatchError(f"mask kind '{mask.kind}' does not match sensor '{kind}'")
+    return expand_mask(mask, TARGET, TARGET)
+
+
+def _tap_count(tile: np.ndarray) -> int:
+    """Sensitive pixels per cell; every cell must have the same 1, 3 or 4."""
+    # a set, not np.unique: np.unique imports numpy.ma, which costs about 3 MB of RSS
+    counts = sorted(set(tile.reshape(HALF, 2, HALF, 2).sum(axis=(1, 3)).flat))
+    if len(counts) != 1 or counts[0] not in (1, 3, 4):
+        raise ShapeMismatchError(f"sensitivity map has {', '.join(map(str, counts))} pixels per "
+                                 "cell; expected one of 1, 3 or 4 in every cell")
+    return int(counts[0])
+
+
+def _cells(tile: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The sensitivity map over an (h, w) image as a bool (h/2, 2, w/2, 2) cell array."""
+    reps = (-(-h // TARGET), -(-w // TARGET))
+    return np.tile(tile.astype(bool), reps)[:h, :w].reshape(h // 2, 2, w // 2, 2)
+
+
+def measure(f: np.ndarray, tile: np.ndarray) -> np.ndarray:
+    """Per-cell measurements of (..., H, W) images, shape (..., H/2, W/2).
+
+    Insensitive pixels enter the quadrant-order sum as -0.0, the exact
+    additive identity, so each cell equals the sum of its sensitive
+    pixels alone.
+    """
+    h, w = f.shape[-2:]
+    cells = np.where(_cells(tile, h, w), f.reshape(*f.shape[:-2], h // 2, 2, w // 2, 2),
+                     f.dtype.type(-0.0))
+    total = cells[..., 0, :, 0] + cells[..., 0, :, 1] + cells[..., 1, :, 0] + cells[..., 1, :, 1]
+    return total / f.dtype.type(_tap_count(tile))
 
 
 def sample_quarter(f: np.ndarray, mask: SamplingMask) -> np.ndarray:
@@ -78,110 +112,61 @@ def sample_quarter(f: np.ndarray, mask: SamplingMask) -> np.ndarray:
     return f * b.astype(f.dtype)
 
 
-def sample_three_quarter(f: np.ndarray, mask: SamplingMask) -> MeasurementGrid:
-    """Mean of the three uncovered HR pixels of every 2x2 cell."""
+def sample_three_quarter(f: np.ndarray, mask: SamplingMask) -> np.ndarray:
+    """Mean of the three uncovered HR pixels of every 2x2 cell, shape (H/2, W/2)."""
     f = _as_float(f)
     _check_even(f)
     if mask.kind != THREE_QUARTER:
         raise ShapeMismatchError(f"sample_three_quarter needs a three-quarter mask, got '{mask.kind}'")
-    quad = mask.cell_quadrants(f.shape[0] // 2, f.shape[1] // 2)
-    acc = np.zeros((f.shape[0] // 2, f.shape[1] // 2), dtype=f.dtype)
-    for q, plane in enumerate(_quadrant_planes(f)):
-        acc = acc + np.where(quad == q, f.dtype.type(0), plane)
-    return MeasurementGrid(values=acc / f.dtype.type(3), kind=mask.kind, mask=mask)
+    return measure(f, sensitivity_tile(mask, THREE_QUARTER))
 
 
-def sample_low_resolution(f: np.ndarray) -> MeasurementGrid:
-    """Mean of each 2x2 HR cell (conventional sensor)."""
+def sample_low_resolution(f: np.ndarray) -> np.ndarray:
+    """Mean of each 2x2 HR cell (conventional sensor), shape (H/2, W/2)."""
     f = _as_float(f)
     _check_even(f)
-    planes = _quadrant_planes(f)
-    acc = planes[0] + planes[1]
-    for p in planes[2:]:
-        acc = acc + p
-    return MeasurementGrid(values=acc / f.dtype.type(4), kind=LOW_RESOLUTION, mask=None)
+    return measure(f, sensitivity_tile(None, LOW_RESOLUTION))
 
 
-def _window_quadrant(mask: SamplingMask | None, r: int, c: int) -> int | None:
-    """Mask quadrant digit governing support-window cell (r, c).
-
-    The window at output position (i, j) starts at HR (8i-4, 8j-4), i.e.
-    at cell (4i-2+r, 4j-2+c); the 4-cell pattern periodicity makes the
-    pattern lookup independent of (i, j).
-    """
-    if mask is None:
-        return None
-    return int(mask.pattern[(r + 2) % SUPPORT_CELLS, (c + 2) % SUPPORT_CELLS])
-
-
-def _cell_taps(kind: str, quadrant: int | None) -> list[tuple[int, int]]:
-    """In-cell tap offsets (dy, dx), row-major."""
-    if kind == QUARTER:
-        return [divmod(quadrant, 2)]
-    if kind == LOW_RESOLUTION:
-        return [divmod(q, 2) for q in range(4)]
-    return [divmod(q, 2) for q in range(4) if q != quadrant]
-
-
-def vectorize_plan(mask: SamplingMask | None, kind: str) -> TapTable:
-    """Per-channel tap offsets (u, v) within the 16x16 window, row-major.
-
-    Channel c = 8*r + q reads only inside cell (r, q) of the support
-    window: the measured quadrant (quarter), the three uncovered
-    quadrants (three-quarter) or all four quadrants (low-resolution).
-    """
-    if kind not in SENSOR_KINDS:
-        raise ShapeMismatchError(f"unknown sensor kind '{kind}'")
-    if kind in MASKED_KINDS:
-        if mask is None:
-            raise ShapeMismatchError(f"sensor kind '{kind}' requires a mask")
-        if mask.kind != kind:
-            raise ShapeMismatchError(f"mask kind '{mask.kind}' does not match sensor '{kind}'")
-    return tuple(
-        tuple((2 * r + dy, 2 * c + dx) for dy, dx in _cell_taps(kind, _window_quadrant(mask, r, c)))
-        for r in range(SUPPORT_CELLS) for c in range(SUPPORT_CELLS))
+def _draw_kernel(tile: np.ndarray) -> np.ndarray:
+    """Dense (64, 1, 16, 16) kernel: channel 8r+s weighs the sensitive pixels of window cell (r, s)."""
+    # the window starts 4 HR pixels before its target block, i.e. at tile offset 4
+    window = np.tile(np.roll(tile.astype(bool), VEC_PAD, axis=(0, 1)), (2, 2))
+    in_cell = np.arange(SUPPORT) // 2 == np.arange(SUPPORT_CELLS)[:, None]   # (cell, pixel)
+    support = in_cell[:, None, :, None] & in_cell[None, :, None, :] & window
+    return (support / _tap_count(tile)).astype(np.float32).reshape(VEC_CHANNELS, 1, SUPPORT, SUPPORT)
 
 
 def build_vectorizing_kernel(mask: SamplingMask | None, kind: str) -> tuple[np.ndarray, ConvSpec]:
     """Fixed (64, 1, 16, 16) weights mimicking the sensor, plus their ConvSpec.
 
-    Each channel weighs its taps from ``vectorize_plan`` equally: 1, 1/3
+    Each channel weighs the sensitive pixels of its cell equally: 1, 1/3
     or 1/4.
     """
-    w = np.zeros((VEC_CHANNELS, 1, SUPPORT, SUPPORT), dtype=np.float32)
-    for ch, taps in enumerate(vectorize_plan(mask, kind)):
-        for u, v in taps:
-            w[ch, 0, u, v] = 1.0 / len(taps)
-    return w, VEC_SPEC
+    return _draw_kernel(sensitivity_tile(mask, kind)), VEC_SPEC
 
 
-def _kernel_taps(kernel: np.ndarray) -> TapTable:
-    """Tap table of a dense vectorizing kernel; rejects any other kernel."""
+def _tile_from_kernel(kernel: np.ndarray) -> np.ndarray:
+    """The sensitivity tile a dense kernel was drawn from; rejects any other kernel."""
     if kernel.shape != (VEC_CHANNELS, 1, SUPPORT, SUPPORT):
         raise ShapeMismatchError(f"kernel shape {kernel.shape} != (64, 1, 16, 16)")
-    taps = []
-    for ch in range(VEC_CHANNELS):
-        pos = np.argwhere(kernel[ch, 0] != 0)
-        n = len(pos)
-        if n not in (1, 3, 4):
-            raise ShapeMismatchError(f"channel {ch} has {n} taps; expected 1, 3 or 4")
-        if not np.allclose(kernel[ch, 0][tuple(pos.T)], 1.0 / n):
-            raise ShapeMismatchError(f"channel {ch} weights are not 1/{n}")
-        taps.append(tuple((int(u), int(v)) for u, v in pos))
-    return tuple(taps)
+    support = np.any(kernel[:, 0] != 0, axis=0)
+    tile = support[VEC_PAD : VEC_PAD + TARGET, VEC_PAD : VEC_PAD + TARGET].astype(np.uint8)
+    if not np.array_equal(kernel, _draw_kernel(tile)):
+        raise ShapeMismatchError("kernel is not the vectorizing kernel drawn from its own support")
+    return tile
 
 
-def _gather(xp: np.ndarray, plan: TapTable, oh: int, ow: int) -> np.ndarray:
-    """Sum taps per channel over the padded batch and divide by tap count."""
-    b = xp.shape[0]
-    out = np.empty((b, VEC_CHANNELS, oh, ow), dtype=xp.dtype)
-    for ch, taps in enumerate(plan):
-        u, v = taps[0]
-        acc = xp[:, 0, u : u + TARGET * oh : TARGET, v : v + TARGET * ow : TARGET].copy()
-        for u, v in taps[1:]:
-            acc += xp[:, 0, u : u + TARGET * oh : TARGET, v : v + TARGET * ow : TARGET]
-        out[:, ch] = acc / xp.dtype.type(len(taps))
-    return out
+def _windows(m: np.ndarray) -> np.ndarray:
+    """(B, H/2, W/2) measurements -> (B, 64, H/8, W/8) zero-padded 8x8-cell windows at stride 4."""
+    b, ch, cw = m.shape
+    oh, ow = ch // HALF, cw // HALF
+    p = PAD_CELLS
+    blocks = np.pad(m, ((0, 0), (p, p), (p, p))).reshape(b, oh + 1, HALF, ow + 1, HALF)
+    out = np.empty((b, 2, HALF, 2, HALF, oh, ow), dtype=m.dtype)
+    for a, c in HALVES:
+        out[:, a, :, c] = blocks[:, a : a + oh, :, c : c + ow].transpose(0, 2, 4, 1, 3)
+    return out.reshape(b, VEC_CHANNELS, oh, ow)
 
 
 def vectorize(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -189,7 +174,7 @@ def vectorize(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
     Padding 4 and stride 8 put each output position over the 16x16
     support block centred on its 8x8 target block. The arithmetic is
-    gather-sum-divide, exactly equivalent to convolving with ``kernel``.
+    measure-then-copy, exactly equivalent to convolving with ``kernel``.
     """
     f = _as_float(f)
     if f.ndim != 2:
@@ -197,12 +182,10 @@ def vectorize(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     h, w = f.shape
     if h % TARGET or w % TARGET:
         raise ShapeMismatchError(f"image dims must be multiples of 8, got {f.shape}")
-    plan = _kernel_taps(kernel)
-    xp = np.pad(f[None, None], ((0, 0), (0, 0), (VEC_PAD, VEC_PAD), (VEC_PAD, VEC_PAD)))
-    return _gather(xp, plan, h // TARGET, w // TARGET)[0]
+    return _windows(measure(f, _tile_from_kernel(kernel))[None])[0]
 
 
-def vectorize_tensor(x: Tensor, plan: TapTable) -> Tensor:
+def vectorize_tensor(x: Tensor, tile: np.ndarray) -> Tensor:
     """Differentiable batched vectorizing layer: (B,1,H,W) -> (B,64,H/8,W/8)."""
     if x.data.ndim != 4 or x.shape[1] != 1:
         raise ShapeMismatchError(f"input must be (B,1,H,W), got {x.shape}")
@@ -210,18 +193,20 @@ def vectorize_tensor(x: Tensor, plan: TapTable) -> Tensor:
     if h % TARGET or w % TARGET:
         raise ShapeMismatchError(f"input dims must be multiples of 8, got {h}x{w}")
     oh, ow = h // TARGET, w // TARGET
-    xp = np.pad(x.data, ((0, 0), (0, 0), (VEC_PAD, VEC_PAD), (VEC_PAD, VEC_PAD)))
-    out = _gather(xp, plan, oh, ow)
+    out = _windows(measure(x.data[:, 0], tile))
 
     def bw(g: np.ndarray):
         if not x.requires_grad:
             return
-        dxp = np.zeros_like(xp)
-        for ch, taps in enumerate(plan):
-            gc = g[:, ch] / xp.dtype.type(len(taps))
-            for u, v in taps:
-                dxp[:, 0, u : u + TARGET * oh : TARGET, v : v + TARGET * ow : TARGET] += gc
-        x.accumulate_grad(dxp[:, :, VEC_PAD : VEC_PAD + h, VEC_PAD : VEC_PAD + w])
+        dtype = x.data.dtype
+        gk = (g / dtype.type(_tap_count(tile))).reshape(b, 2, HALF, 2, HALF, oh, ow)
+        dblocks = np.zeros((b, oh + 1, HALF, ow + 1, HALF), dtype=dtype)
+        for a, c in HALVES:
+            dblocks[:, a : a + oh, :, c : c + ow] += gk[:, a, :, c].transpose(0, 3, 1, 4, 2)
+        p = PAD_CELLS
+        dm = dblocks.reshape(b, HALF * (oh + 1), HALF * (ow + 1))[:, p:-p, p:-p]
+        dx = np.where(_cells(tile, h, w), dm[:, :, None, :, None], dtype.type(0))
+        x.accumulate_grad(dx.reshape(b, 1, h, w))
 
     return _result(out, (x,), bw)
 

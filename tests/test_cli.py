@@ -308,6 +308,20 @@ class TestTrainCommand:
         assert res.stderr.endswith("\nerror: empty patch set\n"), res.stderr
         assert not (tmp_path / "out" / "final.nrsr").exists()
 
+    def test_undersized_image_leaves_no_output_and_one_line_warnings(self, workdir, tmp_path):
+        data = tmp_path / "small"
+        data.mkdir()
+        write_pgm(data / "s.pgm", synth_image_u8(3, 40, 40))
+        out = tmp_path / "out"
+        res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                      "--data", data, "--out", out, "--epochs", "1", "--phase", "lfcr")
+        assert res.returncode == 2
+        assert not out.exists()
+        *warned, last = res.stderr.splitlines()
+        assert last == "error: empty patch set"
+        assert warned and all(ln.startswith("warning: s.pgm: ") for ln in warned), res.stderr
+        assert "warning: s.pgm: 32x32 smaller than patch size 48, skipped" in warned
+
     def test_divergence_exits_3_referencing_checkpoint(self, workdir, tmp_path):
         res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
                       "--data", workdir / "data", "--out", tmp_path / "diverge",

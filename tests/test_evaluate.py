@@ -61,12 +61,13 @@ def test_csv_deterministic_and_inf_serialization(dataset):
 def test_summary_json_round_trips(dataset):
     import json
 
-    rep = evaluate("bicubic", dataset)
-    summary = json.loads(rep.summary_json())
+    summary = evaluate("bicubic", dataset).summary()
     assert summary["images"] == 3
     assert isinstance(summary["mean_psnr_db"], float)
-    ref = json.loads(evaluate("reference", dataset).summary_json())
+    ref = evaluate("reference", dataset).summary()
     assert ref["mean_psnr_db"] == "inf"
+    for s in (summary, ref):
+        assert json.loads(json.dumps(s)) == s
 
 
 def test_padding_round_trip_preserves_dims():

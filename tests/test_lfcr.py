@@ -148,7 +148,7 @@ class TestConcatChannels:
         # channels bit for bit (on the network's internal scale)
         f = synth_image(8, 16, 16)
         x = Tensor(f[None, None])
-        v = vectorize_tensor(scale(x, 1.0 / 255.0), quarter_model.plan)
+        v = vectorize_tensor(scale(x, 1.0 / 255.0), quarter_model.sensitivity)
         central = v.data[:, central_channel_indices()]
         rescaled = 255.0 * central
         # scale-consistency with the sensor-level measurements

@@ -7,9 +7,9 @@ from conftest import (integer_image, sample_low_resolution_oracle, sample_three_
                       synth_image, vectorize_oracle)
 from nrsr.gradcheck import grad_check
 from nrsr.masks import SamplingMask, expand_mask, generate_mask
-from nrsr.sensors import (VEC_SPEC, MeasurementGrid, build_vectorizing_kernel,
-                          central_channel_indices, sample_low_resolution, sample_quarter,
-                          sample_three_quarter, vectorize, vectorize_plan, vectorize_tensor)
+from nrsr.sensors import (VEC_SPEC, build_vectorizing_kernel, central_channel_indices,
+                          sample_low_resolution, sample_quarter, sample_three_quarter,
+                          sensitivity_tile, vectorize, vectorize_tensor)
 from nrsr.tensor import ShapeMismatchError, Tensor, conv2d
 
 
@@ -50,20 +50,19 @@ class TestSampleThreeQuarter:
         mask = make_mask_with_top_left("three-quarter", 0)  # covered: top-left
         f = np.array([[3.0, 6.0], [9.0, 12.0]], dtype=np.float32)
         grid = sample_three_quarter(f, mask)
-        assert isinstance(grid, MeasurementGrid)
-        assert grid.values.shape == (1, 1)
-        assert grid.values[0, 0] == (6 + 9 + 12) / 3
+        assert grid.shape == (1, 1)
+        assert grid[0, 0] == (6 + 9 + 12) / 3
 
     def test_constant_image(self):
         mask = generate_mask("three-quarter", 7)
         grid = sample_three_quarter(np.full((16, 16), 100.0, dtype=np.float32), mask)
-        assert np.all(grid.values == 100.0)
+        assert np.all(grid == 100.0)
 
     def test_matches_nested_loop_oracle_bit_exact_on_integers(self):
         for seed in range(8):
             mask = generate_mask("three-quarter", seed)
             f = integer_image(seed, 24, 32)
-            got = sample_three_quarter(f, mask).values
+            got = sample_three_quarter(f, mask)
             want = sample_three_quarter_oracle(f, mask)
             assert np.array_equal(got, want.astype(np.float32))
 
@@ -78,34 +77,34 @@ class TestSampleThreeQuarter:
             f = synth_image(seed, 32, 32)
             masked = f * expand_mask(mask, 32, 32)
             cells = masked.reshape(16, 2, 16, 2).sum(axis=(1, 3)) / 3.0
-            got = sample_three_quarter(f, mask).values
+            got = sample_three_quarter(f, mask)
             np.testing.assert_allclose(got, cells, rtol=1e-6)
 
 
 class TestSampleLowResolution:
     def test_single_cell_mean(self):
         f = np.array([[0.0, 4.0], [8.0, 12.0]], dtype=np.float32)
-        assert sample_low_resolution(f).values[0, 0] == 6.0
+        assert sample_low_resolution(f)[0, 0] == 6.0
 
     def test_constant(self):
         grid = sample_low_resolution(np.full((8, 8), 100.0, dtype=np.float32))
-        assert np.all(grid.values == 100.0)
+        assert np.all(grid == 100.0)
 
     def test_column_ramp_closed_form(self):
         # f(i, j) = j  ->  output(u, v) = 2v + 0.5
         f = np.tile(np.arange(16, dtype=np.float32), (16, 1))
-        got = sample_low_resolution(f).values
+        got = sample_low_resolution(f)
         want = np.tile(2.0 * np.arange(8) + 0.5, (8, 1))
         assert np.array_equal(got, want.astype(np.float32))
 
     def test_matches_oracle(self):
         f = integer_image(3, 16, 24)
-        got = sample_low_resolution(f).values
+        got = sample_low_resolution(f)
         assert np.array_equal(got, sample_low_resolution_oracle(f).astype(np.float32))
 
     def test_nearest_upsample_preserves_constants(self):
         grid = sample_low_resolution(np.full((16, 16), 73.0, dtype=np.float32))
-        up = np.repeat(np.repeat(grid.values, 2, axis=0), 2, axis=1)
+        up = np.repeat(np.repeat(grid, 2, axis=0), 2, axis=1)
         assert np.all(up == 73.0)
 
 
@@ -195,8 +194,8 @@ class TestVectorize:
             vectorize(np.zeros((12, 16), dtype=np.float32), kernel)
 
     @pytest.mark.parametrize("edit,match", [
-        (lambda k: np.zeros_like(k), "channel 0 has 0 taps"),
-        (lambda k: 2 * k, "channel 0 weights are not 1/3"),
+        (lambda k: np.zeros_like(k), "has 0 pixels"),
+        (lambda k: 2 * k, "own support"),
         (lambda k: k[:, :, :8, :8], "kernel shape"),
     ])
     def test_functional_path_rejects_other_kernels(self, edit, match):
@@ -204,19 +203,31 @@ class TestVectorize:
         with pytest.raises(ShapeMismatchError, match=match):
             vectorize(np.zeros((16, 16), dtype=np.float32), edit(kernel))
 
-    def test_tensor_op_matches_functional_path(self):
-        mask = generate_mask("three-quarter", 2)
-        kernel, _ = build_vectorizing_kernel(mask, "three-quarter")
-        plan = vectorize_plan(mask, "three-quarter")
+    @pytest.mark.parametrize("kind", ["quarter", "three-quarter", "low-resolution"])
+    def test_tensor_op_matches_functional_path(self, kind):
+        mask = None if kind == "low-resolution" else generate_mask(kind, 2)
+        kernel, _ = build_vectorizing_kernel(mask, kind)
+        tile = sensitivity_tile(mask, kind)
         fs = np.stack([integer_image(s, 16, 16) for s in range(3)])
-        out = vectorize_tensor(Tensor(fs[:, None]), plan).data
+        out = vectorize_tensor(Tensor(fs[:, None]), tile).data
         for i in range(3):
             assert np.array_equal(out[i], vectorize(fs[i], kernel))
 
     def test_tensor_op_gradient(self):
-        plan = vectorize_plan(generate_mask("three-quarter", 1), "three-quarter")
+        tile = sensitivity_tile(generate_mask("three-quarter", 1), "three-quarter")
         x = np.random.default_rng(0).uniform(0, 255, (1, 1, 16, 16))
-        assert grad_check(lambda ts: vectorize_tensor(ts[0], plan), [x]) <= 1e-4
+        assert grad_check(lambda ts: vectorize_tensor(ts[0], tile), [x]) <= 1e-4
+
+    @pytest.mark.parametrize("kind", ["quarter", "three-quarter", "low-resolution"])
+    def test_backward_is_the_adjoint(self, kind):
+        # <V x, g> == <x, V^T g> in float64, V^T g being the input gradient for seed g
+        tile = sensitivity_tile(None if kind == "low-resolution" else generate_mask(kind, 3), kind)
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(2, 1, 24, 16)), requires_grad=True)
+        y = vectorize_tensor(x, tile)
+        g = rng.normal(size=y.shape)
+        y.backward(g)
+        np.testing.assert_allclose(np.vdot(y.data, g), np.vdot(x.data, x.grad), rtol=1e-12)
 
 
 class TestCentralChannels:
