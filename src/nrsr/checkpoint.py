@@ -11,14 +11,14 @@ Binary layout, little endian throughout::
         dims      uint32 * ndim
         payload   float32 * prod(dims)
 
-Network parameters use their layer names ("lfcr/fc00/weights",
-"vdsr/conv01/bias", ...). Sensor metadata rides along as scalar or small
-records under "meta/" (sensor kind code, mask pattern, mask seed), and
-optimizer state saved mid-training uses "opt/step" plus
-"opt/<param>/m" and "opt/<param>/v" records. The fixed vectorizing
-kernel is still written, first, as "lfcr/vec/weights"; it must equal
-the kernel of "meta/sensor_kind" and "meta/mask_pattern", and loading
-rejects any other.
+Network parameters are named and shaped by each network's parameter
+table; loading rebuilds the models through their ``from_parameters``.
+Sensor metadata rides along under "meta/", and optimizer state saved
+mid-training is "opt/step" plus "opt/<param>/m" and "opt/<param>/v" for
+every parameter of the model that "meta/phase" names. The fixed
+vectorizing kernel is still written, first, as "lfcr/vec/weights"; it
+must equal the kernel of "meta/sensor_kind" and "meta/mask_pattern".
+Loading rejects a record that breaks any of this, naming it.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .lfcr import DECONV_IN, HIDDEN_CHANNELS, NUM_FC_LAYERS, FcBlock, LfcrModel
+from .lfcr import LfcrModel
 from .masks import (LOW_RESOLUTION, MASKED_KINDS, QUARTER, THREE_QUARTER, MaskFormatError,
                     SamplingMask)
 from .optim import AdamState
-from .sensors import TARGET, VEC_CHANNELS, build_vectorizing_kernel
-from .tensor import Tensor
-from .vdsr import ConvLayer, VdsrModel
+from .sensors import build_vectorizing_kernel
+from .tensor import ShapeMismatchError, Tensor
+from .vdsr import VdsrModel
 
 MAGIC = b"NRSR1"
 
@@ -147,76 +147,29 @@ def save_checkpoint(path: str | Path, lfcr: LfcrModel | None = None,
     write_records(path, records)
 
 
-def _lfcr_record_shapes() -> dict[str, tuple[int, ...]]:
-    """Name and shape of every trained LFCR record, in the order the model uses them."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    in_ch = VEC_CHANNELS
-    for i in range(NUM_FC_LAYERS):
-        prefix = f"lfcr/fc{i:02d}"
-        shapes[f"{prefix}/weights"] = (HIDDEN_CHANNELS, in_ch, 1, 1)
-        shapes[f"{prefix}/bias"] = (HIDDEN_CHANNELS,)
-        shapes[f"{prefix}/slopes"] = (HIDDEN_CHANNELS,)
-        in_ch = HIDDEN_CHANNELS
-    shapes["lfcr/deconv/weights"] = (DECONV_IN, 1, TARGET, TARGET)
-    shapes["lfcr/deconv/bias"] = (1,)
-    return shapes
+def _model(records: dict[str, np.ndarray], prefix: str, build):
+    """``build`` applied to the ``prefix`` records, wrapped as trainable tensors."""
+    params = _Records({name: Tensor(arr, requires_grad=True)
+                       for name, arr in records.items() if name.startswith(prefix)})
+    try:
+        return build(params)
+    except ShapeMismatchError as exc:
+        raise CheckpointError(str(exc)) from exc
 
 
-def _rebuild_lfcr(records: dict[str, np.ndarray], sensor_kind: str,
-                  mask: SamplingMask | None) -> LfcrModel:
-    if not np.array_equal(records["lfcr/vec/weights"], build_vectorizing_kernel(mask, sensor_kind)[0]):
-        raise CheckpointError(f"lfcr/vec/weights is not the vectorizing kernel of the "
-                              f"'{sensor_kind}' sensor that the meta/ records name")
-    for name, shape in _lfcr_record_shapes().items():
-        if records[name].shape != shape:
-            raise CheckpointError(f"{name} has shape {records[name].shape}, expected {shape}")
-
-    def param(name: str) -> Tensor:
-        return Tensor(records[name], requires_grad=True)
-
-    blocks = [FcBlock(weights=param(f"lfcr/fc{i:02d}/weights"), bias=param(f"lfcr/fc{i:02d}/bias"),
-                      slopes=param(f"lfcr/fc{i:02d}/slopes"))
-              for i in range(NUM_FC_LAYERS)]
-    return LfcrModel(
-        sensor_kind=sensor_kind, mask=mask, blocks=blocks,
-        deconv_weights=param("lfcr/deconv/weights"), deconv_bias=param("lfcr/deconv/bias"),
-    )
-
-
-def _rebuild_vdsr(records: dict[str, np.ndarray]) -> VdsrModel:
-    """Layers conv01, conv02, ... up to the last consecutive weights record.
-
-    Any depth loads, but the layers must chain from 1 input channel to 1
-    output channel through square odd kernels, with a bias and (on all
-    but the last layer) PReLU slopes of their output width.
-    """
-    depth = 0
-    while f"vdsr/conv{depth + 1:02d}/weights" in records:
-        depth += 1
-    if not depth:
-        raise CheckpointError("no VDSR records present")
-    layers = []
-    channels = 1
-    for i in range(1, depth + 1):
-        prefix = f"vdsr/conv{i:02d}"
-        final = i == depth
-        w = records[f"{prefix}/weights"]
-        if (w.ndim != 4 or w.shape[1] != channels or (final and w.shape[0] != 1)
-                or w.shape[2] != w.shape[3] or w.shape[2] % 2 == 0):
-            raise CheckpointError(f"{prefix}/weights has shape {w.shape}, expected "
-                                  f"({1 if final else 'out'}, {channels}, k, k) with k odd")
-        channels = w.shape[0]
-        bias = records[f"{prefix}/bias"]
-        slopes = None if final else records[f"{prefix}/slopes"]
-        for part, v in (("bias", bias), ("slopes", slopes)):
-            if v is not None and v.shape != (channels,):
-                raise CheckpointError(f"{prefix}/{part} has shape {v.shape}, expected ({channels},)")
-        layers.append(ConvLayer(
-            weights=Tensor(w, requires_grad=True),
-            bias=Tensor(bias, requires_grad=True),
-            slopes=None if final else Tensor(slopes, requires_grad=True),
-        ))
-    return VdsrModel(layers=layers)
+def _adam_state(records: dict[str, np.ndarray], model: LfcrModel | VdsrModel | None) -> AdamState:
+    """The ``opt/`` records of every parameter of ``model``, the model of the saved phase."""
+    if model is None:
+        raise CheckpointError("opt/ records without the model of the phase that meta/phase names")
+    st = AdamState(step=_count(records, "opt/step"))
+    for name, p in model.named_parameters():
+        for moment, buffers in (("m", st.m), ("v", st.v)):
+            arr = records[f"opt/{name}/{moment}"]
+            if arr.shape != p.shape:
+                raise CheckpointError(f"opt/{name}/{moment} has shape {arr.shape}, "
+                                      f"expected {p.shape}")
+            buffers[name] = arr
+    return st
 
 
 def _decode(records: dict[str, np.ndarray], name: str, table: dict) -> str:
@@ -262,15 +215,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if "meta/phase" in records:
         ck.phase = _decode(records, "meta/phase", PHASE_FROM_CODE)
     if "lfcr/vec/weights" in records:
-        ck.lfcr = _rebuild_lfcr(records, sensor_kind, mask)
-    if "vdsr/conv01/weights" in records:
-        ck.vdsr = _rebuild_vdsr(records)
+        if not np.array_equal(records["lfcr/vec/weights"],
+                              build_vectorizing_kernel(mask, sensor_kind)[0]):
+            raise CheckpointError(f"lfcr/vec/weights is not the vectorizing kernel of the "
+                                  f"'{sensor_kind}' sensor that the meta/ records name")
+        ck.lfcr = _model(records, "lfcr/",
+                         lambda params: LfcrModel.from_parameters(mask, sensor_kind, params))
+    if any(name.startswith("vdsr/") for name in records):
+        ck.vdsr = _model(records, "vdsr/", VdsrModel.from_parameters)
     if "opt/step" in records:
-        st = AdamState(step=_count(records, "opt/step"))
-        for name, arr in records.items():
-            if name.startswith("opt/") and name.endswith("/m"):
-                pname = name[len("opt/") : -len("/m")]
-                st.m[pname] = arr
-                st.v[pname] = records[f"opt/{pname}/v"]
-        ck.adam = st
+        ck.adam = _adam_state(records, {"lfcr": ck.lfcr, "vdsr": ck.vdsr}.get(ck.phase))
     return ck

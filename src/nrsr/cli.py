@@ -265,6 +265,12 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     ckdir = out / "checkpoints"
     ck = _start_checkpoint(args, ckdir, mask)
+    # a resumed phase keeps the logged rows of the epochs its checkpoint covers
+    kept = {}
+    if ck and args.phase in ("both", ck.phase):
+        log = out / f"{ck.phase}_train_log.csv"
+        kept[ck.phase] = ([row for row in read_log_csv(log) if row.epoch <= ck.epoch]
+                          if ck.epoch and log.exists() else [])
     # read the data before anything is written to --out
     images, ids = _load_dataset_images(args.data)
     patch_set = build_patch_set(images, config, image_ids=ids)
@@ -282,12 +288,7 @@ def cmd_train(args) -> int:
     resumed = {ck.phase: {"state": ck.adam, "start_epoch": ck.epoch}} if ck else {}
 
     def report(phase: str, res) -> None:
-        # a resumed phase keeps the logged rows of the epochs its checkpoint covers
-        log = out / f"{phase}_train_log.csv"
-        start = resumed.get(phase, {}).get("start_epoch", 0)
-        kept = ([row for row in read_log_csv(log) if row.epoch <= start]
-                if start and log.exists() else [])
-        write_log_csv(log, kept + res.rows)
+        write_log_csv(out / f"{phase}_train_log.csv", kept.get(phase, []) + res.rows)
         print(f"phase {phase} done: {len(res.rows)} steps" + (
             f", final epoch loss {res.epoch_losses[-1]:.6g}" if res.epoch_losses else ""))
 
@@ -396,6 +397,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_curves(args) -> int:
     import math
+    import string
     from pathlib import Path
 
     from .evaluate import evaluate
@@ -409,9 +411,19 @@ def cmd_curves(args) -> int:
             except ValueError:
                 raise UsageError(f"bad factor '{part}'")
 
+    # {factor} and no other field: without it one checkpoint would stand for every factor
+    pattern = args.checkpoint_pattern
+    try:
+        fields = {name for _, name, _, _ in string.Formatter().parse(pattern) if name is not None}
+        paths = {factor: Path(pattern.format(factor=factor)) for factor in factors}
+    except (ValueError, KeyError, IndexError):
+        fields = None
+    if fields != {"factor"}:
+        raise UsageError(f"--checkpoint-pattern must contain {{factor}} and no other field, "
+                         f"got '{pattern}'")
+
     results: dict[int, float | None] = {}
-    for factor in factors:
-        path = Path(args.checkpoint_pattern.format(factor=factor))
+    for factor, path in paths.items():
         if not path.exists():
             results[factor] = None
             continue

@@ -88,38 +88,27 @@ def grad_check(
     return max_err
 
 
-def _swap_params(model, ts: Sequence[Tensor]) -> None:
-    """Point the model's parameter slots at freshly built leaf tensors."""
-    it = iter(ts)
-    from .lfcr import LfcrModel
+def _leaves(model, x: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
+    """Parameter names of ``model`` and the 64-bit leaves ``[x, *parameters]``."""
+    from .netutil import to_dtype_params
 
-    if isinstance(model, LfcrModel):
-        for blk in model.blocks:
-            blk.weights, blk.bias, blk.slopes = next(it), next(it), next(it)
-        model.deconv_weights = next(it)
-        model.deconv_bias = next(it)
-    else:  # VdsrModel
-        for layer in model.layers:
-            layer.weights = next(it)
-            layer.bias = next(it)
-            if layer.slopes is not None:
-                layer.slopes = next(it)
+    to_dtype_params(model, np.float64)
+    named = model.named_parameters()
+    return [name for name, _ in named], [x] + [p.data for _, p in named]
 
 
 def lfcr_case(seed: int, param_samples: int | None = 48):
     """Full LFCR forward on one 16x16 block; parameters spot-checked by sampling."""
-    from .lfcr import build_lfcr
+    from .lfcr import LfcrModel, build_lfcr
     from .masks import generate_mask
-    from .netutil import to_dtype_params
 
     rng = np.random.default_rng(seed)
-    model = build_lfcr(generate_mask("quarter", seed), "quarter", seed=seed)
-    to_dtype_params(model, np.float64)
-    x = rng.uniform(0.0, 255.0, size=(1, 1, 16, 16))
-    leaves = [x] + [p.data for _, p in model.named_parameters()]
+    mask = generate_mask("quarter", seed)
+    names, leaves = _leaves(build_lfcr(mask, "quarter", seed=seed),
+                            rng.uniform(0.0, 255.0, size=(1, 1, 16, 16)))
 
     def fn(ts):
-        _swap_params(model, ts[1:])
+        model = LfcrModel.from_parameters(mask, "quarter", dict(zip(names, ts[1:])))
         return model.forward_t(ts[0])
 
     return fn, leaves, param_samples
@@ -127,18 +116,14 @@ def lfcr_case(seed: int, param_samples: int | None = 48):
 
 def vdsr_case(seed: int, depth: int = 4, param_samples: int | None = 48):
     """Reduced-depth VDSR on a 12x12 input."""
-    from .netutil import to_dtype_params
-    from .vdsr import build_vdsr
+    from .vdsr import VdsrModel, build_vdsr
 
     rng = np.random.default_rng(seed)
-    model = build_vdsr(seed=seed, depth=depth)
-    to_dtype_params(model, np.float64)
-    x = rng.uniform(0.0, 255.0, size=(1, 1, 12, 12))
-    leaves = [x] + [p.data for _, p in model.named_parameters()]
+    names, leaves = _leaves(build_vdsr(seed=seed, depth=depth),
+                            rng.uniform(0.0, 255.0, size=(1, 1, 12, 12)))
 
     def fn(ts):
-        _swap_params(model, ts[1:])
-        _, f = model.forward_t(ts[0])
+        _, f = VdsrModel.from_parameters(dict(zip(names, ts[1:]))).forward_t(ts[0])
         return f
 
     return fn, leaves, param_samples

@@ -21,13 +21,14 @@ deconvolution weights outputs exactly its bias).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import sensors
 from .masks import SamplingMask
-from .netutil import as_batch, from_batch, he_normal, param_count
+from .netutil import as_batch, from_batch, initial_parameters, param_count, take_parameters
 from .sensors import central_channel_indices
 from .tensor import (ConvSpec, Tensor, add_channel_bias, concat_channels, deconv2d, from_rows,
                      linear, no_grad, prelu, scale, take_channels, to_rows)
@@ -38,9 +39,23 @@ NUM_FC_LAYERS = 10
 CONCAT_CHANNELS = 16
 DECONV_IN = HIDDEN_CHANNELS + CONCAT_CHANNELS
 PIXEL_SCALE = 255.0
-PRELU_INIT = 0.25
 
-__all__ = ["LfcrModel", "build_lfcr", "lfcr_forward", "param_count"]
+__all__ = ["LfcrModel", "build_lfcr", "lfcr_forward", "param_count", "parameter_shapes"]
+
+
+def parameter_shapes() -> dict[str, tuple[int, ...]]:
+    """Name and shape of every trained parameter, in ``named_parameters()`` order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    in_ch = sensors.VEC_CHANNELS
+    for i in range(NUM_FC_LAYERS):
+        prefix = f"lfcr/fc{i:02d}"
+        shapes[f"{prefix}/weights"] = (HIDDEN_CHANNELS, in_ch, 1, 1)
+        shapes[f"{prefix}/bias"] = (HIDDEN_CHANNELS,)
+        shapes[f"{prefix}/slopes"] = (HIDDEN_CHANNELS,)
+        in_ch = HIDDEN_CHANNELS
+    shapes["lfcr/deconv/weights"] = (DECONV_IN, 1, sensors.TARGET, sensors.TARGET)
+    shapes["lfcr/deconv/bias"] = (1,)
+    return shapes
 
 
 @dataclass
@@ -75,16 +90,18 @@ class LfcrModel:
                         stride_h=sensors.TARGET, stride_w=sensors.TARGET,
                         in_channels=DECONV_IN, out_channels=1)
 
+    @classmethod
+    def from_parameters(cls, mask: SamplingMask | None, kind: str,
+                        params: Mapping[str, Tensor]) -> LfcrModel:
+        """The sensor's model on the ``parameter_shapes()`` tensors of ``params``, shape-checked."""
+        t = take_parameters(parameter_shapes(), params)
+        blocks = [FcBlock(*t[i : i + 3]) for i in range(0, 3 * NUM_FC_LAYERS, 3)]
+        return cls(kind, mask, blocks, *t[-2:])
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        params: list[tuple[str, Tensor]] = []
-        for i, blk in enumerate(self.blocks):
-            prefix = f"lfcr/fc{i:02d}"
-            params.append((f"{prefix}/weights", blk.weights))
-            params.append((f"{prefix}/bias", blk.bias))
-            params.append((f"{prefix}/slopes", blk.slopes))
-        params.append(("lfcr/deconv/weights", self.deconv_weights))
-        params.append(("lfcr/deconv/bias", self.deconv_bias))
-        return params
+        slots = [t for blk in self.blocks for t in (blk.weights, blk.bias, blk.slopes)]
+        slots += [self.deconv_weights, self.deconv_bias]
+        return list(zip(parameter_shapes(), slots, strict=True))
 
     def forward_t(self, x: Tensor) -> Tensor:
         """Graph-building forward pass; the vectorizing layer checks that x is (B,1,8m,8n)."""
@@ -102,27 +119,10 @@ class LfcrModel:
 
 def build_lfcr(mask: SamplingMask | None, kind: str, seed: int = 0) -> LfcrModel:
     """LFCR model for the given sensor, He-initialized from the seed."""
-    rng = np.random.default_rng(seed)
-    blocks = []
-    in_ch = sensors.VEC_CHANNELS
-    for _ in range(NUM_FC_LAYERS):
-        blocks.append(FcBlock(
-            weights=Tensor(he_normal(rng, (HIDDEN_CHANNELS, in_ch, 1, 1), fan_in=in_ch),
-                           requires_grad=True),
-            bias=Tensor(np.zeros(HIDDEN_CHANNELS, dtype=np.float32), requires_grad=True),
-            slopes=Tensor(np.full(HIDDEN_CHANNELS, PRELU_INIT, dtype=np.float32),
-                          requires_grad=True),
-        ))
-        in_ch = HIDDEN_CHANNELS
-    # stride = kernel, so each output pixel reads DECONV_IN values
-    dw = he_normal(rng, (DECONV_IN, 1, sensors.TARGET, sensors.TARGET), fan_in=DECONV_IN)
-    return LfcrModel(
-        sensor_kind=kind,
-        mask=mask,
-        blocks=blocks,
-        deconv_weights=Tensor(dw, requires_grad=True),
-        deconv_bias=Tensor(np.zeros(1, dtype=np.float32), requires_grad=True),
-    )
+    # stride = kernel, so each deconvolution output pixel reads DECONV_IN values
+    params = initial_parameters(parameter_shapes(), np.random.default_rng(seed),
+                                lambda name, shape: DECONV_IN if "deconv" in name else shape[1])
+    return LfcrModel.from_parameters(mask, kind, params)
 
 
 def lfcr_forward(model: LfcrModel, images: np.ndarray) -> np.ndarray:

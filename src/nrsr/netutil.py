@@ -2,13 +2,38 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
+
 import numpy as np
 
+from .tensor import ShapeMismatchError, Tensor
 
-def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
-              dtype=np.float32) -> np.ndarray:
-    """Fan-in scaled normal init: std = sqrt(2 / fan_in)."""
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+PRELU_INIT = 0.25
+
+
+def initial_parameters(shapes: Mapping[str, tuple[int, ...]], rng: np.random.Generator,
+                       fan_in: Callable[[str, tuple[int, ...]], int]) -> dict[str, Tensor]:
+    """Trainable He-normal weights, zero biases and PRELU_INIT slopes, drawn in table order."""
+    params = {}
+    for name, shape in shapes.items():
+        if name.endswith("/weights"):
+            value = rng.standard_normal(shape) * np.sqrt(2.0 / fan_in(name, shape))
+        else:
+            value = np.full(shape, 0.0 if name.endswith("/bias") else PRELU_INIT)
+        params[name] = Tensor(value.astype(np.float32), requires_grad=True)
+    return params
+
+
+def take_parameters(shapes: Mapping[str, tuple[int, ...]],
+                    params: Mapping[str, Tensor]) -> list[Tensor]:
+    """The tensors of ``params`` that the table names, in its order; a wrong shape raises."""
+    taken = []
+    for name, shape in shapes.items():
+        t = params[name]
+        if t.shape != shape:
+            raise ShapeMismatchError(f"{name} has shape {t.shape}, expected {shape}")
+        taken.append(t)
+    return taken
 
 
 def param_count(model) -> int:

@@ -10,11 +10,12 @@ bias is added, so an all-zero model returns the input unchanged.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .netutil import as_batch, from_batch, he_normal
+from .netutil import as_batch, from_batch, initial_parameters, take_parameters
 from .tensor import (ConvSpec, ShapeMismatchError, Tensor, add, add_channel_bias, conv2d,
                      no_grad, prelu, scale)
 
@@ -22,9 +23,23 @@ DEPTH = 20
 WIDTH = 64
 KERNEL = 3
 PIXEL_SCALE = 255.0
-PRELU_INIT = 0.25
 
-__all__ = ["VdsrModel", "build_vdsr", "vdsr_forward", "receptive_field"]
+__all__ = ["VdsrModel", "build_vdsr", "vdsr_forward", "receptive_field", "parameter_shapes"]
+
+
+def parameter_shapes(depth: int = DEPTH) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every trained parameter, in ``named_parameters()`` order."""
+    if depth < 2:
+        raise ValueError("depth must be >= 2")
+    widths = [1] + [WIDTH] * (depth - 1) + [1]
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i in range(1, depth + 1):
+        prefix = f"vdsr/conv{i:02d}"
+        shapes[f"{prefix}/weights"] = (widths[i], widths[i - 1], KERNEL, KERNEL)
+        shapes[f"{prefix}/bias"] = (widths[i],)
+        if i < depth:
+            shapes[f"{prefix}/slopes"] = (widths[i],)
+    return shapes
 
 
 @dataclass
@@ -43,15 +58,21 @@ class ConvLayer:
 class VdsrModel:
     layers: list[ConvLayer]
 
+    @classmethod
+    def from_parameters(cls, params: Mapping[str, Tensor]) -> VdsrModel:
+        """The shape-checked model on ``params``, as deep as its run of convNN/weights keys."""
+        depth = 0
+        while f"vdsr/conv{depth + 1:02d}/weights" in params:
+            depth += 1
+        depth = max(depth, 2)
+        t = iter(take_parameters(parameter_shapes(depth), params))
+        return cls([ConvLayer(next(t), next(t), next(t) if i < depth else None)
+                    for i in range(1, depth + 1)])
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        params: list[tuple[str, Tensor]] = []
-        for i, layer in enumerate(self.layers, start=1):
-            prefix = f"vdsr/conv{i:02d}"
-            params.append((f"{prefix}/weights", layer.weights))
-            params.append((f"{prefix}/bias", layer.bias))
-            if layer.slopes is not None:
-                params.append((f"{prefix}/slopes", layer.slopes))
-        return params
+        slots = [t for layer in self.layers for t in (layer.weights, layer.bias, layer.slopes)
+                 if t is not None]
+        return list(zip(parameter_shapes(len(self.layers)), slots, strict=True))
 
     def residual_t(self, x: Tensor) -> Tensor:
         """Residual prediction graph on a (B,1,H,W) input."""
@@ -71,21 +92,9 @@ class VdsrModel:
 
 def build_vdsr(seed: int = 0, depth: int = DEPTH) -> VdsrModel:
     """He-initialized VDSR stack; reduced depths are for gradient-check toys only."""
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
-    rng = np.random.default_rng(seed)
-    widths = [1] + [WIDTH] * (depth - 1) + [1]
-    layers = []
-    for i in range(depth):
-        cin, cout = widths[i], widths[i + 1]
-        fan_in = cin * KERNEL * KERNEL
-        layers.append(ConvLayer(
-            weights=Tensor(he_normal(rng, (cout, cin, KERNEL, KERNEL), fan_in), requires_grad=True),
-            bias=Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True),
-            slopes=None if i == depth - 1 else Tensor(
-                np.full(cout, PRELU_INIT, dtype=np.float32), requires_grad=True),
-        ))
-    return VdsrModel(layers=layers)
+    params = initial_parameters(parameter_shapes(depth), np.random.default_rng(seed),
+                                lambda name, shape: shape[1] * KERNEL * KERNEL)
+    return VdsrModel.from_parameters(params)
 
 
 def vdsr_forward(model: VdsrModel, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

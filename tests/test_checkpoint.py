@@ -6,6 +6,7 @@ import pytest
 from conftest import synth_image
 from nrsr.checkpoint import (MAGIC, CheckpointError, load_checkpoint, read_records,
                              save_checkpoint, write_records)
+from nrsr import lfcr, vdsr
 from nrsr.lfcr import build_lfcr, lfcr_forward
 from nrsr.masks import generate_mask
 from nrsr.optim import AdamState
@@ -163,4 +164,48 @@ def test_vdsr_layer_shapes_checked_on_load(tmp_path, name, shape):
     records[name] = np.zeros(shape, dtype=np.float32)
     write_records(path, records)
     with pytest.raises(CheckpointError, match=name):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("prefix,model,table", [
+    ("lfcr/", lambda: build_lfcr(generate_mask("quarter", 0), "quarter", seed=0),
+     lfcr.parameter_shapes()),
+    ("vdsr/", lambda: build_vdsr(seed=0, depth=2), vdsr.parameter_shapes(2)),
+    ("vdsr/", lambda: build_vdsr(seed=0, depth=4), vdsr.parameter_shapes(4)),
+    ("vdsr/", lambda: build_vdsr(seed=0, depth=20), vdsr.parameter_shapes(20)),
+])
+def test_named_parameters_follow_the_table_in_saved_order(tmp_path, prefix, model, table):
+    model = model()
+    named = [(name, p.shape) for name, p in model.named_parameters()]
+    assert named == list(table.items())
+    path = tmp_path / "order.nrsr"
+    save_checkpoint(path, **{prefix[:-1]: model})
+    saved = [(name, arr.shape) for name, arr in read_records(path).items()
+             if name.startswith(prefix) and name != "lfcr/vec/weights"]
+    assert saved == named
+
+
+@pytest.mark.parametrize("width,kernel", [(32, 3), (64, 5)])
+def test_vdsr_loads_only_the_pipeline_widths_and_kernels(tmp_path, width, kernel):
+    # a consistent 4-layer chain, but not the table's 64-wide 3x3 layers
+    widths = [1, width, width, width, 1]
+    records = {}
+    for i in range(1, 5):
+        records[f"vdsr/conv{i:02d}/weights"] = np.zeros((widths[i], widths[i - 1], kernel, kernel),
+                                                        dtype=np.float32)
+        records[f"vdsr/conv{i:02d}/bias"] = np.zeros(widths[i], dtype=np.float32)
+        if i < 4:
+            records[f"vdsr/conv{i:02d}/slopes"] = np.zeros(widths[i], dtype=np.float32)
+    path = tmp_path / "narrow.nrsr"
+    write_records(path, records)
+    with pytest.raises(CheckpointError, match="^vdsr/conv01/weights has shape"):
+        load_checkpoint(path)
+
+
+def test_optimizer_state_needs_the_model_of_its_phase(tmp_path):
+    model = build_lfcr(generate_mask("quarter", 1), "quarter", seed=1)
+    path = tmp_path / "opt.nrsr"
+    save_checkpoint(path, lfcr=model, adam=AdamState.for_params(model.named_parameters()),
+                    epoch=1, phase="vdsr")
+    with pytest.raises(CheckpointError, match="opt/"):
         load_checkpoint(path)

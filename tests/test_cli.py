@@ -267,6 +267,38 @@ class TestTrainCommand:
         assert res.stderr == f"error: {message}\n"
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    def test_resume_without_adam_record_exits_2(self, workdir, tmp_path):
+        from nrsr.checkpoint import read_records, write_records
+
+        out = tmp_path / "run"
+        common = ["--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                  "--data", workdir / "data", "--out", out, "--shift-da", "1", "--no-flips",
+                  "--phase", "lfcr", "--seed", "5", "--threads", "1"]
+        assert run_cli("train", *common, "--epochs", "1").returncode == 0
+        path = out / "checkpoints" / "lfcr-epoch0001.nrsr"
+        records = read_records(path)
+        del records["opt/lfcr/fc03/bias/m"], records["opt/lfcr/fc03/bias/v"]
+        write_records(path, records)
+        res = run_cli("train", *common, "--epochs", "2", "--resume")
+        assert res.returncode == 2
+        assert res.stderr == "error: missing record 'opt/lfcr/fc03/bias/m'\n"
+        assert not (out / "checkpoints" / "lfcr-epoch0002.nrsr").exists()
+
+    def test_resume_with_malformed_log_exits_2_before_training(self, workdir, tmp_path):
+        out = tmp_path / "run"
+        common = ["--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                  "--data", workdir / "data", "--out", out, "--shift-da", "1", "--no-flips",
+                  "--phase", "lfcr", "--seed", "5", "--threads", "1"]
+        assert run_cli("train", *common, "--epochs", "1").returncode == 0
+        log = out / "lfcr_train_log.csv"
+        log.write_text("epoch,step,lr,loss\n1,x,0.1,2\n")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        res = run_cli("train", *common, "--epochs", "3", "--resume")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert "lfcr_train_log.csv" in res.stderr and "Traceback" not in res.stderr
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_missing_data_dir_exits_2(self, workdir, tmp_path):
         res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
                       "--data", tmp_path / "nope", "--out", tmp_path / "o", "--epochs", "1")
@@ -442,6 +474,9 @@ class TestBadCheckpoint:
          build_vectorizing_kernel(generate_mask("three-quarter", 7), "three-quarter")[0]),
         # every digit raised by 0.5: truncating would load the same mask
         ("meta/mask_pattern", generate_mask("quarter", 7).pattern.astype(np.float32) + 0.5),
+        # Adam state is read for every parameter of the saved phase, at its shape
+        ("opt/vdsr/conv02/weights/m", None),
+        ("opt/vdsr/conv02/bias/v", np.zeros(3, dtype=np.float32)),
     ])
     def test_evaluate_exits_2_naming_the_record(self, workdir, resumable_checkpoint, tmp_path,
                                                 name, value):
@@ -477,6 +512,20 @@ class TestGradcheckCommand:
 
 
 class TestCurvesCommand:
+    @pytest.mark.parametrize("pattern", [
+        "run-{f}/final.nrsr", "run-{0}/final.nrsr", "run-f{factor}-{}/final.nrsr",
+        # no {factor}: one checkpoint would be scored for every factor
+        "run/final.nrsr",
+    ])
+    def test_pattern_without_just_factor_exits_2(self, workdir, trained, tmp_path, pattern):
+        out = tmp_path / "curves.csv"
+        res = run_cli("curves", "--dataset", workdir / "holdout", "--factors", "1,4",
+                      "--checkpoint-pattern", trained[0].parent / pattern, "--out", out)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: --checkpoint-pattern ") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
     def test_rows_per_factor_with_absent(self, workdir, trained, tmp_path):
         # factor 1 -> the trained run; other factors have no checkpoint
         pattern = str(trained[0] / "final.nrsr").replace("run", "run-f{factor}")
