@@ -18,7 +18,9 @@ mid-training is "opt/step" plus "opt/<param>/m" and "opt/<param>/v" for
 every parameter of the model that "meta/phase" names. The fixed
 vectorizing kernel is still written, first, as "lfcr/vec/weights"; it
 must equal the kernel of "meta/sensor_kind" and "meta/mask_pattern".
-Loading rejects a record that breaks any of this, naming it.
+Loading rejects a record that breaks any of this, or that none of these
+names (a "vdsr/convNN" after a gap in the numbering among them), naming
+it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ SENSOR_CODES = {QUARTER: 0, THREE_QUARTER: 1, LOW_RESOLUTION: 2}
 SENSOR_FROM_CODE = {v: k for k, v in SENSOR_CODES.items()}
 PHASE_CODES = {"lfcr": 0, "vdsr": 1}
 PHASE_FROM_CODE = {v: k for k, v in PHASE_CODES.items()}
+META_FIELDS = ("meta/sensor_kind", "meta/mask_pattern", "meta/mask_seed", "meta/epoch",
+               "meta/phase")
 
 
 class CheckpointError(ValueError):
@@ -216,7 +220,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         ck.phase = _decode(records, "meta/phase", PHASE_FROM_CODE)
     if "lfcr/vec/weights" in records:
         if not np.array_equal(records["lfcr/vec/weights"],
-                              build_vectorizing_kernel(mask, sensor_kind)[0]):
+                              build_vectorizing_kernel(mask, sensor_kind)):
             raise CheckpointError(f"lfcr/vec/weights is not the vectorizing kernel of the "
                                   f"'{sensor_kind}' sensor that the meta/ records name")
         ck.lfcr = _model(records, "lfcr/",
@@ -225,4 +229,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         ck.vdsr = _model(records, "vdsr/", VdsrModel.from_parameters)
     if "opt/step" in records:
         ck.adam = _adam_state(records, {"lfcr": ck.lfcr, "vdsr": ck.vdsr}.get(ck.phase))
+    named = {"lfcr/vec/weights", *META_FIELDS}
+    for model in (m for m in (ck.lfcr, ck.vdsr) if m is not None):
+        named.update(name for name, _ in model.named_parameters())
+    if ck.adam is not None:
+        named.update(["opt/step"] + [f"opt/{name}/{mv}" for name in ck.adam.m for mv in "mv"])
+    unnamed = [name for name in records if name not in named]
+    if unnamed:
+        raise CheckpointError(f"unexpected record '{unnamed[0]}': no parameter table, meta/ "
+                              f"field or optimizer state of this checkpoint names it")
     return ck

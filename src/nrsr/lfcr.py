@@ -82,7 +82,7 @@ class LfcrModel:
     @property
     def vec_kernel(self) -> np.ndarray:
         """The vectorizing layer as a dense (64, 1, 16, 16) convolution kernel."""
-        return sensors.build_vectorizing_kernel(self.mask, self.sensor_kind)[0]
+        return sensors.build_vectorizing_kernel(self.mask, self.sensor_kind)
 
     @property
     def deconv_spec(self) -> ConvSpec:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .masks import (LOW_RESOLUTION, QUARTER, SENSOR_KINDS, THREE_QUARTER, SamplingMask,
                     expand_mask)
-from .tensor import ConvSpec, ShapeMismatchError, Tensor, _result
+from .tensor import ShapeMismatchError, Tensor, _result
 
 SUPPORT = 16        # support block edge in HR pixels
 TARGET = 8          # target block edge in HR pixels
@@ -40,9 +40,6 @@ VEC_PAD = 4
 PAD_CELLS = VEC_PAD // 2
 HALF = SUPPORT_CELLS // 2   # window stride in cells; a window is 2x2 blocks of HALF x HALF cells
 HALVES = ((0, 0), (0, 1), (1, 0), (1, 1))   # (row, col) block of the window, in channel order
-
-VEC_SPEC = ConvSpec(kernel_h=SUPPORT, kernel_w=SUPPORT, stride_h=TARGET, stride_w=TARGET,
-                    pad=VEC_PAD, in_channels=1, out_channels=VEC_CHANNELS)
 
 
 def _check_even(f: np.ndarray) -> None:
@@ -137,13 +134,13 @@ def _draw_kernel(tile: np.ndarray) -> np.ndarray:
     return (support / _tap_count(tile)).astype(np.float32).reshape(VEC_CHANNELS, 1, SUPPORT, SUPPORT)
 
 
-def build_vectorizing_kernel(mask: SamplingMask | None, kind: str) -> tuple[np.ndarray, ConvSpec]:
-    """Fixed (64, 1, 16, 16) weights mimicking the sensor, plus their ConvSpec.
+def build_vectorizing_kernel(mask: SamplingMask | None, kind: str) -> np.ndarray:
+    """Fixed (64, 1, 16, 16) weights mimicking the sensor.
 
     Each channel weighs the sensitive pixels of its cell equally: 1, 1/3
     or 1/4.
     """
-    return _draw_kernel(sensitivity_tile(mask, kind)), VEC_SPEC
+    return _draw_kernel(sensitivity_tile(mask, kind))
 
 
 def _tile_from_kernel(kernel: np.ndarray) -> np.ndarray:

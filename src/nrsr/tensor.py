@@ -1,21 +1,22 @@
 """Dense-array compute core with reverse-mode differentiation.
 
 Only the operations the reconstruction networks need are provided:
-conv2d, deconv2d (stride = kernel), a fully connected layer on rows,
-PReLU, channel concatenation, elementwise add, scalar scaling, bias
-broadcast and MSE loss. Activations and weights live in (batch,
-channels, height, width) arrays of 32-bit floats, or, for per-position
-fully connected layers, in (positions, channels) row matrices that
-to_rows/from_rows convert to and from; the channel axis is axis 1 in
-both layouts. Gradient checking runs the same ops in 64-bit, so every
-op computes in the dtype of its inputs.
+conv2d (stride 1, same padding), deconv2d (stride = kernel), a fully
+connected layer on rows, PReLU, channel concatenation, elementwise add,
+scalar scaling, bias broadcast and MSE loss. Activations and weights
+live in (batch, channels, height, width) arrays of 32-bit floats, or,
+for per-position fully connected layers, in (positions, channels) row
+matrices that to_rows/from_rows convert to and from; the channel axis
+is axis 1 in both layouts. Gradient checking runs the same ops in
+64-bit, so every op computes in the dtype of its inputs.
 
-conv2d never materialises its whole patch matrix: it builds one
-cache-sized band of output rows at a time, multiplies it and reuses the
-buffer for the next band, and its backward pass rebuilds the bands from
-the input. Taps are read straight from the unpadded input and the zero
-padding is never stored, so a graph holds, per convolution, only the
-input it already shares with the op that produced it.
+conv2d covers the one geometry the VDSR runs: a square odd kernel,
+stride 1 and same zero padding. It works on one band of whole rows of
+one sample at a time, copied with its halo into a small zero-bordered
+buffer in which every kernel tap is a column slice, so a band's output
+is one GEMM per tap, summed. Its backward pass rebuilds the bands from
+the input, so a graph holds, per convolution, only the input it already
+shares with the op that produced it.
 
 Tensor.backward consumes the graph it sweeps: each interior node drops
 its gradient and its links to its inputs once its own backward has run,
@@ -199,72 +200,62 @@ def _require_channels(t: Tensor, name: str) -> None:
         raise ShapeMismatchError(f"{name} needs a channel axis 1, got shape {t.data.shape}")
 
 
-# Columns of the patch matrix built at once: a band of whole output rows
-# holding about this many (batch, row, column) positions. For 64-channel
-# 3x3 layers a float32 band is 576 x 2304 values (5.3 MB).
-BAND_COLS = 2304
+# Padded positions per band: a band is as many whole rows of one sample as
+# hold this many, at least one. 48-wide 64-channel rows: 48 rows, 0.65 MB.
+BAND_PIXELS = 4096
 
 
-def _axis_taps(k: int, stride: int, pad: int, size: int, start: int,
-               n: int) -> list[tuple[int, int, slice]]:
-    """Per kernel offset along one axis, the outputs start..start+n-1 that read inside the input.
+def _bands(a: np.ndarray, rows: int, p: int, dtype):
+    """Yield (n, r0, nr, band) for each band of ``rows`` rows of each sample of ``a``.
 
-    Output i of the axis reads input index i*stride + offset - pad. Entry
-    ``offset`` is (a, e, src): band-local outputs a..e-1 read inside
-    0..size-1, at the input indices ``src``; the others read zero padding.
+    ``band`` is a (C, L) view of one reused buffer: padded row i (input
+    row r0 - p + i) at columns i*(W+2p) onward, the image from offset p
+    and zeros around it, then at least 2p zero guard columns.
     """
-    taps = []
-    for off in range(k):
-        first = stride * start + off - pad  # input index of band-local output 0
-        a = min(n, max(0, -(first // stride)))
-        e = max(a, min(n, (size - 1 - first) // stride + 1))
-        lo = first + stride * a
-        taps.append((a, e, slice(lo, lo + stride * (e - a - 1) + 1, stride)))
-    return taps
+    b, c, h, w = a.shape
+    wp = w + 2 * p
+    buf = np.zeros((c, rows + 2 * p + 1, wp), dtype=dtype)  # pad columns are never written
+    flat = buf.reshape(c, -1)
+    for n in range(b):
+        for r0 in range(0, h, rows):
+            nr = min(rows, h - r0)
+            lo, hi = r0 - p, r0 + nr + p  # input rows of the band, halo included
+            s0, s1 = max(lo, 0), min(hi, h)
+            buf[:, : s0 - lo] = 0
+            np.copyto(buf[:, s0 - lo : s1 - lo, p : p + w], a[n, :, s0:s1])
+            buf[:, s1 - lo : nr + 2 * p + 1] = 0  # halo below the image and the guard row
+            yield n, r0, nr, flat[:, : (nr + 2 * p) * wp + 2 * p]
 
 
-def _band_cols(buf: np.ndarray, x: np.ndarray, kh: int, kw: int, sh: int, sw: int, pad: int,
-               r0: int, nr: int, ow: int) -> np.ndarray:
-    """Fill ``buf`` with the (C*kh*kw, B*nr*ow) patch matrix of one band of output rows.
-
-    Each tap is copied from the unpadded input, clipped to the rows and
-    columns it reads inside it; the band's border strips that read the
-    zero padding are zero-filled.
-    """
-    b, c, h, w = x.shape
-    cols = buf[: c * kh * kw * b * nr * ow].reshape(c, kh, kw, b, nr, ow)
-    col_taps = _axis_taps(kw, sw, pad, w, 0, ow)
-    for u, (ra, re, rs) in enumerate(_axis_taps(kh, sh, pad, h, r0, nr)):
-        for v, (ca, ce, cs) in enumerate(col_taps):
-            dst = cols[:, u, v]
-            if ra == re or ca == ce:
-                dst.fill(0)
-                continue
-            dst[:, :, :ra] = 0
-            dst[:, :, re:] = 0
-            dst[:, :, ra:re, :ca] = 0
-            dst[:, :, ra:re, ce:] = 0
-            np.copyto(dst[:, :, ra:re, ca:ce], x[:, :, rs, cs].transpose(1, 0, 2, 3))
-    return cols.reshape(c * kh * kw, b * nr * ow)
+def _tap_sum(taps: np.ndarray, band: np.ndarray, m: int, offsets: list[int],
+             acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """sum_t taps[t] @ band[:, off_t : off_t + m], computed in ``acc``."""
+    _, o, c = taps.shape
+    y, t = acc[: o * m].reshape(o, m), tmp[: o * m].reshape(o, m)
+    product = np.multiply if c == 1 else np.matmul  # a one-channel GEMM is an outer product
+    product(taps[0], band[:, :m], out=y)
+    for tap, off in zip(taps[1:], offsets[1:]):
+        y += product(tap, band[:, off : off + m], out=t)
+    return y
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
-    """2-D cross-correlation with zero padding.
+    """Stride-1 2-D cross-correlation of a square odd kernel with same zero padding.
 
-    ``weights`` has shape (out_channels, in_channels, kernel_h, kernel_w);
-    output spatial size follows floor((in + 2*pad - kernel)/stride) + 1.
+    ``weights`` is (out_channels, in_channels, k, k) and ``spec`` must
+    have stride 1 and pad p = (k-1)//2, so the output is as large as the
+    input; any other geometry raises UnsupportedConfigError.
     Differentiable with respect to input, weights and bias.
 
-    One path serves every kernel, stride and padding. The output is
-    computed a band of output rows at a time (about ``BAND_COLS``
-    positions over the whole batch): the band's (C*kh*kw, B*rows*ow)
-    patch matrix is copied out of the unpadded input tap by tap, each tap
-    clipped to the input and its padding strips zero-filled, multiplied
-    by the (O, C*kh*kw) weight matrix in one GEMM, and overwritten by the
-    next band. Backward rebuilds each band's patch matrix the same way
-    for the weight gradient (grad @ patchesᵀ) and scatters
-    weightsᵀ @ grad back through the same clipped taps into the input
-    gradient, so the graph keeps nothing but the input itself.
+    Each band of whole rows of one sample (about ``BAND_PIXELS``
+    positions) is copied with its halo into a zero-bordered buffer of
+    W+2p wide rows, where tap (u, v) is the column slice at offset
+    u*(W+2p) + v: the band's output is sum_t W_t @ slice_t, with each
+    row's 2p padding columns cropped away. The input gradient is the same
+    routine on the output gradient g, with the kernel flipped and
+    transposed; the weight gradient is dW_t += g_band @ slice_tᵀ, where
+    g_band, the band of g, is zero in the padding columns. The graph
+    keeps nothing but the input itself.
     """
     _require_4d(x, "input")
     _require_4d(weights, "weights")
@@ -275,30 +266,28 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
         raise ShapeMismatchError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
     if bias is not None and bias.shape != (spec.out_channels,):
         raise ShapeMismatchError(f"bias shape {bias.shape} != ({spec.out_channels},)")
+    k, p = spec.kernel_h, spec.pad
+    if (spec.kernel_w, spec.stride_h, spec.stride_w, k % 2, p) != (k, 1, 1, 1, (k - 1) // 2):
+        raise UnsupportedConfigError(
+            f"conv2d supports stride 1, a square odd kernel and pad (k-1)//2 only, got kernel "
+            f"{k}x{spec.kernel_w} stride {spec.stride_h}x{spec.stride_w} pad {p}")
     b, c, h, w = x.shape
-    oh, ow = spec.out_size(h, w)
-    if oh < 1 or ow < 1:
-        raise ShapeMismatchError(f"kernel {spec.kernel_h}x{spec.kernel_w} exceeds padded input {h}x{w}")
+    if h < 1 or w < 1:
+        raise ShapeMismatchError(f"input has no positions, shape {x.shape}")
 
-    o, kh, kw, sh, sw, pad = (spec.out_channels, spec.kernel_h, spec.kernel_w,
-                              spec.stride_h, spec.stride_w, spec.pad)
-    k = c * kh * kw
-    xd = x.data
-    wmat = weights.data.reshape(o, k)
-    dtype = np.result_type(xd, wmat)
-    rows = min(oh, max(1, BAND_COLS // (b * ow)))  # whole output rows per band
-    out = np.empty((b, o, oh, ow), dtype=dtype)
-    cbuf = np.empty(k * b * rows * ow, dtype=xd.dtype)
-    obuf = np.empty(o * b * rows * ow, dtype=dtype)
-    for r0 in range(0, oh, rows):
-        nr = min(rows, oh - r0)
-        cols = _band_cols(cbuf, xd, kh, kw, sh, sw, pad, r0, nr, ow)
-        res = np.matmul(wmat, cols, out=obuf[: o * b * nr * ow].reshape(o, b * nr * ow))
-        res = res.reshape(o, b, nr, ow).transpose(1, 0, 2, 3)
+    o, wp, xd = spec.out_channels, w + 2 * p, x.data
+    rows = min(h, max(1, BAND_PIXELS // wp))  # whole rows per band
+    offsets = [u * wp + v for u in range(k) for v in range(k)]  # of tap (u, v), at u*k + v
+    taps = weights.data.transpose(2, 3, 0, 1).reshape(k * k, o, c)
+    dtype = np.result_type(xd, taps)
+    out = np.empty((b, o, h, w), dtype=dtype)
+    acc, tmp = np.empty((2, o * rows * wp), dtype=dtype)
+    for n, r0, nr, band in _bands(xd, rows, p, dtype):
+        y = _tap_sum(taps, band, nr * wp, offsets, acc, tmp).reshape(o, nr, wp)[:, :, :w]
         if bias is None:
-            np.copyto(out[:, :, r0 : r0 + nr], res)
+            np.copyto(out[n, :, r0 : r0 + nr], y)
         else:
-            np.add(res, bias.data[None, :, None, None], out=out[:, :, r0 : r0 + nr])
+            np.add(y, bias.data[:, None, None], out=out[n, :, r0 : r0 + nr])
 
     def bw(g: np.ndarray):
         need_w = weights.requires_grad
@@ -307,34 +296,28 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if not (need_w or need_x):
             return
+        gtype = np.result_type(g, weights.data, xd)
         if need_w:
-            dw = np.zeros((o, k), dtype=np.result_type(g, xd))
+            dw = np.zeros((k * k, o, c), dtype=gtype)
+            xbands = _bands(xd, rows, p, gtype)
         if need_x:
-            dx = np.zeros(xd.shape, dtype=np.result_type(wmat, g))
-            col_taps = _axis_taps(kw, sw, pad, w, 0, ow)
-        gbuf = np.empty(o * b * rows * ow, dtype=g.dtype)
-        # one buffer per band: the rebuilt patch matrix, then weightsᵀ @ grad
-        pbuf = np.empty(k * b * rows * ow, dtype=np.result_type(xd, wmat, g))
-        for r0 in range(0, oh, rows):
-            nr = min(rows, oh - r0)
-            n = b * nr * ow
-            gb = gbuf[: o * n].reshape(o, b, nr, ow)
-            np.copyto(gb, g[:, :, r0 : r0 + nr].transpose(1, 0, 2, 3))
-            gb = gb.reshape(o, n)
-            if need_w:
-                cols = _band_cols(pbuf, xd, kh, kw, sh, sw, pad, r0, nr, ow)
-                dw += gb @ cols.T
+            flipped = weights.data.transpose(2, 3, 1, 0).reshape(k * k, c, o)[::-1]
+            dx = np.empty(xd.shape, dtype=gtype)
+            xacc, xtmp = np.empty((2, c * rows * wp), dtype=gtype)
+        for n, r0, nr, gband in _bands(g, rows, p, gtype):
+            m = nr * wp
             if need_x:
-                dcols = np.matmul(wmat.T, gb, out=pbuf[: k * n].reshape(k, n))
-                dcols = dcols.reshape(c, kh, kw, b, nr, ow)
-                for u, (ra, re, rs) in enumerate(_axis_taps(kh, sh, pad, h, r0, nr)):
-                    for v, (ca, ce, cs) in enumerate(col_taps):
-                        if ra < re and ca < ce:
-                            tap = dx[:, :, rs, cs]
-                            np.add(tap, dcols[:, u, v, :, ra:re, ca:ce].transpose(1, 0, 2, 3),
-                                   out=tap)
+                y = _tap_sum(flipped, gband, m, offsets, xacc, xtmp)
+                np.copyto(dx[n, :, r0 : r0 + nr], y.reshape(c, nr, wp)[:, :, :w])
+            if need_w:
+                xband = next(xbands)[3]
+                centre = offsets[k * k // 2]  # the centre tap's slice is the unpadded band
+                gc = gband[:, centre : centre + m]
+                for i, off in enumerate(offsets):
+                    dw[i] += gc @ xband[:, off : off + m].T
         if need_w:
-            weights.accumulate_grad(dw.reshape(weights.shape))
+            weights.accumulate_grad(
+                np.ascontiguousarray(dw.reshape(k, k, o, c).transpose(2, 3, 0, 1)))
         if need_x:
             x.accumulate_grad(dx)
 

@@ -74,7 +74,7 @@ def test_criterion_3_measurement_oracle_equivalence():
         for kind in ("quarter", "three-quarter", "low-resolution"):
             for mask_seed in range(10):
                 mask = None if kind == "low-resolution" else generate_mask(kind, mask_seed)
-                kernel, _ = build_vectorizing_kernel(mask, kind)
+                kernel = build_vectorizing_kernel(mask, kind)
                 for img_seed in range(10):
                     f = integer_image(1000 * mask_seed + img_seed, 16, 16)
                     got = vectorize(f, kernel)

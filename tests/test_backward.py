@@ -102,7 +102,8 @@ def test_vdsr_train_step_peak_memory_bounded():
     # full-depth step measured ~118 of them while backward kept every
     # interior gradient and conv2d a padded copy of its input, and ~51 once
     # the sweep frees the graph as it goes (the forward graph's two
-    # activations per layer, parameters, gradients and Adam temporaries)
+    # activations per layer, parameters, gradients and Adam temporaries),
+    # and ~44 once conv2d's backward stopped building 9x patch-matrix bands
     vdsr = build_vdsr(seed=5)
     params = vdsr.named_parameters()
     state = AdamState.for_params(params)

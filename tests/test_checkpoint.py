@@ -209,3 +209,20 @@ def test_optimizer_state_needs_the_model_of_its_phase(tmp_path):
                     epoch=1, phase="vdsr")
     with pytest.raises(CheckpointError, match="opt/"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", ["quarter", "three-quarter", "low-resolution"])
+@pytest.mark.parametrize("phase", [None, "lfcr", "vdsr"])
+def test_every_saved_file_loads(tmp_path, kind, phase):
+    # loading rejects unnamed records, so every record save_checkpoint writes must be named
+    mask = None if kind == "low-resolution" else generate_mask(kind, 3)
+    models = {"lfcr": build_lfcr(mask, kind, seed=1), "vdsr": build_vdsr(seed=2)}
+    adam = None if phase is None else AdamState.for_params(models[phase].named_parameters())
+    path = tmp_path / "all.nrsr"
+    save_checkpoint(path, **models, adam=adam, epoch=3, phase=phase)
+    ck = load_checkpoint(path)
+    assert ck.lfcr.sensor_kind == kind and len(ck.vdsr.layers) == 20
+    assert (ck.adam is None) == (phase is None)
+    for name, model in models.items():
+        save_checkpoint(path, **{name: model})
+        assert getattr(load_checkpoint(path), name) is not None

@@ -471,12 +471,16 @@ class TestBadCheckpoint:
         ("meta/mask_pattern", None),
         # the kernel of another sensor, as if swapped in from another checkpoint
         ("lfcr/vec/weights",
-         build_vectorizing_kernel(generate_mask("three-quarter", 7), "three-quarter")[0]),
+         build_vectorizing_kernel(generate_mask("three-quarter", 7), "three-quarter")),
         # every digit raised by 0.5: truncating would load the same mask
         ("meta/mask_pattern", generate_mask("quarter", 7).pattern.astype(np.float32) + 0.5),
         # Adam state is read for every parameter of the saved phase, at its shape
         ("opt/vdsr/conv02/weights/m", None),
         ("opt/vdsr/conv02/bias/v", np.zeros(3, dtype=np.float32)),
+        # records that no parameter table, meta/ field or optimizer state names
+        ("lfcr/fc10/weights", np.zeros((5, 5), dtype=np.float32)),
+        ("vdsr/conv22/weights", np.zeros((64, 64, 3, 3), dtype=np.float32)),
+        ("meta/bogus", np.float32(1)),
     ])
     def test_evaluate_exits_2_naming_the_record(self, workdir, resumable_checkpoint, tmp_path,
                                                 name, value):

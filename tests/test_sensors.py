@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import (integer_image, sample_low_resolution_oracle, sample_three_quarter_oracle,
-                      synth_image, vectorize_oracle)
+from conftest import (conv2d_oracle, integer_image, sample_low_resolution_oracle,
+                      sample_three_quarter_oracle, synth_image, vectorize_oracle)
 from nrsr.gradcheck import grad_check
 from nrsr.masks import SamplingMask, expand_mask, generate_mask
-from nrsr.sensors import (VEC_SPEC, build_vectorizing_kernel, central_channel_indices,
+from nrsr.sensors import (build_vectorizing_kernel, central_channel_indices,
                           sample_low_resolution, sample_quarter, sample_three_quarter,
                           sensitivity_tile, vectorize, vectorize_tensor)
-from nrsr.tensor import ShapeMismatchError, Tensor, conv2d
+from nrsr.tensor import ShapeMismatchError, Tensor
 
 
 def make_mask_with_top_left(kind, quadrant):
@@ -110,28 +110,27 @@ class TestSampleLowResolution:
 
 class TestVectorizingKernel:
     def test_quarter_channels_have_single_unit_weight(self):
-        kernel, spec = build_vectorizing_kernel(generate_mask("quarter", 4), "quarter")
+        kernel = build_vectorizing_kernel(generate_mask("quarter", 4), "quarter")
         assert kernel.shape == (64, 1, 16, 16)
-        assert spec == VEC_SPEC
         for ch in range(64):
             nz = kernel[ch, 0][kernel[ch, 0] != 0]
             assert nz.shape == (1,) and nz[0] == 1.0
 
     def test_three_quarter_channels_sum_to_one(self):
-        kernel, _ = build_vectorizing_kernel(generate_mask("three-quarter", 4), "three-quarter")
+        kernel = build_vectorizing_kernel(generate_mask("three-quarter", 4), "three-quarter")
         for ch in range(64):
             nz = kernel[ch, 0][kernel[ch, 0] != 0]
             assert nz.shape == (3,)
             assert abs(nz.sum() - 1.0) < 1e-6
 
     def test_low_resolution_quarter_weights(self):
-        kernel, _ = build_vectorizing_kernel(None, "low-resolution")
+        kernel = build_vectorizing_kernel(None, "low-resolution")
         for ch in range(64):
             nz = kernel[ch, 0][kernel[ch, 0] != 0]
             assert nz.shape == (4,) and np.all(nz == 0.25)
 
     def test_channel_support_confined_to_its_cell(self):
-        kernel, _ = build_vectorizing_kernel(generate_mask("three-quarter", 11), "three-quarter")
+        kernel = build_vectorizing_kernel(generate_mask("three-quarter", 11), "three-quarter")
         for r in range(8):
             for c in range(8):
                 ch = kernel[8 * r + c, 0]
@@ -142,12 +141,12 @@ class TestVectorizingKernel:
     def test_conv_with_kernel_matches_gather_oracle(self):
         for kind, seed in (("quarter", 0), ("three-quarter", 1), ("low-resolution", 2)):
             mask = None if kind == "low-resolution" else generate_mask(kind, seed)
-            kernel, spec = build_vectorizing_kernel(mask, kind)
+            kernel = build_vectorizing_kernel(mask, kind)
             f = integer_image(seed, 24, 24)
-            out = conv2d(Tensor(f[None, None].astype(np.float64)),
-                         Tensor(kernel.astype(np.float64)), None, spec)
+            # the kernel as a 16x16, stride-8, pad-4 convolution
+            out = conv2d_oracle(f[None, None], kernel, None, (8, 8), 4)
             want = vectorize_oracle(f, mask, kind)
-            np.testing.assert_allclose(out.data[0], want, rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(out[0], want, rtol=1e-6, atol=1e-9)
 
     def test_mask_kind_agreement_enforced(self):
         with pytest.raises(ShapeMismatchError, match="does not match"):
@@ -159,13 +158,13 @@ class TestVectorizingKernel:
 class TestVectorize:
     def test_output_spatial_size(self):
         mask = generate_mask("quarter", 0)
-        kernel, _ = build_vectorizing_kernel(mask, "quarter")
+        kernel = build_vectorizing_kernel(mask, "quarter")
         out = vectorize(integer_image(0, 16, 16), kernel)
         assert out.shape == (64, 2, 2)
 
     def test_constant_three_quarter_interior(self):
         mask = generate_mask("three-quarter", 3)
-        kernel, _ = build_vectorizing_kernel(mask, "three-quarter")
+        kernel = build_vectorizing_kernel(mask, "three-quarter")
         out = vectorize(np.full((32, 32), 100.0, dtype=np.float32), kernel)
         assert np.all(out[:, 1:3, 1:3] == 100.0)
 
@@ -173,7 +172,7 @@ class TestVectorize:
         for kind in ("quarter", "three-quarter", "low-resolution"):
             for seed in range(4):
                 mask = None if kind == "low-resolution" else generate_mask(kind, seed)
-                kernel, _ = build_vectorizing_kernel(mask, kind)
+                kernel = build_vectorizing_kernel(mask, kind)
                 f = integer_image(100 + seed, 24, 16)
                 got = vectorize(f, kernel)
                 want = vectorize_oracle(f, mask, kind).astype(np.float32)
@@ -181,7 +180,7 @@ class TestVectorize:
 
     def test_close_on_float_images(self):
         mask = generate_mask("three-quarter", 9)
-        kernel, _ = build_vectorizing_kernel(mask, "three-quarter")
+        kernel = build_vectorizing_kernel(mask, "three-quarter")
         f = synth_image(9, 24, 24)
         got = vectorize(f, kernel)
         want = vectorize_oracle(f, mask, "three-quarter")
@@ -189,7 +188,7 @@ class TestVectorize:
 
     def test_dims_must_be_multiples_of_8(self):
         mask = generate_mask("quarter", 0)
-        kernel, _ = build_vectorizing_kernel(mask, "quarter")
+        kernel = build_vectorizing_kernel(mask, "quarter")
         with pytest.raises(ShapeMismatchError, match="multiples of 8"):
             vectorize(np.zeros((12, 16), dtype=np.float32), kernel)
 
@@ -199,14 +198,14 @@ class TestVectorize:
         (lambda k: k[:, :, :8, :8], "kernel shape"),
     ])
     def test_functional_path_rejects_other_kernels(self, edit, match):
-        kernel, _ = build_vectorizing_kernel(generate_mask("three-quarter", 2), "three-quarter")
+        kernel = build_vectorizing_kernel(generate_mask("three-quarter", 2), "three-quarter")
         with pytest.raises(ShapeMismatchError, match=match):
             vectorize(np.zeros((16, 16), dtype=np.float32), edit(kernel))
 
     @pytest.mark.parametrize("kind", ["quarter", "three-quarter", "low-resolution"])
     def test_tensor_op_matches_functional_path(self, kind):
         mask = None if kind == "low-resolution" else generate_mask(kind, 2)
-        kernel, _ = build_vectorizing_kernel(mask, kind)
+        kernel = build_vectorizing_kernel(mask, kind)
         tile = sensitivity_tile(mask, kind)
         fs = np.stack([integer_image(s, 16, 16) for s in range(3)])
         out = vectorize_tensor(Tensor(fs[:, None]), tile).data

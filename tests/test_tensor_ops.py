@@ -6,7 +6,6 @@ import pytest
 from conftest import conv2d_oracle
 from nrsr import tensor
 from nrsr.gradcheck import grad_check
-from nrsr.sensors import VEC_SPEC
 from nrsr.tensor import (ConvSpec, ShapeMismatchError, Tensor, UnsupportedConfigError,
                          concat_channels, conv2d, deconv2d, from_rows, linear, mse_loss, prelu,
                          take_channels, to_rows)
@@ -24,11 +23,12 @@ class TestConv2d:
         assert np.array_equal(out.data, x)
 
     def test_sum_of_ones(self):
-        x = np.ones((1, 1, 2, 2), dtype=np.float32)
-        w = np.ones((1, 1, 2, 2), dtype=np.float32)
-        out = conv2d(t(x), t(w), None, ConvSpec(2, 2, 2, 2))
-        assert out.shape == (1, 1, 1, 1)
-        assert out.data.reshape(()) == 4.0
+        # each output counts the input positions its 3x3 window covers
+        x = np.ones((1, 1, 3, 3), dtype=np.float32)
+        w = np.ones((1, 1, 3, 3), dtype=np.float32)
+        out = conv2d(t(x), t(w), None, ConvSpec(3, 3, pad=1))
+        assert out.shape == (1, 1, 3, 3)
+        assert np.array_equal(out.data[0, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
     def test_centered_identity_is_bit_exact(self):
         rng = np.random.default_rng(5)
@@ -45,22 +45,18 @@ class TestConv2d:
         for seed in range(6):
             r = np.random.default_rng(seed)
             cin, cout = int(r.integers(1, 4)), int(r.integers(1, 4))
-            kh, kw = int(r.integers(1, 4)), int(r.integers(1, 4))
-            sh, sw = int(r.integers(1, 3)), int(r.integers(1, 3))
-            pad = int(r.integers(0, 3))
-            h = int(r.integers(kh, kh + 5))
-            w = int(r.integers(kw, kw + 5))
+            h, w = int(r.integers(1, 6)), int(r.integers(1, 6))
             x = rng.standard_normal((2, cin, h, w))
-            wt = rng.standard_normal((cout, cin, kh, kw))
+            wt = rng.standard_normal((cout, cin, 3, 3))
             b = rng.standard_normal(cout)
-            spec = ConvSpec(kh, kw, sh, sw, pad=pad, in_channels=cin, out_channels=cout)
+            spec = ConvSpec(3, 3, pad=1, in_channels=cin, out_channels=cout)
             got = conv2d(t(x), t(wt), t(b), spec).data
-            want = conv2d_oracle(x, wt, b, (sh, sw), pad)
+            want = conv2d_oracle(x, wt, b, (1, 1), 1)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        spec = ConvSpec(3, 3, in_channels=2, out_channels=3)
+        spec = ConvSpec(3, 3, pad=1, in_channels=2, out_channels=3)
         leaves = [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((3, 2, 3, 3)),
                   rng.standard_normal(3)]
         err = grad_check(lambda ts: conv2d(ts[0], ts[1], ts[2], spec), leaves)
@@ -77,77 +73,87 @@ class TestConv2d:
                    t(np.zeros((3, 1, 2, 2), dtype=np.float32)), None, spec)
 
 
-def two_row_bands(monkeypatch, batch: int, ow: int) -> None:
-    """Make conv2d work in bands of two output rows (a band holds BAND_COLS // (B*ow) rows)."""
-    monkeypatch.setattr(tensor, "BAND_COLS", 2 * batch * ow + 1)
+def band_rows(monkeypatch, rows: int, width: int, k: int) -> None:
+    """Make conv2d work in bands of ``rows`` rows (a band holds BAND_PIXELS // (W + k - 1) rows)."""
+    monkeypatch.setattr(tensor, "BAND_PIXELS", rows * (width + k - 1))
 
 
 class TestConv2dBands:
-    """conv2d builds its patch matrix one band of output rows at a time.
+    """conv2d runs one band of whole rows of one sample at a time.
 
     These tests shrink the band so that every call spans several bands
-    and ends on a ragged one-row band.
+    and, where the height allows, ends on a ragged one-row band.
     """
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_ragged_bands_match_loop_oracle(self, monkeypatch, k, s, p):
+        # of this grid only stride 1, odd k and pad (k-1)//2 run; every other spec is refused
         rng = np.random.default_rng(100 * k + 10 * s + p)
         spec = ConvSpec(k, k, s, s, pad=p, in_channels=2, out_channels=3)
-        h = next(h for h in range(max(1, k - 2 * p), 20)
-                 if spec.out_size(h, 5)[0] >= 5 and spec.out_size(h, 5)[0] % 2)
-        oh, ow = spec.out_size(h, 5)
-        x = rng.standard_normal((2, 2, h, 5))
+        x = rng.standard_normal((2, 2, 7, 5))
         wt = rng.standard_normal((3, 2, k, k))
         b = rng.standard_normal(3)
-        two_row_bands(monkeypatch, 2, ow)
+        if s != 1 or k % 2 == 0 or p != (k - 1) // 2:
+            with pytest.raises(UnsupportedConfigError, match="stride 1"):
+                conv2d(t(x), t(wt), t(b), spec)
+            return
+        band_rows(monkeypatch, 2, 5, k)
         got = conv2d(t(x), t(wt), t(b), spec).data
-        assert got.shape == (2, 3, oh, ow) and got.flags.c_contiguous
+        assert got.shape == (2, 3, 7, 5) and got.flags.c_contiguous
         np.testing.assert_allclose(got, conv2d_oracle(x, wt, b, (s, s), p), rtol=1e-12, atol=1e-12)
 
-    def test_vectorizer_geometry_matches_loop_oracle(self, monkeypatch):
-        rng = np.random.default_rng(31)
-        x = rng.standard_normal((1, 1, 40, 24))
-        wt = rng.standard_normal((VEC_SPEC.out_channels, 1, 16, 16))
-        oh, ow = VEC_SPEC.out_size(40, 24)
-        assert (oh, ow) == (5, 3)
-        two_row_bands(monkeypatch, 1, ow)
-        got = conv2d(t(x), t(wt), None, VEC_SPEC).data
-        np.testing.assert_allclose(got, conv2d_oracle(x, wt, None, (8, 8), 4),
-                                   rtol=1e-12, atol=1e-12)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_edge_sizes_match_loop_oracle(self, monkeypatch, k, rows):
+        rng = np.random.default_rng(10 * k + rows)
+        spec = ConvSpec(k, k, pad=(k - 1) // 2, in_channels=2, out_channels=3)
+        for h, w in ((1, 1), (1, 6), (6, 1), (7, 5)):
+            x = rng.standard_normal((2, 2, h, w))
+            wt = rng.standard_normal((3, 2, k, k))
+            b = rng.standard_normal(3)
+            band_rows(monkeypatch, rows, w, k)
+            got = conv2d(t(x), t(wt), t(b), spec).data
+            np.testing.assert_allclose(got, conv2d_oracle(x, wt, b, (1, 1), (k - 1) // 2),
+                                       rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("k,s,p,shape", [(3, 1, 1, (2, 2, 7, 5)), (3, 2, 2, (2, 2, 9, 4)),
-                                             (2, 3, 1, (1, 2, 8, 7)), (16, 8, 4, (1, 1, 24, 16))])
-    def test_clipped_taps_equal_explicit_zero_padding(self, monkeypatch, k, s, p, shape):
-        rng = np.random.default_rng(7 * k + s + p)
-        c, o = shape[1], 3
-        spec = ConvSpec(k, k, s, s, pad=p, in_channels=c, out_channels=o)
-        unpadded = ConvSpec(k, k, s, s, pad=0, in_channels=c, out_channels=o)
-        x = rng.standard_normal(shape).astype(np.float32)
-        wt = rng.standard_normal((o, c, k, k)).astype(np.float32)
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        two_row_bands(monkeypatch, shape[0], spec.out_size(*shape[2:])[1])
-        runs = []
-        for inp, sp in ((x, spec), (xp, unpadded)):
-            xt, wtt = t(inp, grad=True), t(wt, grad=True)
-            out = conv2d(xt, wtt, None, sp)
-            out.backward(np.linspace(-1, 1, out.data.size, dtype=np.float32).reshape(out.shape))
-            runs.append((out.data, wtt.grad, xt.grad))
-        (out, dw, dx), (out_p, dw_p, dx_p) = runs
-        assert np.array_equal(out, out_p) and np.array_equal(dw, dw_p)
-        assert np.array_equal(dx, dx_p[:, :, p : p + shape[2], p : p + shape[3]])
+    @pytest.mark.parametrize("kh,kw,stride,pad", [(3, 3, 2, 1), (2, 2, 1, 0), (3, 1, 1, 1),
+                                                  (3, 3, 1, 0)])
+    def test_other_geometries_unsupported(self, kh, kw, stride, pad):
+        spec = ConvSpec(kh, kw, stride, stride, pad=pad)
+        with pytest.raises(UnsupportedConfigError, match="stride 1"):
+            conv2d(t(np.zeros((1, 1, 6, 6))), t(np.zeros((1, 1, kh, kw))), None, spec)
 
-    @pytest.mark.parametrize("stride,shape", [(1, (1, 2, 5, 3)), (2, (2, 2, 9, 5))])
-    def test_gradient_across_bands(self, monkeypatch, stride, shape):
-        rng = np.random.default_rng(37 + stride)
-        spec = ConvSpec(3, 3, stride, stride, pad=1, in_channels=2, out_channels=3)
-        oh, ow = spec.out_size(*shape[2:])
-        assert oh == 5
-        two_row_bands(monkeypatch, shape[0], ow)
+    @pytest.mark.parametrize("rows,shape", [(1, (1, 2, 5, 3)), (2, (2, 2, 9, 5))])
+    def test_gradient_across_bands(self, monkeypatch, rows, shape):
+        rng = np.random.default_rng(37 + rows)
+        spec = ConvSpec(3, 3, pad=1, in_channels=2, out_channels=3)
+        band_rows(monkeypatch, rows, shape[3], 3)
         leaves = [rng.standard_normal(shape), rng.standard_normal((3, 2, 3, 3)),
                   rng.standard_normal(3)]
         assert grad_check(lambda ts: conv2d(ts[0], ts[1], ts[2], spec), leaves) <= 1e-4
+
+    def test_reads_no_unwritten_scratch(self, monkeypatch):
+        rng = np.random.default_rng(39)
+        spec = ConvSpec(3, 3, pad=1, in_channels=2, out_channels=3)
+        x = rng.standard_normal((2, 2, 7, 5)).astype(np.float32)
+        wt = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(3).astype(np.float32)
+        g = rng.standard_normal((2, 3, 7, 5)).astype(np.float32)
+        band_rows(monkeypatch, 2, 5, 3)
+
+        def run():
+            leaves = [t(a, grad=True) for a in (x, wt, b)]
+            out = conv2d(*leaves, spec)
+            out.backward(g)
+            return [out.data] + [leaf.grad for leaf in leaves]
+
+        clean = run()
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda *a, **kw: np.full_like(empty(*a, **kw), np.nan))
+        for got, want in zip(run(), clean, strict=True):
+            assert np.array_equal(got, want)
 
     def test_backward_keeps_nothing_larger_than_padded_input(self):
         rng = np.random.default_rng(41)
@@ -449,8 +455,8 @@ class TestGradCheckInvariants:
     @pytest.mark.parametrize("seed", range(20))
     def test_all_ops_randomized(self, seed):
         rng = np.random.default_rng(100 + seed)
-        spec = ConvSpec(2, 2, in_channels=2, out_channels=2)
-        leaves = [rng.standard_normal((1, 2, 3, 3)), rng.standard_normal((2, 2, 2, 2)),
+        spec = ConvSpec(3, 3, pad=1, in_channels=2, out_channels=2)
+        leaves = [rng.standard_normal((1, 2, 3, 3)), rng.standard_normal((2, 2, 3, 3)),
                   rng.standard_normal(2)]
         assert grad_check(lambda ts: conv2d(ts[0], ts[1], ts[2], spec), leaves,
                           rng=rng) <= 1e-4
