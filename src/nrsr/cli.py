@@ -147,9 +147,15 @@ class UsageError(ValueError):
     pass
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_mask(args) -> int:
     from .masks import generate_mask, quadrant_histogram, save_mask
 
+    _check_seed(args.seed)
     mask = generate_mask(args.kind, args.seed)
     save_mask(mask, args.out)
     hist = quadrant_histogram(mask)
@@ -382,6 +388,7 @@ def cmd_evaluate(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_standard_checks
 
+    _check_seed(args.seed)
     results = run_standard_checks(seed=args.seed)
     worst = 0.0
     for name, err in results.items():

@@ -4,7 +4,8 @@ Each image in a dataset directory is reconstructed by the chosen method
 and scored with PSNR and SSIM against the grayscale reference. Images
 whose dims are not multiples of 16 are reflection-padded on the bottom
 and right (keeping the mask anchored at the origin) and cropped back
-before scoring. Unreadable files are skipped and logged.
+before scoring. Unreadable files, and images smaller than the SSIM
+window, are skipped and logged.
 
 Full-scale reference targets from the literature protocol (Urban100 /
 Tecnick, 100-epoch training on Set291) are context only and not
@@ -23,7 +24,7 @@ import numpy as np
 
 from .imageio import ImageFormatError, read_image_gray
 from .lfcr import LfcrModel, lfcr_forward
-from .metrics import bicubic_upscale, psnr, ssim
+from .metrics import SSIM_WINDOW, bicubic_upscale, psnr, ssim
 from .sensors import sample_low_resolution
 from .vdsr import VdsrModel, vdsr_forward
 
@@ -141,6 +142,10 @@ def evaluate(method: str, dataset_dir: str | Path, lfcr: LfcrModel | None = None
             ref = np.asarray(read_image_gray(path), dtype=np.float64)
         except (ImageFormatError, OSError) as exc:
             report.skipped.append(f"{path.name}: {exc}")
+            continue
+        if min(ref.shape) < SSIM_WINDOW:
+            report.skipped.append(f"{path.name}: {ref.shape[0]}x{ref.shape[1]} is smaller than "
+                                  f"the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
             continue
         rec = reconstruct_image(ref.astype(np.float32), method, lfcr=lfcr, vdsr=vdsr)
         report.rows.append(EvalRow(

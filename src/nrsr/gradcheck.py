@@ -142,11 +142,10 @@ def run_standard_checks(seed: int = 0) -> dict[str, float]:
     results["conv2d"] = grad_check(
         lambda ts: conv2d(ts[0], ts[1], ts[2], spec), leaves, rng=np.random.default_rng(seed))
 
-    dspec = ConvSpec(4, 4, 4, 4, in_channels=2, out_channels=3)
-    leaves = [rng.standard_normal((1, 2, 3, 3)), rng.standard_normal((2, 3, 4, 4)),
-              rng.standard_normal(3)]
+    # rows of a 1x3x3 block grid, 2 channels in, 3 channels of 4x4 blocks out
+    leaves = [rng.standard_normal((9, 2)), rng.standard_normal((2, 3, 4, 4))]
     results["deconv2d"] = grad_check(
-        lambda ts: deconv2d(ts[0], ts[1], ts[2], dspec), leaves, rng=np.random.default_rng(seed))
+        lambda ts: deconv2d(ts[0], ts[1], 1, 3, 3), leaves, rng=np.random.default_rng(seed))
 
     # keep inputs away from the kink so |x| >> h
     x = rng.standard_normal((2, 3, 4, 4))

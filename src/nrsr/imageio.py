@@ -43,17 +43,27 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
     return tokens, i + 1  # single whitespace byte separates header from raster
 
 
-def read_pgm(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if data[:2] != b"P5":
-        raise ImageFormatError(f"{path}: not a binary PGM (P5) file")
+_NETPBM = {b"P5": ("PGM", 1), b"P6": ("PPM", 3)}   # magic: (name, channels)
+
+
+def _parse_netpbm(data: bytes, path: str | Path, magic: bytes) -> np.ndarray:
+    """The uint8 raster of a binary PGM (H, W) or PPM (H, W, 3) file's bytes."""
+    name, channels = _NETPBM[magic]
+    if data[:2] != magic:
+        raise ImageFormatError(f"{path}: not a binary {name} ({magic.decode()}) file")
     (w, h, maxval), off = _read_header_tokens(data, 3)
     if maxval != 255:
         raise ImageFormatError(f"{path}: only maxval 255 supported, got {maxval}")
-    raster = data[off : off + w * h]
-    if len(raster) != w * h:
+    size = w * h * channels
+    raster = data[off : off + size]
+    if len(raster) != size:
         raise ImageFormatError(f"{path}: truncated raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
+    shape = (h, w) if channels == 1 else (h, w, channels)
+    return np.frombuffer(raster, dtype=np.uint8).reshape(shape).copy()
+
+
+def read_pgm(path: str | Path) -> np.ndarray:
+    return _parse_netpbm(Path(path).read_bytes(), path, b"P5")
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:
@@ -69,29 +79,18 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if data[:2] != b"P6":
-        raise ImageFormatError(f"{path}: not a binary PPM (P6) file")
-    (w, h, maxval), off = _read_header_tokens(data, 3)
-    if maxval != 255:
-        raise ImageFormatError(f"{path}: only maxval 255 supported, got {maxval}")
-    raster = data[off : off + w * h * 3]
-    if len(raster) != w * h * 3:
-        raise ImageFormatError(f"{path}: truncated raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w, 3).copy()
+    return _parse_netpbm(Path(path).read_bytes(), path, b"P6")
 
 
 def read_image_gray(path: str | Path) -> np.ndarray:
     """Read PGM or PPM; color inputs are converted to float luma, PGM stays uint8."""
     from .metrics import to_grayscale
 
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"P5":
-        return read_pgm(path)
-    if magic == b"P6":
-        return to_grayscale(read_ppm(path))
-    raise ImageFormatError(f"{path}: unsupported format (need binary P5/P6)")
+    data = Path(path).read_bytes()
+    if data[:2] not in _NETPBM:
+        raise ImageFormatError(f"{path}: unsupported format (need binary P5/P6)")
+    image = _parse_netpbm(data, path, data[:2])
+    return image if image.ndim == 2 else to_grayscale(image)
 
 
 def save_raw(base_path: str | Path, values: np.ndarray, meta: dict) -> tuple[Path, Path]:

@@ -6,11 +6,12 @@ width 192, applied to every target block independently -> concatenation
 of the 16 central measurement channels -> stride-8 deconvolution
 (kernel 8x8) emitting the reconstructed target blocks.
 
-The fully connected stack runs on (blocks, channels) row matrices, one
-row per target block of the batch, so each layer is one GEMM. The rows
-are built once after the vectorizing layer and handed to the
-deconvolution as a channels-last view. Layer weights keep the shape of
-the 1x1 convolutions they are equivalent to, (192, 64 | 192, 1, 1).
+The network runs on (blocks, channels) row matrices, one row per target
+block of the batch, from end to end: the vectorizing layer emits the
+rows, each fully connected layer is one GEMM on them, and the
+deconvolution paints each row's 8x8 block into the output image. Layer
+weights keep the shape of the 1x1 convolutions they are equivalent to,
+(192, 64 | 192, 1, 1).
 
 Pixel values cross the interface on the 0..255 scale. Internally the
 input is divided by 255 to keep activations of order one; the
@@ -30,8 +31,8 @@ from . import sensors
 from .masks import SamplingMask
 from .netutil import as_batch, from_batch, initial_parameters, param_count, take_parameters
 from .sensors import central_channel_indices
-from .tensor import (ConvSpec, Tensor, add_channel_bias, concat_channels, deconv2d, from_rows,
-                     linear, no_grad, prelu, scale, take_channels, to_rows)
+from .tensor import (Tensor, add_channel_bias, concat_channels, deconv2d, linear, no_grad, prelu,
+                     scale, take_channels)
 from .tensor import conv2d  # noqa: F401  (perfbench's tracer wraps nrsr.lfcr.conv2d by name)
 
 HIDDEN_CHANNELS = 192          # 4 * (3/4) * 8^2
@@ -84,12 +85,6 @@ class LfcrModel:
         """The vectorizing layer as a dense (64, 1, 16, 16) convolution kernel."""
         return sensors.build_vectorizing_kernel(self.mask, self.sensor_kind)
 
-    @property
-    def deconv_spec(self) -> ConvSpec:
-        return ConvSpec(kernel_h=sensors.TARGET, kernel_w=sensors.TARGET,
-                        stride_h=sensors.TARGET, stride_w=sensors.TARGET,
-                        in_channels=DECONV_IN, out_channels=1)
-
     @classmethod
     def from_parameters(cls, mask: SamplingMask | None, kind: str,
                         params: Mapping[str, Tensor]) -> LfcrModel:
@@ -106,14 +101,13 @@ class LfcrModel:
     def forward_t(self, x: Tensor) -> Tensor:
         """Graph-building forward pass; the vectorizing layer checks that x is (B,1,8m,8n)."""
         h = scale(x, 1.0 / PIXEL_SCALE)
-        v = to_rows(sensors.vectorize_tensor(h, self.sensitivity))
+        v = sensors.vectorize_tensor(h, self.sensitivity)
         t = v
         for blk in self.blocks:
             t = prelu(linear(t, blk.weights, blk.bias), blk.slopes)
         t = concat_channels(t, take_channels(v, central_channel_indices()))
         b, _, height, width = x.shape
-        t = from_rows(t, b, height // sensors.TARGET, width // sensors.TARGET)
-        y = deconv2d(t, self.deconv_weights, None, self.deconv_spec)
+        y = deconv2d(t, self.deconv_weights, b, height // sensors.TARGET, width // sensors.TARGET)
         return add_channel_bias(scale(y, PIXEL_SCALE), self.deconv_bias)
 
 

@@ -22,6 +22,10 @@ Channel c corresponds to low-resolution cell c of the support block,
 cells enumerated row-major over the 8x8 cell grid. It measures the
 image once, pads the measurements by 2 cells and copies each window
 out of four 4x4-cell blocks; its dense kernel is drawn from the tile.
+The network's layer (``vectorize_tensor``) writes the windows as
+(blocks, 64) rows, one per target block in (image, block row, block
+column) order, which is the layout the LFCR's fully connected layers
+read; ``vectorize`` returns one image's windows as a (64, H/8, W/8) map.
 """
 
 from __future__ import annotations
@@ -155,15 +159,19 @@ def _tile_from_kernel(kernel: np.ndarray) -> np.ndarray:
 
 
 def _windows(m: np.ndarray) -> np.ndarray:
-    """(B, H/2, W/2) measurements -> (B, 64, H/8, W/8) zero-padded 8x8-cell windows at stride 4."""
+    """(B, H/2, W/2) measurements -> (B*H/8*W/8, 64) rows of zero-padded 8x8-cell windows.
+
+    Windows step 4 cells; row b*(H/8)*(W/8) + i*(W/8) + j is the window
+    over target block (i, j) of image b.
+    """
     b, ch, cw = m.shape
     oh, ow = ch // HALF, cw // HALF
     p = PAD_CELLS
     blocks = np.pad(m, ((0, 0), (p, p), (p, p))).reshape(b, oh + 1, HALF, ow + 1, HALF)
-    out = np.empty((b, 2, HALF, 2, HALF, oh, ow), dtype=m.dtype)
+    out = np.empty((b, oh, ow, 2, HALF, 2, HALF), dtype=m.dtype)
     for a, c in HALVES:
-        out[:, a, :, c] = blocks[:, a : a + oh, :, c : c + ow].transpose(0, 2, 4, 1, 3)
-    return out.reshape(b, VEC_CHANNELS, oh, ow)
+        out[:, :, :, a, :, c] = blocks[:, a : a + oh, :, c : c + ow].transpose(0, 1, 3, 2, 4)
+    return out.reshape(b * oh * ow, VEC_CHANNELS)
 
 
 def vectorize(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -179,11 +187,16 @@ def vectorize(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     h, w = f.shape
     if h % TARGET or w % TARGET:
         raise ShapeMismatchError(f"image dims must be multiples of 8, got {f.shape}")
-    return _windows(measure(f, _tile_from_kernel(kernel))[None])[0]
+    rows = _windows(measure(f, _tile_from_kernel(kernel))[None])
+    return rows.T.reshape(VEC_CHANNELS, h // TARGET, w // TARGET)
 
 
 def vectorize_tensor(x: Tensor, tile: np.ndarray) -> Tensor:
-    """Differentiable batched vectorizing layer: (B,1,H,W) -> (B,64,H/8,W/8)."""
+    """Differentiable batched vectorizing layer: (B,1,H,W) -> (B*H/8*W/8, 64) rows.
+
+    Row b*(H/8)*(W/8) + i*(W/8) + j holds the 64 measurements of the
+    support block over target block (i, j) of image b.
+    """
     if x.data.ndim != 4 or x.shape[1] != 1:
         raise ShapeMismatchError(f"input must be (B,1,H,W), got {x.shape}")
     b, _, h, w = x.shape
@@ -196,10 +209,10 @@ def vectorize_tensor(x: Tensor, tile: np.ndarray) -> Tensor:
         if not x.requires_grad:
             return
         dtype = x.data.dtype
-        gk = (g / dtype.type(_tap_count(tile))).reshape(b, 2, HALF, 2, HALF, oh, ow)
+        gk = (g / dtype.type(_tap_count(tile))).reshape(b, oh, ow, 2, HALF, 2, HALF)
         dblocks = np.zeros((b, oh + 1, HALF, ow + 1, HALF), dtype=dtype)
         for a, c in HALVES:
-            dblocks[:, a : a + oh, :, c : c + ow] += gk[:, a, :, c].transpose(0, 3, 1, 4, 2)
+            dblocks[:, a : a + oh, :, c : c + ow] += gk[:, :, :, a, :, c].transpose(0, 1, 3, 2, 4)
         p = PAD_CELLS
         dm = dblocks.reshape(b, HALF * (oh + 1), HALF * (ow + 1))[:, p:-p, p:-p]
         dx = np.where(_cells(tile, h, w), dm[:, :, None, :, None], dtype.type(0))

@@ -1,14 +1,16 @@
 """Dense-array compute core with reverse-mode differentiation.
 
 Only the operations the reconstruction networks need are provided:
-conv2d (stride 1, same padding), deconv2d (stride = kernel), a fully
-connected layer on rows, PReLU, channel concatenation, elementwise add,
-scalar scaling, bias broadcast and MSE loss. Activations and weights
-live in (batch, channels, height, width) arrays of 32-bit floats, or,
-for per-position fully connected layers, in (positions, channels) row
-matrices that to_rows/from_rows convert to and from; the channel axis
-is axis 1 in both layouts. Gradient checking runs the same ops in
-64-bit, so every op computes in the dtype of its inputs.
+conv2d (stride 1, same padding), deconv2d (rows to stride = kernel
+blocks), a fully connected layer on rows, PReLU, channel concatenation,
+elementwise add, scalar scaling, bias broadcast and MSE loss. Values are
+32-bit floats in one of two layouts, with the channel axis at axis 1 in
+both. The LFCR runs on (blocks, channels) row matrices, one row per
+target block, from the vectorizing layer up to deconv2d, which paints
+each row's block into a (batch, channels, height, width) map; the VDSR
+runs on such maps throughout. No op converts between the two layouts.
+Gradient checking runs the same ops in 64-bit, so every op computes in
+the dtype of its inputs.
 
 conv2d covers the one geometry the VDSR runs: a square odd kernel,
 stride 1 and same zero padding. It works on one band of whole rows of
@@ -325,53 +327,37 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
     return _result(out, parents, bw)
 
 
-def deconv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
-    """Transposed convolution for the non-overlapping tiling case.
+def deconv2d(x: Tensor, weights: Tensor, batch: int, height: int, width: int) -> Tensor:
+    """Paint one kernel-sized output block per input row: stride = kernel, no overlap.
 
-    Requires stride equal to kernel size: each input position paints one
-    disjoint kernel-sized block of the output, so the output spatial size
-    is exactly input size times stride. ``weights`` has shape
-    (in_channels, out_channels, kernel_h, kernel_w).
+    ``x`` holds (batch*height*width, C) rows in (b, i, j) order, one per
+    block of a ``height`` x ``width`` grid, and ``weights`` is (C, O, kh, kw).
+    Row (b, i, j) paints block (i, j) of sample b with row @ W, so the
+    output is (batch, O, height*kh, width*kw). Forward is one GEMM with W
+    as a (C, O*kh*kw) matrix plus one block-to-image transpose; backward
+    is dW = xᵀ @ g_blocks and dX = g_blocks @ Wᵀ.
     """
-    _require_4d(x, "input")
     _require_4d(weights, "weights")
-    if (spec.stride_h, spec.stride_w) != (spec.kernel_h, spec.kernel_w):
-        raise UnsupportedConfigError(
-            f"deconv2d supports stride == kernel only, got kernel "
-            f"{spec.kernel_h}x{spec.kernel_w} stride {spec.stride_h}x{spec.stride_w}"
-        )
-    if spec.pad != 0:
-        raise UnsupportedConfigError("deconv2d does not support padding")
-    wshape = (spec.in_channels, spec.out_channels, spec.kernel_h, spec.kernel_w)
-    if weights.shape != wshape:
-        raise ShapeMismatchError(f"weights shape {weights.shape} != expected {wshape}")
-    if x.shape[1] != spec.in_channels:
-        raise ShapeMismatchError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
-    if bias is not None and bias.shape != (spec.out_channels,):
-        raise ShapeMismatchError(f"bias shape {bias.shape} != ({spec.out_channels},)")
-
-    b, _, h, w = x.shape
-    kh, kw = spec.kernel_h, spec.kernel_w
-    # out[b,o,i*kh+u,j*kw+v] = sum_c x[b,c,i,j] * W[c,o,u,v]
-    blocks = np.tensordot(x.data, weights.data, axes=(1, 0))  # (B,H,W,O,kh,kw)
+    if x.data.ndim != 2 or x.shape[0] != batch * height * width:
+        raise ShapeMismatchError(
+            f"rows of shape {x.shape} do not hold a {batch}x{height}x{width} grid")
+    c, o, kh, kw = weights.shape
+    if x.shape[1] != c:
+        raise ShapeMismatchError(f"input has {x.shape[1]} channels, weights expect {c}")
+    wmat = weights.data.reshape(c, o * kh * kw)
+    blocks = (x.data @ wmat).reshape(batch, height, width, o, kh, kw)
     out = np.ascontiguousarray(blocks.transpose(0, 3, 1, 4, 2, 5)).reshape(
-        b, spec.out_channels, h * kh, w * kw)
-    if bias is not None:
-        out += bias.data[None, :, None, None]
+        batch, o, height * kh, width * kw)
 
     def bw(g: np.ndarray):
-        g6 = g.reshape(b, spec.out_channels, h, kh, w, kw).transpose(0, 2, 4, 1, 3, 5)
+        g_blocks = g.reshape(batch, o, height, kh, width, kw).transpose(0, 2, 4, 1, 3, 5).reshape(
+            -1, o * kh * kw)
         if weights.requires_grad:
-            dw = np.tensordot(x.data, g6, axes=([0, 2, 3], [0, 1, 2]))
-            weights.accumulate_grad(dw)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            weights.accumulate_grad((x.data.T @ g_blocks).reshape(weights.shape))
         if x.requires_grad:
-            dx = np.tensordot(g6, weights.data, axes=([3, 4, 5], [1, 2, 3]))
-            x.accumulate_grad(dx.transpose(0, 3, 1, 2))
+            x.accumulate_grad(g_blocks @ wmat.T)
 
-    parents = (x, weights) if bias is None else (x, weights, bias)
-    return _result(out, parents, bw)
+    return _result(out, (x, weights), bw)
 
 
 def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
@@ -404,38 +390,6 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
             x.accumulate_grad(g @ wmat)
 
     return _result(out, (x, weights, bias), bw)
-
-
-def to_rows(x: Tensor) -> Tensor:
-    """(B, C, H, W) -> (B*H*W, C): one row per position, rows in (b, h, w) order."""
-    _require_4d(x, "input")
-    b, c, h, w = x.shape
-    out = x.data.transpose(0, 2, 3, 1).reshape(b * h * w, c)
-
-    def bw(g: np.ndarray):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(b, h, w, c).transpose(0, 3, 1, 2))
-
-    return _result(out, (x,), bw)
-
-
-def from_rows(x: Tensor, batch: int, height: int, width: int) -> Tensor:
-    """Inverse of :func:`to_rows`: (B*H*W, C) -> (B, C, H, W).
-
-    The result is a channels-last view of the rows, not a copy; ops that
-    contract over channels (deconv2d) then read it without a transpose.
-    """
-    if x.data.ndim != 2 or x.shape[0] != batch * height * width:
-        raise ShapeMismatchError(
-            f"rows of shape {x.shape} do not hold a {batch}x{height}x{width} grid")
-    c = x.shape[1]
-    out = x.data.reshape(batch, height, width, c).transpose(0, 3, 1, 2)
-
-    def bw(g: np.ndarray):
-        if x.requires_grad:
-            x.accumulate_grad(g.transpose(0, 2, 3, 1).reshape(-1, c))
-
-    return _result(out, (x,), bw)
 
 
 def prelu(x: Tensor, slopes: Tensor) -> Tensor:

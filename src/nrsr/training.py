@@ -90,6 +90,8 @@ class TrainConfig:
             raise ConfigError("learning-rate schedule values must be positive")
         if self.lr_floor < 0:
             raise ConfigError(f"lr_floor must be >= 0, got {self.lr_floor}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 _CONFIG_FIELDS = {

@@ -122,6 +122,12 @@ class TestMaskCommand:
         res = run_cli("mask", "--kind", "quarter", "--out", "/nonexistent-dir/x.nrsmask")
         assert res.returncode == 2
 
+    def test_negative_seed_exits_2_naming_it(self, tmp_path):
+        res = run_cli("mask", "--kind", "quarter", "--seed", "-1", "--out", tmp_path / "x.nrsmask")
+        assert res.returncode == 2
+        assert res.stderr == "error: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "x.nrsmask").exists()
+
 
 class TestSampleCommand:
     def test_quarter_writes_raw_and_sidecar(self, workdir, tmp_path):
@@ -321,6 +327,21 @@ class TestTrainCommand:
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
         assert not (out / "final.nrsr").exists()
 
+    @pytest.mark.parametrize("source", ["--seed", "config"])
+    def test_negative_seed_exits_2_before_writing(self, workdir, tmp_path, source):
+        if source == "config":
+            (tmp_path / "cfg.txt").write_text("seed=-2\n")
+            extra = ["--config", tmp_path / "cfg.txt"]
+        else:
+            extra = ["--seed", "-1"]
+        out = tmp_path / "out"
+        res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                      "--data", workdir / "data", "--out", out, "--epochs", "1", *extra)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: seed must be >= 0"), res.stderr
+        assert res.stderr.count("\n") == 1, res.stderr
+        assert not out.exists()
+
     def test_shift_beyond_the_image_is_skipped(self, workdir, tmp_path):
         # the 56x56 images fit no patch at shift (56, 0): skipped like an undersized image
         (tmp_path / "cfg.txt").write_text("shift_set=0:0,56:0\n")
@@ -513,6 +534,12 @@ class TestGradcheckCommand:
     def test_impossible_tolerance_exits_3(self):
         res = run_cli("gradcheck", "--seed", "0", "--tolerance", "1e-30")
         assert res.returncode == 3
+
+    def test_negative_seed_exits_2_naming_it(self):
+        res = run_cli("gradcheck", "--seed", "-1")
+        assert res.returncode == 2
+        assert res.stderr == "error: --seed must be >= 0, got -1\n"
+        assert res.stdout == ""
 
 
 class TestCurvesCommand:

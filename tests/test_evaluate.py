@@ -49,6 +49,15 @@ def test_unreadable_file_skipped(dataset):
     assert len(rep.skipped) == 1 and "broken.pgm" in rep.skipped[0]
 
 
+@pytest.mark.parametrize("method", ["bicubic", "lfcr"])
+def test_image_too_small_to_score_skipped(dataset, method):
+    write_pgm(dataset / "tiny.pgm", synth_image_u8(5, 8, 10))
+    lfcr = build_lfcr(generate_mask("quarter", 0), "quarter", seed=0)
+    rep = evaluate(method, dataset, lfcr=lfcr)
+    assert [r.image for r in rep.rows] == ["img0.pgm", "img1.pgm", "img2.pgm"]
+    assert rep.skipped == ["tiny.pgm: 8x10 is smaller than the 11x11 SSIM window"]
+
+
 def test_csv_deterministic_and_inf_serialization(dataset):
     a = evaluate("reference", dataset).to_csv()
     b = evaluate("reference", dataset).to_csv()

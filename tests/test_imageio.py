@@ -58,6 +58,26 @@ def test_read_image_gray_closes_its_file(tmp_path, magic):
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
+@pytest.mark.parametrize("magic", [b"P5", b"P6"])
+def test_read_image_gray_opens_its_file_once(tmp_path, monkeypatch, magic):
+    import builtins
+    import io
+
+    path = tmp_path / "x.img"
+    path.write_bytes(magic + b"\n2 1\n255\n" + b"\x80" * (6 if magic == b"P6" else 2))
+    opened = []
+
+    def counting_open(file, *args, _open=io.open, **kwargs):
+        opened.append(str(file))
+        return _open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    image = read_image_gray(path)
+    assert image.shape == (1, 2)
+    assert opened == [str(path)]
+
+
 def test_wrong_magic_rejected(tmp_path):
     path = tmp_path / "x.pgm"
     path.write_bytes(b"P2\n2 2\n255\n....")

@@ -209,8 +209,26 @@ class TestVectorize:
         tile = sensitivity_tile(mask, kind)
         fs = np.stack([integer_image(s, 16, 16) for s in range(3)])
         out = vectorize_tensor(Tensor(fs[:, None]), tile).data
+        assert out.shape == (3 * 2 * 2, 64)
         for i in range(3):
-            assert np.array_equal(out[i], vectorize(fs[i], kernel))
+            assert np.array_equal(out.reshape(3, 2, 2, 64)[i].transpose(2, 0, 1),
+                                  vectorize(fs[i], kernel))
+
+    def test_rows_in_block_order(self):
+        # row b*(H/8)*(W/8) + i*(W/8) + j holds the window over block (i, j) of image b
+        mask = generate_mask("three-quarter", 5)
+        kernel = build_vectorizing_kernel(mask, "three-quarter")
+        fs = np.stack([integer_image(10 + s, 24, 40) for s in range(2)])
+        out = vectorize_tensor(Tensor(fs[:, None]), sensitivity_tile(mask, "three-quarter")).data
+        assert out.shape == (2 * 3 * 5, 64) and out.flags.c_contiguous
+        for b in range(2):
+            want = vectorize(fs[b], kernel)
+            # vectorize shares the window code, so pin it to the gather oracle too
+            oracle = vectorize_oracle(fs[b], mask, "three-quarter").astype(np.float32)
+            assert np.array_equal(want, oracle)
+            for i in range(3):
+                for j in range(5):
+                    assert np.array_equal(out[b * 15 + i * 5 + j], want[:, i, j]), (b, i, j)
 
     def test_tensor_op_gradient(self):
         tile = sensitivity_tile(generate_mask("three-quarter", 1), "three-quarter")

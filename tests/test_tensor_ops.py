@@ -7,8 +7,8 @@ from conftest import conv2d_oracle
 from nrsr import tensor
 from nrsr.gradcheck import grad_check
 from nrsr.tensor import (ConvSpec, ShapeMismatchError, Tensor, UnsupportedConfigError,
-                         concat_channels, conv2d, deconv2d, from_rows, linear, mse_loss, prelu,
-                         take_channels, to_rows)
+                         concat_channels, conv2d, deconv2d, linear, mse_loss, prelu,
+                         take_channels)
 
 
 def t(arr, grad=False):
@@ -176,35 +176,46 @@ class TestConv2dBands:
         assert wt.grad.flags.c_contiguous and b.grad.shape == (64,)
 
 
+def deconv2d_oracle(rows, w, batch, height, width):
+    """Float64 loop: row (b, i, j) @ W painted into block (i, j) of sample b."""
+    c, o, kh, kw = w.shape
+    out = np.zeros((batch, o, height * kh, width * kw))
+    wmat = w.astype(np.float64).reshape(c, o, kh * kw)
+    for b in range(batch):
+        for i in range(height):
+            for j in range(width):
+                row = rows[(b * height + i) * width + j].astype(np.float64)
+                block = np.einsum("c,cop->op", row, wmat).reshape(o, kh, kw)
+                out[b, :, i * kh : (i + 1) * kh, j * kw : (j + 1) * kw] = block
+    return out
+
+
 class TestDeconv2d:
     def test_single_value_broadcast(self):
-        x = np.full((1, 1, 1, 1), 3.5, dtype=np.float32)
+        x = np.full((1, 1), 3.5, dtype=np.float32)
         w = np.ones((1, 1, 8, 8), dtype=np.float32)
-        spec = ConvSpec(8, 8, 8, 8, in_channels=1, out_channels=1)
-        out = deconv2d(t(x), t(w), None, spec)
+        out = deconv2d(t(x), t(w), 1, 1, 1)
         assert out.shape == (1, 1, 8, 8)
         assert np.all(out.data == 3.5)
 
     def test_disjoint_blocks(self):
-        x = np.arange(4, dtype=np.float32).reshape(1, 1, 2, 2) + 1
+        x = np.arange(4, dtype=np.float32).reshape(4, 1) + 1
         w = np.ones((1, 1, 8, 8), dtype=np.float32)
-        spec = ConvSpec(8, 8, 8, 8, in_channels=1, out_channels=1)
-        out = deconv2d(t(x), t(w), None, spec).data
+        out = deconv2d(t(x), t(w), 1, 2, 2).data
         assert out.shape == (1, 1, 16, 16)
         for i in range(2):
             for j in range(2):
                 block = out[0, 0, 8 * i : 8 * i + 8, 8 * j : 8 * j + 8]
-                assert np.all(block == x[0, 0, i, j])
+                assert np.all(block == x[2 * i + j, 0])
 
     def test_zeroing_one_input_zeroes_one_block(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 2, 3, 3)).astype(np.float32)
+        x = rng.standard_normal((9, 2)).astype(np.float32)
         w = rng.standard_normal((2, 1, 4, 4)).astype(np.float32)
-        spec = ConvSpec(4, 4, 4, 4, in_channels=2, out_channels=1)
-        base = deconv2d(t(x), t(w), None, spec).data
+        base = deconv2d(t(x), t(w), 1, 3, 3).data
         x2 = x.copy()
-        x2[0, :, 1, 2] = 0.0
-        out = deconv2d(t(x2), t(w), None, spec).data
+        x2[1 * 3 + 2] = 0.0
+        out = deconv2d(t(x2), t(w), 1, 3, 3).data
         diff = np.abs(base - out) > 0
         changed = np.argwhere(diff)
         assert np.all(changed[:, 2] // 4 == 1)
@@ -212,19 +223,35 @@ class TestDeconv2d:
         out[0, 0, 4:8, 8:12] = base[0, 0, 4:8, 8:12]
         assert np.array_equal(out, base)
 
-    def test_general_stride_unsupported(self):
-        spec = ConvSpec(4, 4, 2, 2, in_channels=1, out_channels=1)
-        with pytest.raises(UnsupportedConfigError, match="stride"):
-            deconv2d(t(np.zeros((1, 1, 2, 2), dtype=np.float32)),
-                     t(np.zeros((1, 1, 4, 4), dtype=np.float32)), None, spec)
+    @pytest.mark.parametrize("batch,height,width,c,o,k", [
+        (1, 1, 1, 1, 1, 1), (2, 3, 2, 5, 1, 8), (3, 2, 4, 208, 1, 8), (2, 2, 3, 4, 3, 2),
+    ])
+    def test_matches_loop_oracle(self, batch, height, width, c, o, k):
+        rng = np.random.default_rng(batch * 100 + c)
+        x = rng.standard_normal((batch * height * width, c))
+        w = rng.standard_normal((c, o, k, k))
+        out = deconv2d(t(x), t(w), batch, height, width).data
+        want = deconv2d_oracle(x, w, batch, height, width)
+        assert out.shape == want.shape
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
-        spec = ConvSpec(4, 4, 4, 4, in_channels=2, out_channels=2)
-        leaves = [rng.standard_normal((1, 2, 2, 2)), rng.standard_normal((2, 2, 4, 4)),
-                  rng.standard_normal(2)]
-        err = grad_check(lambda ts: deconv2d(ts[0], ts[1], ts[2], spec), leaves)
+        leaves = [rng.standard_normal((2 * 2 * 3, 3)), rng.standard_normal((3, 2, 4, 4))]
+        err = grad_check(lambda ts: deconv2d(ts[0], ts[1], 2, 2, 3), leaves)
         assert err <= 1e-4
+
+    def test_grid_mismatch_rejected(self):
+        w = t(np.zeros((3, 1, 8, 8), dtype=np.float32))
+        with pytest.raises(ShapeMismatchError, match="grid"):
+            deconv2d(t(np.zeros((15, 3), dtype=np.float32)), w, 2, 2, 4)
+        with pytest.raises(ShapeMismatchError, match="grid"):
+            deconv2d(t(np.zeros((1, 3, 4, 4), dtype=np.float32)), w, 1, 4, 4)
+
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="channels"):
+            deconv2d(t(np.zeros((16, 3), dtype=np.float32)),
+                     t(np.zeros((4, 1, 8, 8), dtype=np.float32)), 2, 2, 4)
 
 
 class TestPrelu:
@@ -330,10 +357,10 @@ class TestLinear:
         wt = rng.standard_normal((6, 3, 1, 1))
         b = rng.standard_normal(6)
         conv = conv2d(t(x), t(wt), t(b), ConvSpec(1, 1, in_channels=3, out_channels=6))
-        rows = linear(to_rows(t(x)), t(wt), t(b))
-        back = from_rows(rows, 2, 4, 5).data
+        rows = linear(t(x.transpose(0, 2, 3, 1).reshape(-1, 3)), t(wt), t(b))
+        back = rows.data.reshape(2, 4, 5, 6).transpose(0, 3, 1, 2)
         np.testing.assert_allclose(back, conv.data, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(rows.data, to_rows(conv).data)
+        np.testing.assert_array_equal(rows.data, conv.data.transpose(0, 2, 3, 1).reshape(-1, 6))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(73)
@@ -359,26 +386,6 @@ class TestLinear:
             linear(t(np.zeros((5, 2), dtype=np.float32)), w, b)
         with pytest.raises(ShapeMismatchError, match="bias shape"):
             linear(t(np.zeros((5, 3), dtype=np.float32)), w, t(np.zeros(3, dtype=np.float32)))
-
-
-class TestRows:
-    def test_round_trip_and_order(self):
-        x = np.arange(2 * 3 * 4 * 5, dtype=np.float32).reshape(2, 3, 4, 5)
-        rows = to_rows(t(x))
-        assert rows.shape == (40, 3) and rows.data.flags.c_contiguous
-        assert np.array_equal(rows.data[1 * 20 + 2 * 5 + 3], x[1, :, 2, 3])
-        assert np.array_equal(from_rows(rows, 2, 4, 5).data, x)
-
-    def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(83)
-        leaves = [rng.standard_normal((2, 3, 2, 4))]
-        assert grad_check(lambda ts: to_rows(ts[0]), leaves) <= 1e-4
-        leaves = [rng.standard_normal((16, 3))]
-        assert grad_check(lambda ts: from_rows(ts[0], 2, 2, 4), leaves) <= 1e-4
-
-    def test_grid_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError, match="grid"):
-            from_rows(t(np.zeros((15, 3), dtype=np.float32)), 2, 2, 4)
 
 
 class TestConcat:
@@ -460,11 +467,8 @@ class TestGradCheckInvariants:
                   rng.standard_normal(2)]
         assert grad_check(lambda ts: conv2d(ts[0], ts[1], ts[2], spec), leaves,
                           rng=rng) <= 1e-4
-        dspec = ConvSpec(2, 2, 2, 2, in_channels=2, out_channels=1)
-        leaves = [rng.standard_normal((1, 2, 2, 2)), rng.standard_normal((2, 1, 2, 2)),
-                  rng.standard_normal(1)]
-        assert grad_check(lambda ts: deconv2d(ts[0], ts[1], ts[2], dspec), leaves,
-                          rng=rng) <= 1e-4
+        leaves = [rng.standard_normal((4, 2)), rng.standard_normal((2, 1, 2, 2))]
+        assert grad_check(lambda ts: deconv2d(ts[0], ts[1], 1, 2, 2), leaves, rng=rng) <= 1e-4
         x = rng.standard_normal((1, 2, 3, 3))
         x = np.where(np.abs(x) < 0.05, 0.3, x)
         assert grad_check(lambda ts: prelu(ts[0], ts[1]),
