@@ -18,13 +18,13 @@ class ImageFormatError(ValueError):
     """Raised for unreadable or unsupported image files."""
 
 
-def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
+def _read_header_tokens(data: bytes, count: int, path: str | Path) -> tuple[list[int], int]:
     """Parse `count` whitespace-separated integer tokens after the magic, skipping comments."""
     tokens: list[int] = []
     i = 2  # past magic
     while len(tokens) < count:
         if i >= len(data):
-            raise ImageFormatError("truncated header")
+            raise ImageFormatError(f"{path}: truncated header")
         c = data[i : i + 1]
         if c == b"#":
             while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
@@ -37,7 +37,7 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
                 j += 1
             tok = data[i:j]
             if not tok.isdigit():
-                raise ImageFormatError(f"bad header token {tok!r}")
+                raise ImageFormatError(f"{path}: bad header token {tok!r}")
             tokens.append(int(tok))
             i = j
     return tokens, i + 1  # single whitespace byte separates header from raster
@@ -51,7 +51,7 @@ def _parse_netpbm(data: bytes, path: str | Path, magic: bytes) -> np.ndarray:
     name, channels = _NETPBM[magic]
     if data[:2] != magic:
         raise ImageFormatError(f"{path}: not a binary {name} ({magic.decode()}) file")
-    (w, h, maxval), off = _read_header_tokens(data, 3)
+    (w, h, maxval), off = _read_header_tokens(data, 3, path)
     if maxval != 255:
         raise ImageFormatError(f"{path}: only maxval 255 supported, got {maxval}")
     size = w * h * channels

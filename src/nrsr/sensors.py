@@ -20,8 +20,10 @@ The vectorizing convolution gathers every 16x16 support block's
 measurements into 64 channels (kernel 16x16, stride 8, zero padding 4).
 Channel c corresponds to low-resolution cell c of the support block,
 cells enumerated row-major over the 8x8 cell grid. It measures the
-image once, pads the measurements by 2 cells and copies each window
-out of four 4x4-cell blocks; its dense kernel is drawn from the tile.
+image once, pads the measurements by 2 cells and copies all windows,
+8x8 cells at a step of 4, in one strided copy; the backward pass adds
+each window back as four 4x4-cell blocks. Its dense kernel is drawn
+from the tile.
 The network's layer (``vectorize_tensor``) writes the windows as
 (blocks, 64) rows, one per target block in (image, block row, block
 column) order, which is the layout the LFCR's fully connected layers
@@ -31,6 +33,7 @@ read; ``vectorize`` returns one image's windows as a (64, H/8, W/8) map.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .masks import (LOW_RESOLUTION, QUARTER, SENSOR_KINDS, THREE_QUARTER, SamplingMask,
                     expand_mask)
@@ -164,14 +167,10 @@ def _windows(m: np.ndarray) -> np.ndarray:
     Windows step 4 cells; row b*(H/8)*(W/8) + i*(W/8) + j is the window
     over target block (i, j) of image b.
     """
-    b, ch, cw = m.shape
-    oh, ow = ch // HALF, cw // HALF
     p = PAD_CELLS
-    blocks = np.pad(m, ((0, 0), (p, p), (p, p))).reshape(b, oh + 1, HALF, ow + 1, HALF)
-    out = np.empty((b, oh, ow, 2, HALF, 2, HALF), dtype=m.dtype)
-    for a, c in HALVES:
-        out[:, :, :, a, :, c] = blocks[:, a : a + oh, :, c : c + ow].transpose(0, 1, 3, 2, 4)
-    return out.reshape(b * oh * ow, VEC_CHANNELS)
+    padded = np.pad(m, ((0, 0), (p, p), (p, p)))
+    windows = sliding_window_view(padded, (SUPPORT_CELLS, SUPPORT_CELLS), axis=(1, 2))
+    return windows[:, ::HALF, ::HALF].reshape(-1, VEC_CHANNELS)
 
 
 def vectorize(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -216,7 +215,7 @@ def vectorize_tensor(x: Tensor, tile: np.ndarray) -> Tensor:
         p = PAD_CELLS
         dm = dblocks.reshape(b, HALF * (oh + 1), HALF * (ow + 1))[:, p:-p, p:-p]
         dx = np.where(_cells(tile, h, w), dm[:, :, None, :, None], dtype.type(0))
-        x.accumulate_grad(dx.reshape(b, 1, h, w))
+        x.accumulate_grad(dx.reshape(b, 1, h, w), fresh=True)
 
     return _result(out, (x,), bw)
 

@@ -86,13 +86,22 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` into ``grad``; the first gradient is copied unless ``fresh``.
+
+        ``fresh`` promises that the caller allocated ``g`` for this one
+        tensor and keeps no other use of it, so ``grad`` may take it over
+        as it is when its dtype matches. A gradient passed through from
+        another node, or a caller's seed, is never fresh: two tensors must
+        never share a ``grad`` buffer, since each accumulates into its own.
+        """
         if g.shape != self.data.shape:
             raise ShapeMismatchError(
                 f"gradient shape {g.shape} does not match value shape {self.data.shape}"
             )
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            fresh = fresh and g.dtype == self.data.dtype
+            self.grad = g if fresh else g.astype(self.data.dtype, copy=True)
         else:
             self.grad += g
 
@@ -107,8 +116,6 @@ class Tensor:
         gradients are freed layer by layer during the sweep. A second
         backward() through a consumed node raises RuntimeError.
         """
-        if seed is None:
-            seed = np.ones_like(self.data)
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -124,7 +131,10 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.accumulate_grad(np.asarray(seed, dtype=self.data.dtype))
+        if seed is None:
+            self.accumulate_grad(np.ones_like(self.data), fresh=True)
+        else:
+            self.accumulate_grad(np.asarray(seed, dtype=self.data.dtype))
         while topo:
             node = topo.pop()
             if node._backward is None:
@@ -295,7 +305,7 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
         need_w = weights.requires_grad
         need_x = x.requires_grad
         if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            bias.accumulate_grad(g.sum(axis=(0, 2, 3)), fresh=True)
         if not (need_w or need_x):
             return
         gtype = np.result_type(g, weights.data, xd)
@@ -319,9 +329,9 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
                     dw[i] += gc @ xband[:, off : off + m].T
         if need_w:
             weights.accumulate_grad(
-                np.ascontiguousarray(dw.reshape(k, k, o, c).transpose(2, 3, 0, 1)))
+                np.ascontiguousarray(dw.reshape(k, k, o, c).transpose(2, 3, 0, 1)), fresh=True)
         if need_x:
-            x.accumulate_grad(dx)
+            x.accumulate_grad(dx, fresh=True)
 
     parents = (x, weights) if bias is None else (x, weights, bias)
     return _result(out, parents, bw)
@@ -353,9 +363,9 @@ def deconv2d(x: Tensor, weights: Tensor, batch: int, height: int, width: int) ->
         g_blocks = g.reshape(batch, o, height, kh, width, kw).transpose(0, 2, 4, 1, 3, 5).reshape(
             -1, o * kh * kw)
         if weights.requires_grad:
-            weights.accumulate_grad((x.data.T @ g_blocks).reshape(weights.shape))
+            weights.accumulate_grad((x.data.T @ g_blocks).reshape(weights.shape), fresh=True)
         if x.requires_grad:
-            x.accumulate_grad(g_blocks @ wmat.T)
+            x.accumulate_grad(g_blocks @ wmat.T, fresh=True)
 
     return _result(out, (x, weights), bw)
 
@@ -383,11 +393,11 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
     def bw(g: np.ndarray):
         if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=0))
+            bias.accumulate_grad(g.sum(axis=0), fresh=True)
         if weights.requires_grad:
-            weights.accumulate_grad((g.T @ x.data).reshape(weights.shape))
+            weights.accumulate_grad((g.T @ x.data).reshape(weights.shape), fresh=True)
         if x.requires_grad:
-            x.accumulate_grad(g @ wmat)
+            x.accumulate_grad(g @ wmat, fresh=True)
 
     return _result(out, (x, weights, bias), bw)
 
@@ -415,14 +425,16 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
         if slopes.requires_grad:
             n, c = x.shape[:2]
             slopes.accumulate_grad(
-                np.einsum("ncl,ncl->c", g.reshape(n, c, -1), buf.reshape(n, c, -1)))
+                np.einsum("ncl,ncl->c", g.reshape(n, c, -1), buf.reshape(n, c, -1)), fresh=True)
         if x.requires_grad:
-            # slope map: a where x < 0 (a*1), else 1 (a*0 + 1); exact, no per-element branch
+            # slope map: a where x < 0 (a*1), else 1 (a*0 + 1); exact, no per-element
+            # branch. The one boolean temporary is inverted in place; a masked
+            # multiply (where=) would save it too but runs several times slower
             neg = buf < 0
             np.multiply(neg, a, out=buf)
-            buf += ~neg
+            buf += np.logical_not(neg, out=neg)
             buf *= g
-            x.accumulate_grad(buf)
+            x.accumulate_grad(buf, fresh=True)
 
     return _result(out, (x, slopes), bw)
 
@@ -455,7 +467,7 @@ def take_channels(x: Tensor, indices) -> Tensor:
         if x.requires_grad:
             dx = np.zeros_like(x.data)
             np.add.at(dx, (slice(None), idx), g)
-            x.accumulate_grad(dx)
+            x.accumulate_grad(dx, fresh=True)
 
     return _result(out, (x,), bw)
 
@@ -482,7 +494,7 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
     def bw(g: np.ndarray):
         if x.requires_grad:
-            x.accumulate_grad(g * f)
+            x.accumulate_grad(g * f, fresh=True)
 
     return _result(out, (x,), bw)
 
@@ -498,7 +510,7 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(g)
         if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            bias.accumulate_grad(g.sum(axis=(0, 2, 3)), fresh=True)
 
     return _result(out, (x, bias), bw)
 
@@ -514,8 +526,8 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     def bw(g: np.ndarray):
         go = g.reshape(()) * 2.0 / n
         if pred.requires_grad:
-            pred.accumulate_grad(go * diff)
+            pred.accumulate_grad(go * diff, fresh=True)
         if target.requires_grad:
-            target.accumulate_grad(-go * diff)
+            target.accumulate_grad(-go * diff, fresh=True)
 
     return _result(out, (pred, target), bw)

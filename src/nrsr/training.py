@@ -18,6 +18,9 @@ phase (0, 0).
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import os
 import warnings
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
@@ -254,6 +257,40 @@ def read_log_csv(path: str | Path) -> list[LogRow]:
         raise ConfigError(f"{path}: malformed training log ({exc})") from exc
 
 
+# glibc's mallopt parameters (malloc.h) and the values training runs with
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD = 1 << 30
+MMAP_THRESHOLD = 32 << 20   # the largest older glibc accepts: HEAP_MAX_SIZE / 2 on 64-bit
+
+
+@functools.cache
+def keep_freed_memory() -> bool:
+    """Let glibc keep freed heap memory for the rest of the process; True if it now does.
+
+    Each training step frees its whole graph. By default glibc serves
+    large buffers with mmap and trims the freed heap top back to the OS,
+    so the next step page-faults the same memory in again. Raising both
+    thresholds keeps that memory in the heap. Both are needed: setting
+    the trim threshold turns off glibc's dynamic mmap threshold, so
+    alone it sends every large buffer to mmap. The call does nothing
+    when the user set a ``MALLOC_*_`` variable or a ``glibc.malloc.``
+    tunable, whose settings win, or when libc has no ``mallopt``, and it
+    never raises.
+    """
+    if (any(k.startswith("MALLOC_") and k.endswith("_") for k in os.environ)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # not a POSIX libc, or not glibc
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 1 on success; no trim threshold without the mmap one
+    return (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+            and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1)
+
+
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -268,10 +305,12 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
     ``loss_fn`` maps a batch of reference patches to the scalar loss
     Tensor. Every model in ``models`` (keyed like ``save_checkpoint``'s
     arguments) goes into the per-epoch ``<phase>-epochNNNN.nrsr``
-    checkpoint, together with the Adam state.
+    checkpoint, together with the Adam state. Every phase calls
+    ``keep_freed_memory``, which tunes the allocator once per process.
     """
     if len(patch_set) == 0:
         raise ConfigError("empty patch set")
+    keep_freed_memory()
     params = models[phase].named_parameters()
     state = state or AdamState.for_params(params)
     if checkpoint_dir is not None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nrsr.optim import AdamState, adam_step
-from nrsr.tensor import Tensor, mse_loss, scale
+from nrsr.tensor import Tensor, add, mse_loss, prelu, scale
 from nrsr.vdsr import build_vdsr
 
 
@@ -97,13 +97,51 @@ def test_only_nodes_that_require_grad_have_edges():
     assert frozen._parents == () and not frozen.requires_grad
 
 
+class TestGradBuffers:
+    def leaves(self, n=2):
+        rng = np.random.default_rng(3)
+        return [Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True)
+                for _ in range(n)]
+
+    def test_add_gives_each_leaf_its_own_buffer(self):
+        a, b = self.leaves()
+        add(a, b).backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1  # one leaf's accumulation must not reach the other
+        assert np.array_equal(b.grad, np.ones((2, 3), np.float32))
+
+    def test_add_of_a_leaf_to_itself_counts_twice(self):
+        (a,) = self.leaves(1)
+        add(a, a).backward()
+        assert np.array_equal(a.grad, np.full((2, 3), 2, np.float32))
+
+    @pytest.mark.parametrize("through_add", [False, True])
+    def test_a_passed_seed_is_never_aliased(self, through_add):
+        a, b = self.leaves()
+        seed = np.full((2, 3), 3, np.float32)
+        (add(a, b) if through_add else a).backward(seed)
+        for leaf in (a, b) if through_add else (a,):
+            assert not np.shares_memory(leaf.grad, seed)
+            assert np.array_equal(leaf.grad, seed)
+        seed[:] = 0
+        assert np.all(a.grad == 3)
+
+    def test_a_fresh_gradient_of_another_dtype_is_cast(self):
+        (a,) = self.leaves(1)
+        slopes = Tensor(np.full(3, 0.25), requires_grad=True)  # float64: the gradient is float64
+        prelu(a, slopes).backward()
+        assert a.grad.dtype == np.float32 and slopes.grad.dtype == np.float64
+
+
 def test_vdsr_train_step_peak_memory_bounded():
     # one 64-channel float32 activation at batch 2 x 24x24 is 288 KiB. A
     # full-depth step measured ~118 of them while backward kept every
     # interior gradient and conv2d a padded copy of its input, and ~51 once
     # the sweep frees the graph as it goes (the forward graph's two
     # activations per layer, parameters, gradients and Adam temporaries),
-    # and ~44 once conv2d's backward stopped building 9x patch-matrix bands
+    # ~44 once conv2d's backward stopped building 9x patch-matrix bands, and
+    # 42.5 once gradients are adopted, not copied, and PReLU's backward keeps
+    # one boolean temporary
     vdsr = build_vdsr(seed=5)
     params = vdsr.named_parameters()
     state = AdamState.for_params(params)
@@ -121,4 +159,4 @@ def test_vdsr_train_step_peak_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2 * 64 * 24 * 24 * 4
+    assert peak < 48 * 2 * 64 * 24 * 24 * 4

@@ -161,6 +161,18 @@ class TestSampleCommand:
         assert res.returncode == 2
         assert "--mask is required" in res.stderr
 
+    @pytest.mark.parametrize("header, message", [
+        (b"P5\n4", "truncated header"),
+        (b"P5\nx4 4\n255\n" + bytes(16), "bad header token b'x4'"),
+    ])
+    def test_bad_header_exits_2_naming_the_file(self, tmp_path, header, message):
+        image = tmp_path / "bad.pgm"
+        image.write_bytes(header)
+        res = run_cli("sample", "--sensor", "low-resolution", "--in", image,
+                      "--out", tmp_path / "x")
+        assert res.returncode == 2
+        assert res.stderr == f"error: {image}: {message}\n"
+
 
 @pytest.fixture(scope="module")
 def trained(workdir):

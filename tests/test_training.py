@@ -1,11 +1,19 @@
 """Patch pipeline, schedule, and the two-phase training loop."""
 
+import ctypes
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import synth_image
+from nrsr import training
 from nrsr.checkpoint import load_checkpoint
 from nrsr.lfcr import build_lfcr, lfcr_forward
 from nrsr.masks import generate_mask
@@ -365,3 +373,100 @@ def test_log_csv_format(tmp_path):
     assert int(epoch) == 1 and int(step) == 1
     assert float(lr) == res.rows[0].lr
     assert float(loss) == res.rows[0].loss
+
+
+class FakeMallopt:
+    """Stands in for libc's ``mallopt``: records its calls and answers ``answer``."""
+
+    def __init__(self, answer: int = 1):
+        self.calls = []
+        self.answer = answer
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.answer
+
+
+class TestKeepFreedMemory:
+    @pytest.fixture
+    def tune(self, monkeypatch):
+        """``keep_freed_memory`` uncached, with no malloc settings in the environment."""
+        for key in list(os.environ):
+            if key.startswith("MALLOC_") or key == "GLIBC_TUNABLES":
+                monkeypatch.delenv(key)
+        training.keep_freed_memory.cache_clear()
+        yield training.keep_freed_memory
+        training.keep_freed_memory.cache_clear()
+
+    def use_libc(self, monkeypatch, libc) -> None:
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+
+    def use_mallopt(self, monkeypatch, answer: int = 1) -> FakeMallopt:
+        mallopt = FakeMallopt(answer)
+        self.use_libc(monkeypatch, types.SimpleNamespace(mallopt=mallopt))
+        return mallopt
+
+    def test_sets_the_mmap_then_the_trim_threshold(self, tune, monkeypatch):
+        mallopt = self.use_mallopt(monkeypatch)
+        assert tune() is True
+        assert mallopt.calls == [(training.M_MMAP_THRESHOLD, 32 << 20),
+                                 (training.M_TRIM_THRESHOLD, 1 << 30)]
+
+    def test_no_trim_threshold_when_mallopt_refuses_the_mmap_one(self, tune, monkeypatch):
+        mallopt = self.use_mallopt(monkeypatch, answer=0)
+        assert tune() is False
+        assert mallopt.calls == [(training.M_MMAP_THRESHOLD, 32 << 20)]
+
+    @pytest.mark.parametrize("key, value", [
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("MALLOC_TOP_PAD_", "0"),
+        ("GLIBC_TUNABLES", "glibc.malloc.mmap_threshold=65536"),
+    ])
+    def test_user_settings_win(self, tune, monkeypatch, key, value):
+        mallopt = self.use_mallopt(monkeypatch)
+        monkeypatch.setenv(key, value)
+        assert tune() is False
+        assert mallopt.calls == []
+
+    def test_other_tunables_do_not_stop_it(self, tune, monkeypatch):
+        self.use_mallopt(monkeypatch)
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.nns=2")
+        assert tune() is True
+
+    def test_silent_without_mallopt(self, tune, monkeypatch):
+        self.use_libc(monkeypatch, object())  # a libc without the symbol, as off glibc
+        assert tune() is False
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt tuning is glibc-only")
+    def test_batch_64_lfcr_steps_stop_page_faulting(self):
+        # per-step minor faults of train_lfcr, counted between consecutive Adam steps
+        script = """if True:
+            import resource
+            import numpy as np
+            from nrsr import training
+            from nrsr.lfcr import build_lfcr
+            from nrsr.masks import generate_mask
+
+            faults = []
+            adam_step = training.adam_step
+
+            def counted(*args):
+                adam_step(*args)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+            training.adam_step = counted
+            patches = np.random.default_rng(0).uniform(0, 255, (64, 48, 48)).astype(np.float32)
+            model = build_lfcr(generate_mask("three-quarter", 1), "three-quarter", seed=1)
+            config = training.TrainConfig(epochs=8, batch_size=64, seed=1)
+            training.train_lfcr(model, training.PatchSet(patches=patches), config)
+            print(int(np.median(np.diff(faults)[1:])))  # steps 3..8
+        """
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(training.__file__).parents[1]),
+                                               env.get("PYTHONPATH", "")]))
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout) < 1000
