@@ -167,6 +167,15 @@ def run_standard_checks(seed: int = 0) -> dict[str, float]:
     results["linear"] = grad_check(
         lambda ts: linear(ts[0], ts[1], ts[2]), leaves, rng=np.random.default_rng(seed))
 
+    # the VDSR's fused op: PReLU applied inside the conv; inputs kept away from the kink
+    x = rng.standard_normal((1, 2, 4, 4))
+    x = np.where(np.abs(x) < 0.1, 0.5, x)
+    leaves = [x, rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3),
+              rng.uniform(0.1, 0.5, size=2)]
+    results["conv2d_prelu"] = grad_check(
+        lambda ts: conv2d(ts[0], ts[1], ts[2], spec, slopes=ts[3]), leaves,
+        rng=np.random.default_rng(seed))
+
     fn, leaves, samples = lfcr_case(seed)
     results["lfcr_16x16"] = grad_check(fn, leaves, max_checks_per_leaf=samples,
                                        rng=np.random.default_rng(seed))

@@ -16,9 +16,11 @@ conv2d covers the one geometry the VDSR runs: a square odd kernel,
 stride 1 and same zero padding. It works on one band of whole rows of
 one sample at a time, copied with its halo into a small zero-bordered
 buffer in which every kernel tap is a column slice, so a band's output
-is one GEMM per tap, summed. Its backward pass rebuilds the bands from
-the input, so a graph holds, per convolution, only the input it already
-shares with the op that produced it.
+is one GEMM per tap, summed. Given PReLU slopes, it convolves the
+PReLU of its input, applied band by band as the band is copied, so the
+VDSR never holds a PReLU'd map. Its backward pass rebuilds the bands
+from the input, so a graph holds, per convolution, only the input it
+already shares with the op that produced it: one activation per layer.
 
 Tensor.backward consumes the graph it sweeps: each interior node drops
 its gradient and its links to its inputs once its own backward has run,
@@ -217,12 +219,14 @@ def _require_channels(t: Tensor, name: str) -> None:
 BAND_PIXELS = 4096
 
 
-def _bands(a: np.ndarray, rows: int, p: int, dtype):
+def _bands(a: np.ndarray, rows: int, p: int, dtype, fill=np.copyto):
     """Yield (n, r0, nr, band) for each band of ``rows`` rows of each sample of ``a``.
 
     ``band`` is a (C, L) view of one reused buffer: padded row i (input
     row r0 - p + i) at columns i*(W+2p) onward, the image from offset p
     and zeros around it, then at least 2p zero guard columns.
+    ``fill(dst, src)`` writes the band's input rows ``src``, its halo
+    included, into their place ``dst`` in the buffer; by default a copy.
     """
     b, c, h, w = a.shape
     wp = w + 2 * p
@@ -234,7 +238,7 @@ def _bands(a: np.ndarray, rows: int, p: int, dtype):
             lo, hi = r0 - p, r0 + nr + p  # input rows of the band, halo included
             s0, s1 = max(lo, 0), min(hi, h)
             buf[:, : s0 - lo] = 0
-            np.copyto(buf[:, s0 - lo : s1 - lo, p : p + w], a[n, :, s0:s1])
+            fill(buf[:, s0 - lo : s1 - lo, p : p + w], a[n, :, s0:s1])
             buf[:, s1 - lo : nr + 2 * p + 1] = 0  # halo below the image and the guard row
             yield n, r0, nr, flat[:, : (nr + 2 * p) * wp + 2 * p]
 
@@ -251,23 +255,30 @@ def _tap_sum(taps: np.ndarray, band: np.ndarray, m: int, offsets: list[int],
     return y
 
 
-def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
+def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec,
+           slopes: Tensor | None = None) -> Tensor:
     """Stride-1 2-D cross-correlation of a square odd kernel with same zero padding.
 
     ``weights`` is (out_channels, in_channels, k, k) and ``spec`` must
     have stride 1 and pad p = (k-1)//2, so the output is as large as the
     input; any other geometry raises UnsupportedConfigError.
-    Differentiable with respect to input, weights and bias.
+    With ``slopes`` (in_channels,) set, the op convolves
+    ``prelu(x, slopes)`` without ever holding it whole.
+    Differentiable with respect to input, weights, bias and slopes.
 
     Each band of whole rows of one sample (about ``BAND_PIXELS``
     positions) is copied with its halo into a zero-bordered buffer of
     W+2p wide rows, where tap (u, v) is the column slice at offset
     u*(W+2p) + v: the band's output is sum_t W_t @ slice_t, with each
-    row's 2p padding columns cropped away. The input gradient is the same
-    routine on the output gradient g, with the kernel flipped and
-    transposed; the weight gradient is dW_t += g_band @ slice_tᵀ, where
-    g_band, the band of g, is zero in the padding columns. The graph
-    keeps nothing but the input itself.
+    row's 2p padding columns cropped away. With slopes, PReLU is applied
+    as the band is copied, by prelu's own arithmetic. The input gradient
+    is the same routine on the output gradient g, with the kernel flipped
+    and transposed; the weight gradient is dW_t += g_band @ slice_tᵀ,
+    where g_band, the band of g, is zero in the padding columns. With
+    slopes, backward rebuilds each PReLU'd band from the band's slope map
+    (slope where x < 0, else 1), which also turns the band's gradient dz
+    into dx; the slope gradient sums dz * min(x, 0). The graph keeps
+    nothing but the input itself.
     """
     _require_4d(x, "input")
     _require_4d(weights, "weights")
@@ -278,6 +289,8 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
         raise ShapeMismatchError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
     if bias is not None and bias.shape != (spec.out_channels,):
         raise ShapeMismatchError(f"bias shape {bias.shape} != ({spec.out_channels},)")
+    if slopes is not None and slopes.shape != (spec.in_channels,):
+        raise ShapeMismatchError(f"slopes shape {slopes.shape} != ({spec.in_channels},)")
     k, p = spec.kernel_h, spec.pad
     if (spec.kernel_w, spec.stride_h, spec.stride_w, k % 2, p) != (k, 1, 1, 1, (k - 1) // 2):
         raise UnsupportedConfigError(
@@ -289,12 +302,26 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
 
     o, wp, xd = spec.out_channels, w + 2 * p, x.data
     rows = min(h, max(1, BAND_PIXELS // wp))  # whole rows per band
+    halo_rows = min(h, rows + 2 * p)  # input rows a band reads
     offsets = [u * wp + v for u in range(k) for v in range(k)]  # of tap (u, v), at u*k + v
     taps = weights.data.transpose(2, 3, 0, 1).reshape(k * k, o, c)
-    dtype = np.result_type(xd, taps)
+    act = () if slopes is None else (slopes.data,)
+    a = None if slopes is None else slopes.data[:, None, None]
+    dtype = np.result_type(xd, taps, *act)
+    fill = np.copyto
+    if slopes is not None:
+        act_scratch = np.empty((2, c, halo_rows, w), dtype=dtype)
+
+        def fill(dst, src):  # prelu's arithmetic, a*min(x, 0) + max(x, 0), then one copy
+            z, pos = act_scratch[:, :, : src.shape[1]]
+            np.minimum(src, 0, out=z)
+            z *= a
+            z += np.maximum(src, 0, out=pos)
+            np.copyto(dst, z)
+
     out = np.empty((b, o, h, w), dtype=dtype)
     acc, tmp = np.empty((2, o * rows * wp), dtype=dtype)
-    for n, r0, nr, band in _bands(xd, rows, p, dtype):
+    for n, r0, nr, band in _bands(xd, rows, p, dtype, fill):
         y = _tap_sum(taps, band, nr * wp, offsets, acc, tmp).reshape(o, nr, wp)[:, :, :w]
         if bias is None:
             np.copyto(out[n, :, r0 : r0 + nr], y)
@@ -304,25 +331,49 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
     def bw(g: np.ndarray):
         need_w = weights.requires_grad
         need_x = x.requires_grad
+        need_a = slopes is not None and slopes.requires_grad
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)), fresh=True)
-        if not (need_w or need_x):
+        if not (need_w or need_x or need_a):
             return
-        gtype = np.result_type(g, weights.data, xd)
+        gtype = np.result_type(g, weights.data, xd, *act)
+        rebuild = np.copyto
+        if slopes is not None:
+            smap = np.empty((c, halo_rows, w), dtype=gtype)
+            neg = np.empty(smap.shape, dtype=bool)
+
+            def rebuild(dst, src):  # the band's slope map, as prelu's backward builds it; x * map
+                s, ng = smap[:, : src.shape[1]], neg[:, : src.shape[1]]
+                np.less(src, 0, out=ng)
+                np.multiply(ng, a, out=s)
+                s += np.logical_not(ng, out=ng)
+                np.multiply(src, s, out=dst)
+
+        if need_w or slopes is not None:
+            xbands = _bands(xd, rows, p, gtype, rebuild)
         if need_w:
             dw = np.zeros((k * k, o, c), dtype=gtype)
-            xbands = _bands(xd, rows, p, gtype)
-        if need_x:
+        if need_x or need_a:
             flipped = weights.data.transpose(2, 3, 1, 0).reshape(k * k, c, o)[::-1]
-            dx = np.empty(xd.shape, dtype=gtype)
             xacc, xtmp = np.empty((2, c * rows * wp), dtype=gtype)
+            dx = np.empty(xd.shape, dtype=gtype)  # dz band by band, then dz * slope map
+        if need_a:
+            da = np.zeros(c, dtype=gtype)
+            mins = np.empty((c, rows, w), dtype=gtype)
         for n, r0, nr, gband in _bands(g, rows, p, gtype):
             m = nr * wp
-            if need_x:
-                y = _tap_sum(flipped, gband, m, offsets, xacc, xtmp)
-                np.copyto(dx[n, :, r0 : r0 + nr], y.reshape(c, nr, wp)[:, :, :w])
-            if need_w:
+            if need_w or slopes is not None:
                 xband = next(xbands)[3]
+            if need_x or need_a:
+                dz = dx[n, :, r0 : r0 + nr]
+                np.copyto(dz, _tap_sum(flipped, gband, m, offsets, xacc, xtmp)
+                          .reshape(c, nr, wp)[:, :, :w])
+                if need_a:
+                    mn = np.minimum(xd[n, :, r0 : r0 + nr], 0, out=mins[:, :nr])
+                    da += np.einsum("chw,chw->c", dz, mn)
+                if slopes is not None:
+                    dz *= smap[:, min(r0, p) : min(r0, p) + nr]  # the band's rows of the map
+            if need_w:
                 centre = offsets[k * k // 2]  # the centre tap's slice is the unpadded band
                 gc = gband[:, centre : centre + m]
                 for i, off in enumerate(offsets):
@@ -332,8 +383,10 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec) -> T
                 np.ascontiguousarray(dw.reshape(k, k, o, c).transpose(2, 3, 0, 1)), fresh=True)
         if need_x:
             x.accumulate_grad(dx, fresh=True)
+        if need_a:
+            slopes.accumulate_grad(da, fresh=True)
 
-    parents = (x, weights) if bias is None else (x, weights, bias)
+    parents = (x, weights, *(t for t in (bias, slopes) if t is not None))
     return _result(out, parents, bw)
 
 

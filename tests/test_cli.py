@@ -540,7 +540,7 @@ class TestGradcheckCommand:
         assert res.returncode == 0, res.stdout + res.stderr
         assert "all gradient checks passed" in res.stdout
         for op in ("conv2d", "deconv2d", "prelu", "concat_channels", "mse_loss", "linear",
-                   "lfcr_16x16", "vdsr_depth4"):
+                   "conv2d_prelu", "lfcr_16x16", "vdsr_depth4"):
             assert op in res.stdout
 
     def test_impossible_tolerance_exits_3(self):

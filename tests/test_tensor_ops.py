@@ -7,7 +7,7 @@ from conftest import conv2d_oracle
 from nrsr import tensor
 from nrsr.gradcheck import grad_check
 from nrsr.tensor import (ConvSpec, ShapeMismatchError, Tensor, UnsupportedConfigError,
-                         concat_channels, conv2d, deconv2d, linear, mse_loss, prelu,
+                         concat_channels, conv2d, deconv2d, linear, mse_loss, no_grad, prelu,
                          take_channels)
 
 
@@ -140,20 +140,22 @@ class TestConv2dBands:
         x = rng.standard_normal((2, 2, 7, 5)).astype(np.float32)
         wt = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
         b = rng.standard_normal(3).astype(np.float32)
+        s = np.array([0.25, -0.5], dtype=np.float32)
         g = rng.standard_normal((2, 3, 7, 5)).astype(np.float32)
         band_rows(monkeypatch, 2, 5, 3)
 
-        def run():
-            leaves = [t(a, grad=True) for a in (x, wt, b)]
-            out = conv2d(*leaves, spec)
+        def run(fused):
+            leaves = [t(a, grad=True) for a in ((x, wt, b, s) if fused else (x, wt, b))]
+            out = conv2d(*leaves[:3], spec, slopes=leaves[3] if fused else None)
             out.backward(g)
             return [out.data] + [leaf.grad for leaf in leaves]
 
-        clean = run()
+        clean = [run(False), run(True)]  # the plain op, then the one with PReLU slopes
         empty = np.empty
         monkeypatch.setattr(np, "empty", lambda *a, **kw: np.full_like(empty(*a, **kw), np.nan))
-        for got, want in zip(run(), clean, strict=True):
-            assert np.array_equal(got, want)
+        for fused, wants in zip((False, True), clean):
+            for got, want in zip(run(fused), wants, strict=True):
+                assert np.array_equal(got, want), fused
 
     def test_backward_keeps_nothing_larger_than_padded_input(self):
         rng = np.random.default_rng(41)
@@ -174,6 +176,67 @@ class TestConv2dBands:
         assert max(held) == input_bytes
         out.backward(np.ones_like(out.data))
         assert wt.grad.flags.c_contiguous and b.grad.shape == (64,)
+
+
+class TestConv2dPrelu:
+    """conv2d(x, ..., slopes=s) is conv2d(prelu(x, s), ...) without the PReLU'd map."""
+
+    SLOPES = [-0.5, 0.0, 0.25, 1.5]  # negative, zero, in (0, 1) and > 1
+
+    def case(self, dtype, seed=53):
+        rng = np.random.default_rng(seed)
+        spec = ConvSpec(3, 3, pad=1, in_channels=4, out_channels=3)
+        return spec, [rng.standard_normal((2, 4, 7, 5)).astype(dtype),
+                      rng.standard_normal((3, 4, 3, 3)).astype(dtype),
+                      rng.standard_normal(3).astype(dtype), np.array(self.SLOPES, dtype=dtype)]
+
+    @staticmethod
+    def grads(spec, arrays, fused, g, grad=(True, True, True, True)):
+        x, wt, b, s = (t(a, grad=r) for a, r in zip(arrays, grad))
+        out = (conv2d(x, wt, b, spec, slopes=s) if fused
+               else conv2d(prelu(x, s), wt, b, spec))
+        out.backward(g)
+        return [leaf.grad for leaf in (x, wt, b, s)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [None, 1, 2])
+    def test_forward_equals_prelu_then_conv(self, monkeypatch, dtype, rows):
+        spec, (x, wt, b, s) = self.case(dtype)
+        if rows is not None:
+            band_rows(monkeypatch, rows, 5, 3)  # 2 rows: three bands, the last a ragged one
+        got = conv2d(t(x), t(wt), t(b), spec, slopes=t(s)).data
+        want = conv2d(prelu(t(x), t(s)), t(wt), t(b), spec).data
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rows", [None, 2])
+    @pytest.mark.parametrize("grad", [(True, True, True, True),
+                                      (True, True, True, False),  # frozen slopes
+                                      (False, False, False, True)])
+    def test_float64_gradients_equal_the_unfused_graph(self, monkeypatch, rows, grad):
+        spec, arrays = self.case(np.float64)
+        if rows is not None:
+            band_rows(monkeypatch, rows, 5, 3)
+        g = np.random.default_rng(5).standard_normal((2, 3, 7, 5))
+        fused = self.grads(spec, arrays, True, g, grad)
+        unfused = self.grads(spec, arrays, False, g, grad)
+        for name, trained, got, want in zip(("x", "weights", "bias", "slopes"), grad, fused,
+                                            unfused):
+            if not trained:
+                assert got is None, name
+                continue
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_no_grad_keeps_nothing(self):
+        spec, arrays = self.case(np.float32)
+        leaves = [t(a, grad=True) for a in arrays]
+        with no_grad():
+            out = conv2d(*leaves[:3], spec, slopes=leaves[3])
+        assert out._parents == () and out._backward is None and not out.requires_grad
+
+    def test_slope_count_validated(self):
+        spec, (x, wt, b, s) = self.case(np.float32)
+        with pytest.raises(ShapeMismatchError, match="slopes shape"):
+            conv2d(t(x), t(wt), t(b), spec, slopes=t(s[:3]))
 
 
 def deconv2d_oracle(rows, w, batch, height, width):
