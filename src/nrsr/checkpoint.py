@@ -25,6 +25,7 @@ it.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,9 +96,8 @@ def read_records(path: str | Path) -> dict[str, np.ndarray]:
         (name_len,) = struct.unpack("<H", take(2))
         name = take(name_len).decode("utf-8")
         (ndim,) = struct.unpack("<B", take(1))
-        dims = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
-        size = int(np.prod(dims)) if ndim else 1
-        arr = np.frombuffer(take(4 * size), dtype="<f4").reshape(dims).copy()
+        dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        arr = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims).copy()
         records[name] = arr
     if off != len(data):
         raise CheckpointError(f"{path}: {len(data) - off} trailing bytes")

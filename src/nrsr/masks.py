@@ -112,7 +112,10 @@ def load_mask(path: str | Path) -> SamplingMask:
     if len(head) != 3:
         raise MaskFormatError(f"{path}: header must be 'NRSMASK <kind> <seed>'")
     _, kind, seed_s = head
-    seed: int | str = int(seed_s) if seed_s.lstrip("-").isdigit() else seed_s
+    try:
+        seed: int | str = int(seed_s)
+    except ValueError:
+        seed = seed_s  # a tag such as "external"
     if len(lines) != 1 + PATTERN_CELLS:
         raise MaskFormatError(f"{path}: expected {PATTERN_CELLS} pattern lines")
     rows = []

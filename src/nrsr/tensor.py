@@ -12,15 +12,16 @@ runs on such maps throughout. No op converts between the two layouts.
 Gradient checking runs the same ops in 64-bit, so every op computes in
 the dtype of its inputs.
 
-conv2d covers the one geometry the VDSR runs: a square odd kernel,
-stride 1 and same zero padding. It works on one band of whole rows of
-one sample at a time, copied with its halo into a small zero-bordered
-buffer in which every kernel tap is a column slice, so a band's output
-is one GEMM per tap, summed. Given PReLU slopes, it convolves the
-PReLU of its input, applied band by band as the band is copied, so the
-VDSR never holds a PReLU'd map. Its backward pass rebuilds the bands
-from the input, so a graph holds, per convolution, only the input it
-already shares with the op that produced it: one activation per layer.
+conv2d is exactly the VDSR layer: the PReLU of its input (slope 1 if no
+slopes are given) convolved by a square odd kernel, stride 1, same zero
+padding, the one geometry ConvSpec can state. It takes one band of
+whole rows of one sample at a time and writes its PReLU, halo included,
+into a small zero-bordered buffer in which every kernel tap is a column
+slice, so a band's output is one GEMM per tap, summed. Its backward
+pass rebuilds the bands from the input, so a graph holds, per
+convolution, only the input it already shares with the op that produced
+it: one activation per layer. prelu and conv2d share PReLU's two
+kernels, _prelu_into and _slope_map.
 
 Tensor.backward consumes the graph it sweeps: each interior node drops
 its gradient and its links to its inputs once its own backward has run,
@@ -180,28 +181,28 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Geometry of a (de)convolution layer; pad is symmetric zero padding."""
+    """conv2d's geometry: a square odd kernel, stride 1 and (k-1)//2 zeros of padding.
+
+    Any other kernel raises UnsupportedConfigError when the spec is built.
+    """
 
     kernel_h: int
     kernel_w: int
-    stride_h: int = 1
-    stride_w: int = 1
-    pad: int = 0
     in_channels: int = 1
     out_channels: int = 1
 
     def __post_init__(self):
-        if self.kernel_h < 1 or self.kernel_w < 1:
-            raise ShapeMismatchError("kernel dims must be >= 1")
-        if self.stride_h < 1 or self.stride_w < 1:
-            raise ShapeMismatchError("strides must be >= 1")
-        if self.pad < 0:
-            raise ShapeMismatchError("pad must be >= 0")
+        k = self.kernel_h
+        if k < 1 or k % 2 == 0 or self.kernel_w != k:
+            raise UnsupportedConfigError(
+                f"conv2d supports a square odd kernel only, got {k}x{self.kernel_w}")
+
+    @property
+    def pad(self) -> int:
+        return (self.kernel_h - 1) // 2
 
     def out_size(self, h: int, w: int) -> tuple[int, int]:
-        oh = (h + 2 * self.pad - self.kernel_h) // self.stride_h + 1
-        ow = (w + 2 * self.pad - self.kernel_w) // self.stride_w + 1
-        return oh, ow
+        return h, w
 
 
 def _require_4d(t: Tensor, name: str) -> None:
@@ -212,6 +213,29 @@ def _require_4d(t: Tensor, name: str) -> None:
 def _require_channels(t: Tensor, name: str) -> None:
     if t.data.ndim < 2:
         raise ShapeMismatchError(f"{name} needs a channel axis 1, got shape {t.data.shape}")
+
+
+def _prelu_into(x: np.ndarray, a: np.ndarray, out: np.ndarray, pos=None) -> np.ndarray:
+    """PReLU of ``x`` into ``out``: a*min(x, 0) + max(x, 0), which is where(x < 0, a*x, x).
+
+    ``pos``, if given, holds max(x, 0), so no temporary is allocated.
+    """
+    np.minimum(x, 0, out=out)
+    out *= a
+    out += np.maximum(x, 0, out=pos)
+    return out
+
+
+def _slope_map(x: np.ndarray, a: np.ndarray, out: np.ndarray, neg=None) -> np.ndarray:
+    """PReLU's derivative by ``x`` into ``out``: a where x < 0 (a*1), else 1 (a*0 + 1).
+
+    The boolean ``neg`` (a temporary if not given) is inverted in place
+    rather than using a masked multiply (where=), which runs several times slower.
+    """
+    neg = np.less(x, 0, out=neg)
+    np.multiply(neg, a, out=out)
+    out += np.logical_not(neg, out=neg)
+    return out
 
 
 # Padded positions per band: a band is as many whole rows of one sample as
@@ -257,100 +281,76 @@ def _tap_sum(taps: np.ndarray, band: np.ndarray, m: int, offsets: list[int],
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec,
            slopes: Tensor | None = None) -> Tensor:
-    """Stride-1 2-D cross-correlation of a square odd kernel with same zero padding.
+    """Stride-1, same-padded 2-D cross-correlation of ``prelu(x, slopes)``.
 
-    ``weights`` is (out_channels, in_channels, k, k) and ``spec`` must
-    have stride 1 and pad p = (k-1)//2, so the output is as large as the
-    input; any other geometry raises UnsupportedConfigError.
-    With ``slopes`` (in_channels,) set, the op convolves
-    ``prelu(x, slopes)`` without ever holding it whole.
-    Differentiable with respect to input, weights, bias and slopes.
+    ``weights`` is (out_channels, in_channels, k, k) for the spec's kernel
+    k, so the output is as large as the input. Without ``slopes``
+    (in_channels,) every slope is 1 and the op convolves ``x`` itself;
+    without ``bias`` it is zero. Differentiable with respect to all four.
 
     Each band of whole rows of one sample (about ``BAND_PIXELS``
-    positions) is copied with its halo into a zero-bordered buffer of
+    positions) is PReLU'd, with its halo, into a zero-bordered buffer of
     W+2p wide rows, where tap (u, v) is the column slice at offset
     u*(W+2p) + v: the band's output is sum_t W_t @ slice_t, with each
-    row's 2p padding columns cropped away. With slopes, PReLU is applied
-    as the band is copied, by prelu's own arithmetic. The input gradient
-    is the same routine on the output gradient g, with the kernel flipped
-    and transposed; the weight gradient is dW_t += g_band @ slice_tᵀ,
-    where g_band, the band of g, is zero in the padding columns. With
-    slopes, backward rebuilds each PReLU'd band from the band's slope map
-    (slope where x < 0, else 1), which also turns the band's gradient dz
-    into dx; the slope gradient sums dz * min(x, 0). The graph keeps
-    nothing but the input itself.
+    row's 2p padding columns cropped away. The same routine on the output
+    gradient g, with the kernel flipped and transposed, gives the band's
+    gradient dz of the PReLU'd input; dW_t += g_band @ slice_tᵀ, where
+    g_band is zero in the padding columns. Backward rebuilds each PReLU'd
+    band as x times its slope map, which also turns dz into dx; the slope
+    gradient sums dz * min(x, 0). The graph keeps only the input itself.
     """
     _require_4d(x, "input")
-    _require_4d(weights, "weights")
-    wshape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
-    if weights.shape != wshape:
-        raise ShapeMismatchError(f"weights shape {weights.shape} != expected {wshape}")
-    if x.shape[1] != spec.in_channels:
-        raise ShapeMismatchError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
-    if bias is not None and bias.shape != (spec.out_channels,):
-        raise ShapeMismatchError(f"bias shape {bias.shape} != ({spec.out_channels},)")
-    if slopes is not None and slopes.shape != (spec.in_channels,):
-        raise ShapeMismatchError(f"slopes shape {slopes.shape} != ({spec.in_channels},)")
-    k, p = spec.kernel_h, spec.pad
-    if (spec.kernel_w, spec.stride_h, spec.stride_w, k % 2, p) != (k, 1, 1, 1, (k - 1) // 2):
-        raise UnsupportedConfigError(
-            f"conv2d supports stride 1, a square odd kernel and pad (k-1)//2 only, got kernel "
-            f"{k}x{spec.kernel_w} stride {spec.stride_h}x{spec.stride_w} pad {p}")
-    b, c, h, w = x.shape
+    k, p, o, c = spec.kernel_h, spec.pad, spec.out_channels, spec.in_channels
+    if weights.shape != (o, c, k, k):
+        raise ShapeMismatchError(f"weights shape {weights.shape} != expected {(o, c, k, k)}")
+    if x.shape[1] != c:
+        raise ShapeMismatchError(f"input has {x.shape[1]} channels, spec expects {c}")
+    if bias is None:
+        bias = Tensor(np.zeros(o, dtype=x.dtype))
+    if slopes is None:
+        slopes = Tensor(np.ones(c, dtype=x.dtype))  # slope 1: the PReLU is the identity
+    if bias.shape != (o,):
+        raise ShapeMismatchError(f"bias shape {bias.shape} != ({o},)")
+    if slopes.shape != (c,):
+        raise ShapeMismatchError(f"slopes shape {slopes.shape} != ({c},)")
+    b, _, h, w = x.shape
     if h < 1 or w < 1:
         raise ShapeMismatchError(f"input has no positions, shape {x.shape}")
 
-    o, wp, xd = spec.out_channels, w + 2 * p, x.data
+    wp, xd = w + 2 * p, x.data
+    a = slopes.data[:, None, None]
     rows = min(h, max(1, BAND_PIXELS // wp))  # whole rows per band
     halo_rows = min(h, rows + 2 * p)  # input rows a band reads
     offsets = [u * wp + v for u in range(k) for v in range(k)]  # of tap (u, v), at u*k + v
     taps = weights.data.transpose(2, 3, 0, 1).reshape(k * k, o, c)
-    act = () if slopes is None else (slopes.data,)
-    a = None if slopes is None else slopes.data[:, None, None]
-    dtype = np.result_type(xd, taps, *act)
-    fill = np.copyto
-    if slopes is not None:
-        act_scratch = np.empty((2, c, halo_rows, w), dtype=dtype)
+    dtype = np.result_type(xd, taps, a)
+    scratch = np.empty((2, c, halo_rows, w), dtype=dtype)
 
-        def fill(dst, src):  # prelu's arithmetic, a*min(x, 0) + max(x, 0), then one copy
-            z, pos = act_scratch[:, :, : src.shape[1]]
-            np.minimum(src, 0, out=z)
-            z *= a
-            z += np.maximum(src, 0, out=pos)
-            np.copyto(dst, z)
+    def fill(dst, src):  # the band's PReLU, then one copy into the strided buffer
+        z, pos = scratch[:, :, : src.shape[1]]
+        np.copyto(dst, _prelu_into(src, a, z, pos))
 
     out = np.empty((b, o, h, w), dtype=dtype)
     acc, tmp = np.empty((2, o * rows * wp), dtype=dtype)
     for n, r0, nr, band in _bands(xd, rows, p, dtype, fill):
         y = _tap_sum(taps, band, nr * wp, offsets, acc, tmp).reshape(o, nr, wp)[:, :, :w]
-        if bias is None:
-            np.copyto(out[n, :, r0 : r0 + nr], y)
-        else:
-            np.add(y, bias.data[:, None, None], out=out[n, :, r0 : r0 + nr])
+        np.add(y, bias.data[:, None, None], out=out[n, :, r0 : r0 + nr])
 
     def bw(g: np.ndarray):
-        need_w = weights.requires_grad
-        need_x = x.requires_grad
-        need_a = slopes is not None and slopes.requires_grad
-        if bias is not None and bias.requires_grad:
+        need_w, need_x, need_a = weights.requires_grad, x.requires_grad, slopes.requires_grad
+        if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)), fresh=True)
         if not (need_w or need_x or need_a):
             return
-        gtype = np.result_type(g, weights.data, xd, *act)
-        rebuild = np.copyto
-        if slopes is not None:
-            smap = np.empty((c, halo_rows, w), dtype=gtype)
-            neg = np.empty(smap.shape, dtype=bool)
+        gtype = np.result_type(g, weights.data, xd, a)
+        smap = np.empty((c, halo_rows, w), dtype=gtype)
+        neg = np.empty(smap.shape, dtype=bool)
 
-            def rebuild(dst, src):  # the band's slope map, as prelu's backward builds it; x * map
-                s, ng = smap[:, : src.shape[1]], neg[:, : src.shape[1]]
-                np.less(src, 0, out=ng)
-                np.multiply(ng, a, out=s)
-                s += np.logical_not(ng, out=ng)
-                np.multiply(src, s, out=dst)
+        def rebuild(dst, src):  # the band's slope map; x * map is the PReLU'd band
+            s = _slope_map(src, a, smap[:, : src.shape[1]], neg[:, : src.shape[1]])
+            np.multiply(src, s, out=dst)
 
-        if need_w or slopes is not None:
-            xbands = _bands(xd, rows, p, gtype, rebuild)
+        xbands = _bands(xd, rows, p, gtype, rebuild)
         if need_w:
             dw = np.zeros((k * k, o, c), dtype=gtype)
         if need_x or need_a:
@@ -362,8 +362,7 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec,
             mins = np.empty((c, rows, w), dtype=gtype)
         for n, r0, nr, gband in _bands(g, rows, p, gtype):
             m = nr * wp
-            if need_w or slopes is not None:
-                xband = next(xbands)[3]
+            xband = next(xbands)[3]
             if need_x or need_a:
                 dz = dx[n, :, r0 : r0 + nr]
                 np.copyto(dz, _tap_sum(flipped, gband, m, offsets, xacc, xtmp)
@@ -371,8 +370,7 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec,
                 if need_a:
                     mn = np.minimum(xd[n, :, r0 : r0 + nr], 0, out=mins[:, :nr])
                     da += np.einsum("chw,chw->c", dz, mn)
-                if slopes is not None:
-                    dz *= smap[:, min(r0, p) : min(r0, p) + nr]  # the band's rows of the map
+                dz *= smap[:, min(r0, p) : min(r0, p) + nr]  # the band's rows of the map
             if need_w:
                 centre = offsets[k * k // 2]  # the centre tap's slice is the unpadded band
                 gc = gband[:, centre : centre + m]
@@ -386,8 +384,7 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec,
         if need_a:
             slopes.accumulate_grad(da, fresh=True)
 
-    parents = (x, weights, *(t for t in (bias, slopes) if t is not None))
-    return _result(out, parents, bw)
+    return _result(out, (x, weights, bias, slopes), bw)
 
 
 def deconv2d(x: Tensor, weights: Tensor, batch: int, height: int, width: int) -> Tensor:
@@ -459,7 +456,8 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     """PReLU with one trainable slope per channel; channels are axis 1.
 
     out = in where in >= 0, else slope[c] * in. Serves (N, C) rows and
-    (B, C, H, W) maps alike.
+    (B, C, H, W) maps alike. Forward and backward run the same
+    _prelu_into and _slope_map kernels conv2d runs band by band.
     """
     _require_channels(x, "input")
     if slopes.data.ndim != 1 or slopes.shape[0] != x.shape[1]:
@@ -467,10 +465,7 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
             f"slopes shape {slopes.shape} must be ({x.shape[1]},) for {x.shape[1]} channels"
         )
     a = slopes.data.reshape((-1,) + (1,) * (x.data.ndim - 2))
-    # a*min(x,0) + max(x,0) equals where(x < 0, a*x, x) elementwise
-    out = np.minimum(x.data, 0, dtype=np.result_type(x.data, a))
-    out *= a
-    out += np.maximum(x.data, 0)
+    out = _prelu_into(x.data, a, np.empty(x.shape, dtype=np.result_type(x.data, a)))
 
     def bw(g: np.ndarray):
         # one full-size buffer: min(x, 0) for the slope gradient, then the input gradient
@@ -480,12 +475,7 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
             slopes.accumulate_grad(
                 np.einsum("ncl,ncl->c", g.reshape(n, c, -1), buf.reshape(n, c, -1)), fresh=True)
         if x.requires_grad:
-            # slope map: a where x < 0 (a*1), else 1 (a*0 + 1); exact, no per-element
-            # branch. The one boolean temporary is inverted in place; a masked
-            # multiply (where=) would save it too but runs several times slower
-            neg = buf < 0
-            np.multiply(neg, a, out=buf)
-            buf += np.logical_not(neg, out=neg)
+            buf = _slope_map(x.data, a, buf)
             buf *= g
             x.accumulate_grad(buf, fresh=True)
 

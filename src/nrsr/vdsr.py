@@ -55,7 +55,7 @@ class ConvLayer:
     @property
     def spec(self) -> ConvSpec:
         o, i, kh, kw = self.weights.shape
-        return ConvSpec(kernel_h=kh, kernel_w=kw, pad=(kh - 1) // 2, in_channels=i, out_channels=o)
+        return ConvSpec(kh, kw, in_channels=i, out_channels=o)
 
 
 @dataclass

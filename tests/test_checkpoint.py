@@ -1,5 +1,8 @@
 """NRSR1 checkpoint container round trips."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,16 @@ def test_truncation_rejected(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(CheckpointError, match="truncated"):
+        read_records(path)
+
+
+def test_huge_dims_read_as_truncated_not_wrapped(tmp_path):
+    # 2**31 * 2**31 * 4 entries wrap to 0 in int64; the reader must ask for them all
+    path = tmp_path / "huge.nrsr"
+    name = b"vdsr/conv01/weights"
+    path.write_bytes(MAGIC + struct.pack("<IH", 1, len(name)) + name
+                     + struct.pack("<B3I", 3, 2**31, 2**31, 4) + b"\x00" * 16)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: truncated checkpoint$"):
         read_records(path)
 
 

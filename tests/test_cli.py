@@ -174,14 +174,18 @@ class TestSampleCommand:
         assert res.stderr == f"error: {image}: {message}\n"
 
 
+def train_both_phases(workdir, out):
+    """One fast full training run (both phases, 1 epoch, no augmentation) into ``out``."""
+    return run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                   "--data", workdir / "data", "--out", out,
+                   "--epochs", "1", "--shift-da", "1", "--no-flips", "--seed", "5",
+                   "--threads", "1")
+
+
 @pytest.fixture(scope="module")
 def trained(workdir):
-    """One fast full training run (both phases, 1 epoch, no augmentation)."""
     out = workdir / "run"
-    res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
-                  "--data", workdir / "data", "--out", out,
-                  "--epochs", "1", "--shift-da", "1", "--no-flips", "--seed", "5",
-                  "--threads", "1")
+    res = train_both_phases(workdir, out)
     assert res.returncode == 0, res.stderr
     return out, res.stdout
 
@@ -197,6 +201,19 @@ class TestTrainCommand:
         assert lfcr_log[0] == "epoch,step,lr,loss"
         assert len(lfcr_log) == 2  # 2 patches, batch 64 -> 1 step
         assert "training samples: 2 " in stdout
+
+    def test_rerun_writes_byte_identical_files(self, workdir, trained, tmp_path):
+        # both phases, not just the phase-1 loss log, repeat bit for bit under --threads 1
+        first, again = trained[0], tmp_path / "again"
+        res = train_both_phases(workdir, again)
+        assert res.returncode == 0, res.stderr
+        files = sorted(str(p.relative_to(first)) for p in first.rglob("*") if p.is_file())
+        assert files == sorted(str(p.relative_to(again)) for p in again.rglob("*") if p.is_file())
+        assert files == ["checkpoints/lfcr-epoch0001.nrsr", "checkpoints/vdsr-epoch0001.nrsr",
+                         "final.nrsr", "lfcr_train_log.csv", "train_config.txt",
+                         "vdsr_train_log.csv"]
+        for name in files:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_shift_da_multiplies_sample_count(self, workdir, tmp_path):
         res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
@@ -546,6 +563,16 @@ class TestGradcheckCommand:
     def test_impossible_tolerance_exits_3(self):
         res = run_cli("gradcheck", "--seed", "0", "--tolerance", "1e-30")
         assert res.returncode == 3
+
+    def test_nan_result_fails_and_exits_3(self, monkeypatch, capsys):
+        from nrsr import cli, gradcheck
+
+        monkeypatch.delenv("NRSR_THREADS", raising=False)
+        monkeypatch.setattr(gradcheck, "run_standard_checks",
+                            lambda seed: {"conv2d": float("nan"), "linear": 1e-9})
+        assert cli.main(["gradcheck"]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "all gradient checks passed" not in out
 
     def test_negative_seed_exits_2_naming_it(self):
         res = run_cli("gradcheck", "--seed", "-1")

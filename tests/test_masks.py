@@ -99,6 +99,17 @@ def test_external_mask_seed_tag(tmp_path):
     assert loaded.seed == "external"
 
 
+@pytest.mark.parametrize("token", ["--5", "5²"])
+def test_seed_that_is_no_integer_is_kept_as_a_tag(tmp_path, token):
+    mask = generate_mask("quarter", 3)
+    path = tmp_path / "m.nrsmask"
+    lines = [f"NRSMASK quarter {token}"] + ["".join(str(d) for d in row) for row in mask.pattern]
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_mask(path)
+    assert loaded.seed == token
+    assert np.array_equal(loaded.pattern, mask.pattern)
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda lines: ["BOGUS quarter 0"] + lines[1:], "header"),
     (lambda lines: lines[:5], "pattern lines"),

@@ -26,7 +26,7 @@ class TestConv2d:
         # each output counts the input positions its 3x3 window covers
         x = np.ones((1, 1, 3, 3), dtype=np.float32)
         w = np.ones((1, 1, 3, 3), dtype=np.float32)
-        out = conv2d(t(x), t(w), None, ConvSpec(3, 3, pad=1))
+        out = conv2d(t(x), t(w), None, ConvSpec(3, 3))
         assert out.shape == (1, 1, 3, 3)
         assert np.array_equal(out.data[0, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
@@ -36,7 +36,7 @@ class TestConv2d:
         w = np.zeros((3, 3, 3, 3), dtype=np.float32)
         for c in range(3):
             w[c, c, 1, 1] = 1.0
-        spec = ConvSpec(3, 3, pad=1, in_channels=3, out_channels=3)
+        spec = ConvSpec(3, 3, in_channels=3, out_channels=3)
         out = conv2d(t(x), t(w), None, spec)
         assert np.array_equal(out.data, x)
 
@@ -49,14 +49,14 @@ class TestConv2d:
             x = rng.standard_normal((2, cin, h, w))
             wt = rng.standard_normal((cout, cin, 3, 3))
             b = rng.standard_normal(cout)
-            spec = ConvSpec(3, 3, pad=1, in_channels=cin, out_channels=cout)
+            spec = ConvSpec(3, 3, in_channels=cin, out_channels=cout)
             got = conv2d(t(x), t(wt), t(b), spec).data
             want = conv2d_oracle(x, wt, b, (1, 1), 1)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        spec = ConvSpec(3, 3, pad=1, in_channels=2, out_channels=3)
+        spec = ConvSpec(3, 3, in_channels=2, out_channels=3)
         leaves = [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((3, 2, 3, 3)),
                   rng.standard_normal(3)]
         err = grad_check(lambda ts: conv2d(ts[0], ts[1], ts[2], spec), leaves)
@@ -89,26 +89,30 @@ class TestConv2dBands:
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_ragged_bands_match_loop_oracle(self, monkeypatch, k, s, p):
-        # of this grid only stride 1, odd k and pad (k-1)//2 run; every other spec is refused
+        # Any k x k kernel, stride s and pad p is the one geometry conv2d runs: the
+        # kernel zero-extended on its far side to odd q, the input zero-padded by p,
+        # and the same-padded output read from row and column r = (q-1)//2 on, every s-th.
         rng = np.random.default_rng(100 * k + 10 * s + p)
-        spec = ConvSpec(k, k, s, s, pad=p, in_channels=2, out_channels=3)
+        q = k | 1
+        r = (q - 1) // 2
         x = rng.standard_normal((2, 2, 7, 5))
         wt = rng.standard_normal((3, 2, k, k))
         b = rng.standard_normal(3)
-        if s != 1 or k % 2 == 0 or p != (k - 1) // 2:
-            with pytest.raises(UnsupportedConfigError, match="stride 1"):
-                conv2d(t(x), t(wt), t(b), spec)
-            return
-        band_rows(monkeypatch, 2, 5, k)
-        got = conv2d(t(x), t(wt), t(b), spec).data
-        assert got.shape == (2, 3, 7, 5) and got.flags.c_contiguous
-        np.testing.assert_allclose(got, conv2d_oracle(x, wt, b, (s, s), p), rtol=1e-12, atol=1e-12)
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        wq = np.zeros((3, 2, q, q))
+        wq[:, :, :k, :k] = wt
+        band_rows(monkeypatch, 2, 5 + 2 * p, q)
+        same = conv2d(t(xp), t(wq), t(b), ConvSpec(q, q, in_channels=2, out_channels=3)).data
+        assert same.shape == xp.shape[:1] + (3,) + xp.shape[2:] and same.flags.c_contiguous
+        want = conv2d_oracle(x, wt, b, (s, s), p)
+        got = same[:, :, r::s, r::s][:, :, : want.shape[2], : want.shape[3]]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("rows", [1, 2])
     def test_edge_sizes_match_loop_oracle(self, monkeypatch, k, rows):
         rng = np.random.default_rng(10 * k + rows)
-        spec = ConvSpec(k, k, pad=(k - 1) // 2, in_channels=2, out_channels=3)
+        spec = ConvSpec(k, k, in_channels=2, out_channels=3)
         for h, w in ((1, 1), (1, 6), (6, 1), (7, 5)):
             x = rng.standard_normal((2, 2, h, w))
             wt = rng.standard_normal((3, 2, k, k))
@@ -118,17 +122,19 @@ class TestConv2dBands:
             np.testing.assert_allclose(got, conv2d_oracle(x, wt, b, (1, 1), (k - 1) // 2),
                                        rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("kh,kw,stride,pad", [(3, 3, 2, 1), (2, 2, 1, 0), (3, 1, 1, 1),
-                                                  (3, 3, 1, 0)])
-    def test_other_geometries_unsupported(self, kh, kw, stride, pad):
-        spec = ConvSpec(kh, kw, stride, stride, pad=pad)
-        with pytest.raises(UnsupportedConfigError, match="stride 1"):
-            conv2d(t(np.zeros((1, 1, 6, 6))), t(np.zeros((1, 1, kh, kw))), None, spec)
+    @pytest.mark.parametrize("kh,kw", [(2, 2), (3, 1), (1, 3), (4, 4), (0, 0), (-1, -1)])
+    def test_other_geometries_unsupported(self, kh, kw):
+        with pytest.raises(UnsupportedConfigError, match="square odd kernel"):
+            ConvSpec(kh, kw)
+
+    def test_geometry_is_same_padding(self):
+        spec = ConvSpec(5, 5, in_channels=2, out_channels=3)
+        assert spec.pad == 2 and spec.out_size(7, 4) == (7, 4)
 
     @pytest.mark.parametrize("rows,shape", [(1, (1, 2, 5, 3)), (2, (2, 2, 9, 5))])
     def test_gradient_across_bands(self, monkeypatch, rows, shape):
         rng = np.random.default_rng(37 + rows)
-        spec = ConvSpec(3, 3, pad=1, in_channels=2, out_channels=3)
+        spec = ConvSpec(3, 3, in_channels=2, out_channels=3)
         band_rows(monkeypatch, rows, shape[3], 3)
         leaves = [rng.standard_normal(shape), rng.standard_normal((3, 2, 3, 3)),
                   rng.standard_normal(3)]
@@ -136,7 +142,7 @@ class TestConv2dBands:
 
     def test_reads_no_unwritten_scratch(self, monkeypatch):
         rng = np.random.default_rng(39)
-        spec = ConvSpec(3, 3, pad=1, in_channels=2, out_channels=3)
+        spec = ConvSpec(3, 3, in_channels=2, out_channels=3)
         x = rng.standard_normal((2, 2, 7, 5)).astype(np.float32)
         wt = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
         b = rng.standard_normal(3).astype(np.float32)
@@ -162,7 +168,7 @@ class TestConv2dBands:
         x = t(rng.standard_normal((2, 64, 24, 24)).astype(np.float32))
         wt = t(0.05 * rng.standard_normal((64, 64, 3, 3)).astype(np.float32), grad=True)
         b = t(np.zeros(64, dtype=np.float32), grad=True)
-        out = conv2d(x, wt, b, ConvSpec(3, 3, pad=1, in_channels=64, out_channels=64))
+        out = conv2d(x, wt, b, ConvSpec(3, 3, in_channels=64, out_channels=64))
         input_bytes = 2 * 64 * 24 * 24 * 4
         held = []
         for cell in out._backward.__closure__:
@@ -185,7 +191,7 @@ class TestConv2dPrelu:
 
     def case(self, dtype, seed=53):
         rng = np.random.default_rng(seed)
-        spec = ConvSpec(3, 3, pad=1, in_channels=4, out_channels=3)
+        spec = ConvSpec(3, 3, in_channels=4, out_channels=3)
         return spec, [rng.standard_normal((2, 4, 7, 5)).astype(dtype),
                       rng.standard_normal((3, 4, 3, 3)).astype(dtype),
                       rng.standard_normal(3).astype(dtype), np.array(self.SLOPES, dtype=dtype)]
@@ -225,6 +231,34 @@ class TestConv2dPrelu:
                 assert got is None, name
                 continue
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_ragged_bands_match_loop_oracle_of_the_prelu(self, monkeypatch, k):
+        rng = np.random.default_rng(200 + k)
+        spec = ConvSpec(k, k, in_channels=4, out_channels=3)
+        x = rng.standard_normal((2, 4, 7, 5))
+        wt = rng.standard_normal((3, 4, k, k))
+        b = rng.standard_normal(3)
+        s = np.array(self.SLOPES)
+        band_rows(monkeypatch, 2, 5, k)
+        got = conv2d(t(x), t(wt), t(b), spec, slopes=t(s)).data
+        want = conv2d_oracle(np.where(x < 0, s[:, None, None] * x, x), wt, b, (1, 1), (k - 1) // 2)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_no_slopes_and_no_bias_are_slope_one_and_zero_bias(self, monkeypatch):
+        spec, (x, wt, _, _) = self.case(np.float32)
+        band_rows(monkeypatch, 2, 5, 3)
+        g = np.random.default_rng(7).standard_normal((2, 3, 7, 5)).astype(np.float32)
+        runs = []
+        for explicit in (False, True):
+            leaves = [t(a, grad=True) for a in (x, wt)]
+            ones, zeros = np.ones(4, np.float32), np.zeros(3, np.float32)
+            out = (conv2d(*leaves, t(zeros), spec, slopes=t(ones)) if explicit
+                   else conv2d(*leaves, None, spec))
+            out.backward(g)
+            runs.append([out.data] + [leaf.grad for leaf in leaves])
+        for got, want in zip(*runs, strict=True):
+            assert np.array_equal(got, want)
 
     def test_no_grad_keeps_nothing(self):
         spec, arrays = self.case(np.float32)
@@ -525,7 +559,7 @@ class TestGradCheckInvariants:
     @pytest.mark.parametrize("seed", range(20))
     def test_all_ops_randomized(self, seed):
         rng = np.random.default_rng(100 + seed)
-        spec = ConvSpec(3, 3, pad=1, in_channels=2, out_channels=2)
+        spec = ConvSpec(3, 3, in_channels=2, out_channels=2)
         leaves = [rng.standard_normal((1, 2, 3, 3)), rng.standard_normal((2, 2, 3, 3)),
                   rng.standard_normal(2)]
         assert grad_check(lambda ts: conv2d(ts[0], ts[1], ts[2], spec), leaves,
@@ -540,6 +574,18 @@ class TestGradCheckInvariants:
         assert grad_check(lambda ts: concat_channels(ts[0], ts[1]), leaves, rng=rng) <= 1e-4
         leaves = [rng.standard_normal((1, 1, 3, 3)), rng.standard_normal((1, 1, 3, 3))]
         assert grad_check(lambda ts: mse_loss(ts[0], ts[1]), leaves, rng=rng) <= 1e-4
+
+    @pytest.mark.parametrize("factor,fails", [(np.nan, True), (np.inf, True), (1.5, True),
+                                              (1.0, False)])
+    def test_wrong_or_non_finite_gradient_fails(self, factor, fails):
+        # y = 2x with a backward that returns factor * 2g: NaN must not score as 0
+        def op(ts):
+            x = ts[0]
+            return tensor._result(2.0 * x.data, (x,),
+                                  lambda g: x.accumulate_grad(factor * 2.0 * g, fresh=True))
+
+        err = grad_check(op, [np.random.default_rng(29).standard_normal(5)])
+        assert (err > 1e-4) == fails and not np.isnan(err)
 
     def test_linear_layer_near_exact(self):
         rng = np.random.default_rng(23)
