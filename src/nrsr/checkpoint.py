@@ -18,9 +18,9 @@ mid-training is "opt/step" plus "opt/<param>/m" and "opt/<param>/v" for
 every parameter of the model that "meta/phase" names. The fixed
 vectorizing kernel is still written, first, as "lfcr/vec/weights"; it
 must equal the kernel of "meta/sensor_kind" and "meta/mask_pattern".
-Loading rejects a record that breaks any of this, or that none of these
-names (a "vdsr/convNN" after a gap in the numbering among them), naming
-it.
+Loading rejects a record that breaks any of this, that holds a NaN or
+infinite value, or that none of these names (a "vdsr/convNN" after a
+gap in the numbering among them), naming it.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def _decode(records: dict[str, np.ndarray], name: str, table: dict) -> str:
 def _count(records: dict[str, np.ndarray], name: str) -> int:
     """Integer value of the scalar record ``name`` (an epoch, seed or step)."""
     arr = records[name]
-    if arr.size != 1 or not np.isfinite(arr).all():
-        raise CheckpointError(f"{name} must be one finite number, got {arr.tolist()}")
+    if arr.size != 1:
+        raise CheckpointError(f"{name} must be one number, got {arr.tolist()}")
     return int(arr.item())
 
 
@@ -201,7 +201,7 @@ def _sensor(records: dict[str, np.ndarray]) -> tuple[str | None, SamplingMask | 
         return kind, None
     seed = _count(records, "meta/mask_seed") if "meta/mask_seed" in records else -1
     pattern = records["meta/mask_pattern"]
-    if not (np.isfinite(pattern).all() and np.array_equal(pattern, np.trunc(pattern))):
+    if not np.array_equal(pattern, np.trunc(pattern)):
         raise CheckpointError("meta/mask_pattern: quadrant digits must be whole numbers")
     try:
         return kind, SamplingMask(kind=kind, pattern=pattern.astype(np.int64),
@@ -212,6 +212,9 @@ def _sensor(records: dict[str, np.ndarray]) -> tuple[str | None, SamplingMask | 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     records = read_records(path)
+    for name, arr in records.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{name} holds a non-finite value")
     ck = Checkpoint()
     sensor_kind, mask = _sensor(records)
     if "meta/epoch" in records:

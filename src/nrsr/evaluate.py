@@ -5,7 +5,8 @@ and scored with PSNR and SSIM against the grayscale reference. Images
 whose dims are not multiples of 16 are reflection-padded on the bottom
 and right (keeping the mask anchored at the origin) and cropped back
 before scoring. Unreadable files, and images smaller than the SSIM
-window, are skipped and logged.
+window, are skipped and logged; a reconstruction holding a NaN or an
+infinity raises NonFiniteReconstructionError, naming the image.
 
 Full-scale reference targets from the literature protocol (Urban100 /
 Tecnick, 100-epoch training on Set291) are context only and not
@@ -31,6 +32,10 @@ from .vdsr import VdsrModel, vdsr_forward
 METHODS = ("reference", "bicubic", "lfcr", "lfcr+vdsr")
 
 PAD_MULTIPLE = 16
+
+
+class NonFiniteReconstructionError(RuntimeError):
+    """Raised when a method's reconstruction holds a NaN or an infinity."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ class EvalReport:
             "sensor": self.sensor,
             "images": len(self.rows),
             "skipped": self.skipped,
-            "mean_psnr_db": "inf" if math.isinf(mp) else round(mp, 4),
+            "mean_psnr_db": None if not self.rows else "inf" if math.isinf(mp) else round(mp, 4),
             "mean_ssim": round(self.mean_ssim, 6) if self.rows else None,
             "runtime_s": round(self.runtime_s, 3),
         }
@@ -100,24 +105,33 @@ def pad_to_multiple(f: np.ndarray, multiple: int = PAD_MULTIPLE) -> tuple[np.nda
 
 def reconstruct_image(f: np.ndarray, method: str, lfcr: LfcrModel | None = None,
                       vdsr: VdsrModel | None = None) -> np.ndarray:
-    """Run one method on a grayscale reference image; output dims equal input dims."""
+    """Run one method on a grayscale reference image; output dims equal input dims.
+
+    Raises NonFiniteReconstructionError if the output is not all finite;
+    that one check stands for numpy's overflow and invalid-value warnings
+    on the way, which are not shown.
+    """
     f = np.asarray(f, dtype=np.float32)
-    if method == "reference":
-        return f.copy()
     padded, (h, w) = pad_to_multiple(f)
-    if method == "bicubic":
-        out = bicubic_upscale(sample_low_resolution(padded), factor=2)
-    elif method in ("lfcr", "lfcr+vdsr"):
-        if lfcr is None:
-            raise ValueError(f"method '{method}' needs an LFCR model")
-        out = lfcr_forward(lfcr, padded)
-        if method == "lfcr+vdsr":
-            if vdsr is None:
-                raise ValueError("method 'lfcr+vdsr' needs a VDSR model")
-            _, out = vdsr_forward(vdsr, out)
-    else:
-        raise ValueError(f"unknown method '{method}' (expected one of {METHODS})")
-    return np.asarray(out[:h, :w], dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "reference":
+            out = padded
+        elif method == "bicubic":
+            out = bicubic_upscale(sample_low_resolution(padded))
+        elif method in ("lfcr", "lfcr+vdsr"):
+            if lfcr is None:
+                raise ValueError(f"method '{method}' needs an LFCR model")
+            out = lfcr_forward(lfcr, padded)
+            if method == "lfcr+vdsr":
+                if vdsr is None:
+                    raise ValueError("method 'lfcr+vdsr' needs a VDSR model")
+                _, out = vdsr_forward(vdsr, out)
+        else:
+            raise ValueError(f"unknown method '{method}' (expected one of {METHODS})")
+        out = np.array(out[:h, :w], dtype=np.float32)
+    if not np.isfinite(out).all():
+        raise NonFiniteReconstructionError(f"the {method} reconstruction is not finite")
+    return out
 
 
 def list_dataset(dataset_dir: str | Path) -> list[Path]:
@@ -147,7 +161,10 @@ def evaluate(method: str, dataset_dir: str | Path, lfcr: LfcrModel | None = None
             report.skipped.append(f"{path.name}: {ref.shape[0]}x{ref.shape[1]} is smaller than "
                                   f"the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
             continue
-        rec = reconstruct_image(ref.astype(np.float32), method, lfcr=lfcr, vdsr=vdsr)
+        try:
+            rec = reconstruct_image(ref.astype(np.float32), method, lfcr=lfcr, vdsr=vdsr)
+        except NonFiniteReconstructionError as exc:
+            raise NonFiniteReconstructionError(f"{path.name}: {exc}") from None
         report.rows.append(EvalRow(
             image=path.name, method=method, sensor=sensor,
             psnr_db=psnr(ref, rec), ssim=ssim(ref, rec),

@@ -14,6 +14,8 @@ from .tensor import ShapeMismatchError
 
 PEAK = 255.0
 
+UPSCALE = 2  # the low-resolution sensor's factor, the only one bicubic_upscale serves
+
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
@@ -89,11 +91,11 @@ def _keys_weights(t: np.ndarray, a: float = -0.5) -> np.ndarray:
     return w  # (4, n)
 
 
-def _upscale_axis(arr: np.ndarray, factor: int, axis: int) -> np.ndarray:
+def _upscale_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     n = arr.shape[axis]
-    out_n = n * factor
-    # half-pixel alignment: output i samples input coordinate (i + 0.5)/factor - 0.5
-    x = (np.arange(out_n, dtype=np.float64) + 0.5) / factor - 0.5
+    out_n = n * UPSCALE
+    # half-pixel alignment: output i samples input coordinate (i + 0.5)/UPSCALE - 0.5
+    x = (np.arange(out_n, dtype=np.float64) + 0.5) / UPSCALE - 0.5
     base = np.floor(x).astype(np.int64)
     t = x - base
     weights = _keys_weights(t)  # (4, out_n)
@@ -106,12 +108,10 @@ def _upscale_axis(arr: np.ndarray, factor: int, axis: int) -> np.ndarray:
     return np.moveaxis(acc, 0, axis)
 
 
-def bicubic_upscale(low: np.ndarray, factor: int = 2) -> np.ndarray:
+def bicubic_upscale(low: np.ndarray) -> np.ndarray:
     """Twofold cubic-convolution upscaling (a=-0.5, half-pixel aligned, edges clamped)."""
-    if factor != 2:
-        raise ValueError(f"only factor 2 is supported, got {factor}")
     values = np.asarray(low)
     if values.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D grid, got {values.shape}")
-    out = _upscale_axis(values.astype(np.float64), factor, axis=0)
-    return _upscale_axis(out, factor, axis=1)
+    out = _upscale_axis(values.astype(np.float64), axis=0)
+    return _upscale_axis(out, axis=1)

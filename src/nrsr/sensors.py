@@ -205,8 +205,6 @@ def vectorize_tensor(x: Tensor, tile: np.ndarray) -> Tensor:
     out = _windows(measure(x.data[:, 0], tile))
 
     def bw(g: np.ndarray):
-        if not x.requires_grad:
-            return
         dtype = x.data.dtype
         gk = (g / dtype.type(_tap_count(tile))).reshape(b, oh, ow, 2, HALF, 2, HALF)
         dblocks = np.zeros((b, oh + 1, HALF, ow + 1, HALF), dtype=dtype)
@@ -215,7 +213,7 @@ def vectorize_tensor(x: Tensor, tile: np.ndarray) -> Tensor:
         p = PAD_CELLS
         dm = dblocks.reshape(b, HALF * (oh + 1), HALF * (ow + 1))[:, p:-p, p:-p]
         dx = np.where(_cells(tile, h, w), dm[:, :, None, :, None], dtype.type(0))
-        x.accumulate_grad(dx.reshape(b, 1, h, w), fresh=True)
+        x.accumulate_grad(dx.reshape(b, 1, h, w))
 
     return _result(out, (x,), bw)
 

@@ -23,6 +23,8 @@ convolution, only the input it already shares with the op that produced
 it: one activation per layer. prelu and conv2d share PReLU's two
 kernels, _prelu_into and _slope_map.
 
+Every op's backward hands each input its gradient, in an array of its
+own; Tensor.accumulate_grad alone decides whether the input keeps it.
 Tensor.backward consumes the graph it sweeps: each interior node drops
 its gradient and its links to its inputs once its own backward has run,
 so a training step's activations and interior gradients are freed layer
@@ -62,8 +64,9 @@ class Tensor:
     gradient buffer that :meth:`backward` fills on leaves. Graph edges
     are kept in ``_parents`` together with a closure that routes the
     incoming gradient to them, until a backward() sweep consumes them.
-    Only nodes with ``requires_grad`` get edges, so a backward closure
-    needs to ask an input for nothing else.
+    A backward closure hands every input its gradient, each in an array
+    of its own; :meth:`accumulate_grad` keeps it only if the input has
+    ``requires_grad`` set.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -89,35 +92,36 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add ``g`` into ``grad``; the first gradient is copied unless ``fresh``.
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` into ``grad``, or drop it if this tensor has no ``requires_grad``.
 
-        ``fresh`` promises that the caller allocated ``g`` for this one
-        tensor and keeps no other use of it, so ``grad`` may take it over
-        as it is when its dtype matches. A gradient passed through from
-        another node, or a caller's seed, is never fresh: two tensors must
-        never share a ``grad`` buffer, since each accumulates into its own.
+        The first gradient is taken over as it is, and cast only if its
+        dtype differs, so ``g`` must be the caller's to give away: two
+        tensors must never share a ``grad`` buffer, since each
+        accumulates into its own.
         """
         if g.shape != self.data.shape:
             raise ShapeMismatchError(
                 f"gradient shape {g.shape} does not match value shape {self.data.shape}"
             )
+        if not self.requires_grad:
+            return
         if self.grad is None:
-            fresh = fresh and g.dtype == self.data.dtype
-            self.grad = g if fresh else g.astype(self.data.dtype, copy=True)
+            self.grad = g if g.dtype == self.data.dtype else g.astype(self.data.dtype)
         else:
             self.grad += g
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Reverse-mode sweep from this node; consumes the graph.
 
-        ``seed`` defaults to ones (the usual scalar-loss case).
-        Gradients accumulate into ``grad`` of every reachable leaf with
-        ``requires_grad`` set, and persist there only. Each interior node
-        is released as soon as its own backward has run: its ``grad``
-        and ``_parents`` are cleared, so activations and interior
-        gradients are freed layer by layer during the sweep. A second
-        backward() through a consumed node raises RuntimeError.
+        ``seed`` defaults to ones (the usual scalar-loss case); a given
+        seed is copied. Gradients accumulate into ``grad`` of every
+        reachable leaf with ``requires_grad`` set, and persist there only.
+        Every interior node has it set, so it holds its gradient when its
+        own backward runs, and is released right after: its ``grad`` and
+        ``_parents`` are cleared, so activations and interior gradients
+        are freed layer by layer during the sweep. A second backward()
+        through a consumed node raises RuntimeError.
         """
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -134,16 +138,13 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        if seed is None:
-            self.accumulate_grad(np.ones_like(self.data), fresh=True)
-        else:
-            self.accumulate_grad(np.asarray(seed, dtype=self.data.dtype))
+        self.accumulate_grad(np.ones_like(self.data) if seed is None
+                             else np.array(seed, dtype=self.data.dtype))
         while topo:
             node = topo.pop()
             if node._backward is None:
                 continue  # a leaf keeps its gradient
-            if node.grad is not None:
-                node._backward(node.grad)
+            node._backward(node.grad)
             node.grad, node._parents, node._backward = None, (), _consumed
 
 
@@ -298,6 +299,8 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec,
     g_band is zero in the padding columns. Backward rebuilds each PReLU'd
     band as x times its slope map, which also turns dz into dx; the slope
     gradient sums dz * min(x, 0). The graph keeps only the input itself.
+    Backward runs one path: it computes all four gradients and hands each
+    to its input, which keeps it only if it requires one.
     """
     _require_4d(x, "input")
     k, p, o, c = spec.kernel_h, spec.pad, spec.out_channels, spec.in_channels
@@ -337,11 +340,7 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec,
         np.add(y, bias.data[:, None, None], out=out[n, :, r0 : r0 + nr])
 
     def bw(g: np.ndarray):
-        need_w, need_x, need_a = weights.requires_grad, x.requires_grad, slopes.requires_grad
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)), fresh=True)
-        if not (need_w or need_x or need_a):
-            return
+        bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         gtype = np.result_type(g, weights.data, xd, a)
         smap = np.empty((c, halo_rows, w), dtype=gtype)
         neg = np.empty(smap.shape, dtype=bool)
@@ -351,38 +350,28 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec,
             np.multiply(src, s, out=dst)
 
         xbands = _bands(xd, rows, p, gtype, rebuild)
-        if need_w:
-            dw = np.zeros((k * k, o, c), dtype=gtype)
-        if need_x or need_a:
-            flipped = weights.data.transpose(2, 3, 1, 0).reshape(k * k, c, o)[::-1]
-            xacc, xtmp = np.empty((2, c * rows * wp), dtype=gtype)
-            dx = np.empty(xd.shape, dtype=gtype)  # dz band by band, then dz * slope map
-        if need_a:
-            da = np.zeros(c, dtype=gtype)
-            mins = np.empty((c, rows, w), dtype=gtype)
+        dw = np.zeros((k * k, o, c), dtype=gtype)
+        flipped = weights.data.transpose(2, 3, 1, 0).reshape(k * k, c, o)[::-1]
+        xacc, xtmp = np.empty((2, c * rows * wp), dtype=gtype)
+        dx = np.empty(xd.shape, dtype=gtype)  # dz band by band, then dz * slope map
+        da = np.zeros(c, dtype=gtype)
+        mins = np.empty((c, rows, w), dtype=gtype)
+        centre = offsets[k * k // 2]  # the centre tap's slice is the unpadded band
         for n, r0, nr, gband in _bands(g, rows, p, gtype):
             m = nr * wp
             xband = next(xbands)[3]
-            if need_x or need_a:
-                dz = dx[n, :, r0 : r0 + nr]
-                np.copyto(dz, _tap_sum(flipped, gband, m, offsets, xacc, xtmp)
-                          .reshape(c, nr, wp)[:, :, :w])
-                if need_a:
-                    mn = np.minimum(xd[n, :, r0 : r0 + nr], 0, out=mins[:, :nr])
-                    da += np.einsum("chw,chw->c", dz, mn)
-                dz *= smap[:, min(r0, p) : min(r0, p) + nr]  # the band's rows of the map
-            if need_w:
-                centre = offsets[k * k // 2]  # the centre tap's slice is the unpadded band
-                gc = gband[:, centre : centre + m]
-                for i, off in enumerate(offsets):
-                    dw[i] += gc @ xband[:, off : off + m].T
-        if need_w:
-            weights.accumulate_grad(
-                np.ascontiguousarray(dw.reshape(k, k, o, c).transpose(2, 3, 0, 1)), fresh=True)
-        if need_x:
-            x.accumulate_grad(dx, fresh=True)
-        if need_a:
-            slopes.accumulate_grad(da, fresh=True)
+            dz = dx[n, :, r0 : r0 + nr]
+            np.copyto(dz, _tap_sum(flipped, gband, m, offsets, xacc, xtmp)
+                      .reshape(c, nr, wp)[:, :, :w])
+            mn = np.minimum(xd[n, :, r0 : r0 + nr], 0, out=mins[:, :nr])
+            da += np.einsum("chw,chw->c", dz, mn)
+            dz *= smap[:, min(r0, p) : min(r0, p) + nr]  # the band's rows of the map
+            gc = gband[:, centre : centre + m]
+            for i, off in enumerate(offsets):
+                dw[i] += gc @ xband[:, off : off + m].T
+        weights.accumulate_grad(np.ascontiguousarray(dw.reshape(k, k, o, c).transpose(2, 3, 0, 1)))
+        x.accumulate_grad(dx)
+        slopes.accumulate_grad(da)
 
     return _result(out, (x, weights, bias, slopes), bw)
 
@@ -412,10 +401,8 @@ def deconv2d(x: Tensor, weights: Tensor, batch: int, height: int, width: int) ->
     def bw(g: np.ndarray):
         g_blocks = g.reshape(batch, o, height, kh, width, kw).transpose(0, 2, 4, 1, 3, 5).reshape(
             -1, o * kh * kw)
-        if weights.requires_grad:
-            weights.accumulate_grad((x.data.T @ g_blocks).reshape(weights.shape), fresh=True)
-        if x.requires_grad:
-            x.accumulate_grad(g_blocks @ wmat.T, fresh=True)
+        weights.accumulate_grad((x.data.T @ g_blocks).reshape(weights.shape))
+        x.accumulate_grad(g_blocks @ wmat.T)
 
     return _result(out, (x, weights), bw)
 
@@ -442,12 +429,9 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     out += bias.data
 
     def bw(g: np.ndarray):
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=0), fresh=True)
-        if weights.requires_grad:
-            weights.accumulate_grad((g.T @ x.data).reshape(weights.shape), fresh=True)
-        if x.requires_grad:
-            x.accumulate_grad(g @ wmat, fresh=True)
+        bias.accumulate_grad(g.sum(axis=0))
+        weights.accumulate_grad((g.T @ x.data).reshape(weights.shape))
+        x.accumulate_grad(g @ wmat)
 
     return _result(out, (x, weights, bias), bw)
 
@@ -470,14 +454,11 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     def bw(g: np.ndarray):
         # one full-size buffer: min(x, 0) for the slope gradient, then the input gradient
         buf = np.minimum(x.data, 0, dtype=np.result_type(x.data, a, g))
-        if slopes.requires_grad:
-            n, c = x.shape[:2]
-            slopes.accumulate_grad(
-                np.einsum("ncl,ncl->c", g.reshape(n, c, -1), buf.reshape(n, c, -1)), fresh=True)
-        if x.requires_grad:
-            buf = _slope_map(x.data, a, buf)
-            buf *= g
-            x.accumulate_grad(buf, fresh=True)
+        n, c = x.shape[:2]
+        slopes.accumulate_grad(np.einsum("ncl,ncl->c", g.reshape(n, c, -1), buf.reshape(n, c, -1)))
+        buf = _slope_map(x.data, a, buf)
+        buf *= g
+        x.accumulate_grad(buf)
 
     return _result(out, (x, slopes), bw)
 
@@ -492,10 +473,8 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     out = np.concatenate([a.data, b.data], axis=1)
 
     def bw(g: np.ndarray):
-        if a.requires_grad:
-            a.accumulate_grad(g[:, :na])
-        if b.requires_grad:
-            b.accumulate_grad(g[:, na:])
+        a.accumulate_grad(g[:, :na].copy())
+        b.accumulate_grad(g[:, na:].copy())
 
     return _result(out, (a, b), bw)
 
@@ -507,10 +486,9 @@ def take_channels(x: Tensor, indices) -> Tensor:
     out = x.data[:, idx]
 
     def bw(g: np.ndarray):
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            np.add.at(dx, (slice(None), idx), g)
-            x.accumulate_grad(dx, fresh=True)
+        dx = np.zeros_like(x.data)
+        np.add.at(dx, (slice(None), idx), g)
+        x.accumulate_grad(dx)
 
     return _result(out, (x,), bw)
 
@@ -522,10 +500,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bw(g: np.ndarray):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g)
+        a.accumulate_grad(g.copy())  # one array per input
+        b.accumulate_grad(g)
 
     return _result(out, (a, b), bw)
 
@@ -536,8 +512,7 @@ def scale(x: Tensor, factor: float) -> Tensor:
     out = x.data * f
 
     def bw(g: np.ndarray):
-        if x.requires_grad:
-            x.accumulate_grad(g * f, fresh=True)
+        x.accumulate_grad(g * f)
 
     return _result(out, (x,), bw)
 
@@ -550,10 +525,8 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
     out = x.data + bias.data[None, :, None, None]
 
     def bw(g: np.ndarray):
-        if x.requires_grad:
-            x.accumulate_grad(g)
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)), fresh=True)
+        x.accumulate_grad(g)
+        bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
 
     return _result(out, (x, bias), bw)
 
@@ -568,9 +541,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
     def bw(g: np.ndarray):
         go = g.reshape(()) * 2.0 / n
-        if pred.requires_grad:
-            pred.accumulate_grad(go * diff, fresh=True)
-        if target.requires_grad:
-            target.accumulate_grad(-go * diff, fresh=True)
+        pred.accumulate_grad(go * diff)
+        target.accumulate_grad(-go * diff)
 
     return _result(out, (pred, target), bw)

@@ -5,8 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nrsr.masks import generate_mask
 from nrsr.optim import AdamState, adam_step
-from nrsr.tensor import Tensor, add, mse_loss, prelu, scale
+from nrsr.sensors import sensitivity_tile, vectorize_tensor
+from nrsr.tensor import (ConvSpec, Tensor, add, add_channel_bias, concat_channels, conv2d,
+                         deconv2d, linear, mse_loss, prelu, scale, take_channels)
 from nrsr.vdsr import build_vdsr
 
 
@@ -127,11 +130,64 @@ class TestGradBuffers:
         seed[:] = 0
         assert np.all(a.grad == 3)
 
-    def test_a_fresh_gradient_of_another_dtype_is_cast(self):
+    def test_concat_gives_each_leaf_its_own_buffer(self):
+        a, b = self.leaves()
+        concat_channels(a, b).backward()
+        assert not np.may_share_memory(a.grad, b.grad)
+
+    def test_a_gradient_of_another_dtype_is_cast(self):
         (a,) = self.leaves(1)
         slopes = Tensor(np.full(3, 0.25), requires_grad=True)  # float64: the gradient is float64
         prelu(a, slopes).backward()
         assert a.grad.dtype == np.float32 and slopes.grad.dtype == np.float64
+
+
+def _op_cases():
+    """Every differentiable op, as (op, input values), small and float32."""
+    rng = np.random.default_rng(41)
+
+    def r(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    slopes = rng.uniform(0.1, 0.9, 3).astype(np.float32)
+    tile = sensitivity_tile(generate_mask("quarter", 2), "quarter")
+    return {
+        "conv2d": (lambda x, w, b, a: conv2d(x, w, b, ConvSpec(3, 3, 3, 2), slopes=a),
+                   [r(2, 3, 5, 6), r(2, 3, 3, 3), r(2), slopes]),
+        "deconv2d": (lambda x, w: deconv2d(x, w, 2, 1, 2), [r(4, 3), r(3, 2, 8, 8)]),
+        "linear": (linear, [r(5, 3), r(2, 3), r(2)]),
+        "prelu": (prelu, [r(4, 3), slopes]),
+        "concat_channels": (concat_channels, [r(2, 1, 3), r(2, 2, 3)]),
+        "take_channels": (lambda x: take_channels(x, [2, 0, 2]), [r(2, 3, 4)]),
+        "add": (add, [r(2, 3), r(2, 3)]),
+        "scale": (lambda x: scale(x, 1.5), [r(2, 3)]),
+        "add_channel_bias": (add_channel_bias, [r(2, 3, 2, 2), r(3)]),
+        "mse_loss": (mse_loss, [r(2, 3), r(2, 3)]),
+        "vectorize_tensor": (lambda x: vectorize_tensor(x, tile), [r(2, 1, 16, 16)]),
+    }
+
+
+OP_CASES = _op_cases()
+
+
+@pytest.mark.parametrize("name", OP_CASES)
+def test_an_input_without_requires_grad_gets_no_gradient(name):
+    # each input in turn is frozen; its siblings get what they get with none frozen
+    op, values = OP_CASES[name]
+
+    def sweep(frozen):
+        ts = [Tensor(v.copy(), requires_grad=i != frozen) for i, v in enumerate(values)]
+        out = op(*ts)
+        out.backward(np.random.default_rng(43).standard_normal(out.shape))
+        return ts
+
+    trained = sweep(None)
+    for i in range(len(values)):
+        ts = sweep(i)
+        assert ts[i].grad is None
+        for t, ref in zip(ts, trained):
+            if t is not ts[i]:
+                assert np.array_equal(t.grad, ref.grad)
 
 
 def test_vdsr_train_step_peak_memory_bounded():

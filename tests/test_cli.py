@@ -42,6 +42,13 @@ def assert_same_params(a, b):
         assert np.array_equal(p.data, q.data), name
 
 
+def one_nan(shape):
+    """Zeros of ``shape`` with one NaN."""
+    arr = np.zeros(shape, dtype=np.float32)
+    arr.flat[arr.size // 2] = np.nan
+    return arr
+
+
 def run_cli(*args, **kwargs):
     env = dict(os.environ, COLUMNS="100")
     env.update(kwargs.pop("env", {}))
@@ -531,6 +538,11 @@ class TestBadCheckpoint:
         ("lfcr/fc10/weights", np.zeros((5, 5), dtype=np.float32)),
         ("vdsr/conv22/weights", np.zeros((64, 64, 3, 3), dtype=np.float32)),
         ("meta/bogus", np.float32(1)),
+        # a record holding a NaN or an infinity
+        ("lfcr/fc03/weights", one_nan((192, 192, 1, 1))),
+        ("vdsr/conv05/weights", one_nan((64, 64, 3, 3))),
+        ("opt/vdsr/conv02/weights/m", one_nan((64, 64, 3, 3))),
+        ("lfcr/deconv/bias", np.full(1, np.inf, dtype=np.float32)),
     ])
     def test_evaluate_exits_2_naming_the_record(self, workdir, resumable_checkpoint, tmp_path,
                                                 name, value):
@@ -549,6 +561,56 @@ class TestBadCheckpoint:
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
         assert name in res.stderr and "Traceback" not in res.stderr
         assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("name", ["lfcr/fc03/weights", "vdsr/conv05/weights"])
+    def test_reconstruct_exits_2_naming_a_non_finite_record(self, workdir, resumable_checkpoint,
+                                                            tmp_path, name):
+        from nrsr.checkpoint import write_records
+
+        records = dict(resumable_checkpoint)
+        records[name] = one_nan(records[name].shape)
+        bad = tmp_path / "bad.nrsr"
+        write_records(bad, records)
+        out = tmp_path / "r.f32"
+        res = run_cli("reconstruct", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                      "--checkpoint", bad, "--in", workdir / "holdout" / "h0.pgm", "--out", out)
+        assert res.returncode == 2
+        assert res.stderr == f"error: {name} holds a non-finite value\n"
+        assert not out.exists()
+
+
+class TestNonFiniteReconstruction:
+    """Finite weights whose output overflows: a numerical failure, exit 3, nothing written."""
+
+    @pytest.fixture(scope="class")
+    def overflowing(self, resumable_checkpoint, tmp_path_factory):
+        from nrsr.checkpoint import write_records
+
+        records = dict(resumable_checkpoint)
+        records["vdsr/conv20/weights"] = records["vdsr/conv20/weights"] * np.float32(1e37)
+        assert np.isfinite(records["vdsr/conv20/weights"]).all()
+        path = tmp_path_factory.mktemp("overflow") / "big.nrsr"
+        write_records(path, records)
+        return path
+
+    @pytest.mark.parametrize("suffix", [".f32", ".pgm"])
+    def test_reconstruct_exits_3(self, workdir, overflowing, tmp_path, suffix):
+        out = tmp_path / f"r{suffix}"
+        res = run_cli("reconstruct", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                      "--checkpoint", overflowing, "--in", workdir / "holdout" / "h0.pgm",
+                      "--out", out)
+        assert res.returncode == 3
+        assert res.stderr == "numerical failure: the lfcr+vdsr reconstruction is not finite\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_evaluate_exits_3_naming_the_image(self, workdir, overflowing, tmp_path):
+        res = run_cli("evaluate", "--dataset", workdir / "holdout", "--methods", "lfcr,lfcr+vdsr",
+                      "--checkpoint", overflowing, "--out", tmp_path / "e.csv",
+                      "--summary", tmp_path / "s.json")
+        assert res.returncode == 3
+        assert res.stderr == ("numerical failure: h0.pgm: the lfcr+vdsr reconstruction is "
+                              "not finite\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGradcheckCommand:

@@ -118,3 +118,12 @@ def test_full_pipeline_runs(dataset):
 def test_empty_report_means_are_nan():
     rep = EvalReport(method="bicubic", sensor="low-resolution")
     assert math.isnan(rep.mean_psnr) and math.isnan(rep.mean_ssim)
+
+
+def test_empty_report_summary_is_strict_json():
+    # a NaN mean would serialize as NaN, which is not JSON
+    import json
+
+    summary = EvalReport(method="bicubic", sensor="low-resolution").summary()
+    assert summary["mean_psnr_db"] is None and summary["mean_ssim"] is None
+    json.dumps(summary, allow_nan=False)

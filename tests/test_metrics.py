@@ -127,10 +127,6 @@ class TestBicubic:
         out = bicubic_upscale(grid)
         assert out.shape == (16, 16)
 
-    def test_factor_restricted(self):
-        with pytest.raises(ValueError, match="factor 2"):
-            bicubic_upscale(np.ones((4, 4)), factor=3)
-
     def test_downsample_roundtrip_error_shrinks_with_resolution(self):
         # smooth quadratic: consistency of sample -> upscale improves with n
         errs = []

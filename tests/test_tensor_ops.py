@@ -582,7 +582,7 @@ class TestGradCheckInvariants:
         def op(ts):
             x = ts[0]
             return tensor._result(2.0 * x.data, (x,),
-                                  lambda g: x.accumulate_grad(factor * 2.0 * g, fresh=True))
+                                  lambda g: x.accumulate_grad(factor * 2.0 * g))
 
         err = grad_check(op, [np.random.default_rng(29).standard_normal(5)])
         assert (err > 1e-4) == fails and not np.isnan(err)
