@@ -11,16 +11,16 @@ Binary layout, little endian throughout::
         dims      uint32 * ndim
         payload   float32 * prod(dims)
 
-Network parameters are named and shaped by each network's parameter
-table; loading rebuilds the models through their ``from_parameters``.
-Sensor metadata rides along under "meta/", and optimizer state saved
-mid-training is "opt/step" plus "opt/<param>/m" and "opt/<param>/v" for
-every parameter of the model that "meta/phase" names. The fixed
-vectorizing kernel is still written, first, as "lfcr/vec/weights"; it
-must equal the kernel of "meta/sensor_kind" and "meta/mask_pattern".
-Loading rejects a record that breaks any of this, that holds a NaN or
-infinite value, or that none of these names (a "vdsr/convNN" after a
-gap in the numbering among them), naming it.
+``_records`` is the one statement of what a checkpoint holds: the fixed
+vectorizing kernel "lfcr/vec/weights", every parameter of each network
+by its parameter table, sensor metadata under "meta/", and, when saved
+mid-training, "opt/step" plus "opt/<param>/m" and "opt/<param>/v" for
+every parameter of the model that "meta/phase" names. Saving writes
+those records. Loading rejects a record that holds a NaN or an infinite
+value, decodes the models, metadata and optimizer state, and then
+accepts exactly the records that saving the decoded checkpoint would
+write back, value for value, naming the first record that differs,
+is missing or is unexpected.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .lfcr import LfcrModel
 from .masks import (LOW_RESOLUTION, MASKED_KINDS, QUARTER, THREE_QUARTER, MaskFormatError,
                     SamplingMask)
 from .optim import AdamState
-from .sensors import build_vectorizing_kernel
 from .tensor import ShapeMismatchError, Tensor
 from .vdsr import VdsrModel
 
@@ -46,8 +45,6 @@ SENSOR_CODES = {QUARTER: 0, THREE_QUARTER: 1, LOW_RESOLUTION: 2}
 SENSOR_FROM_CODE = {v: k for k, v in SENSOR_CODES.items()}
 PHASE_CODES = {"lfcr": 0, "vdsr": 1}
 PHASE_FROM_CODE = {v: k for k, v in PHASE_CODES.items()}
-META_FIELDS = ("meta/sensor_kind", "meta/mask_pattern", "meta/mask_seed", "meta/epoch",
-               "meta/phase")
 
 
 class CheckpointError(ValueError):
@@ -115,40 +112,36 @@ class Checkpoint:
     phase: str | None = None
 
 
-def _meta_records(lfcr: LfcrModel | None, epoch: int, phase: str | None) -> dict[str, np.ndarray]:
+def _records(ck: Checkpoint) -> dict[str, np.ndarray]:
+    """Every record of ``ck``, in file order: the one statement of what a checkpoint holds."""
     recs: dict[str, np.ndarray] = {}
-    mask = lfcr.mask if lfcr is not None else None
-    if lfcr is not None:
-        recs["meta/sensor_kind"] = np.float32(SENSOR_CODES[lfcr.sensor_kind])
-    if mask is not None:
-        recs["meta/mask_pattern"] = mask.pattern.astype(np.float32)
-        seed = mask.seed if isinstance(mask.seed, int) else -1
-        recs["meta/mask_seed"] = np.float32(seed)
-    if epoch:
-        recs["meta/epoch"] = np.float32(epoch)
-    if phase is not None:
-        recs["meta/phase"] = np.float32(PHASE_CODES[phase])
+    if ck.lfcr is not None:
+        recs["lfcr/vec/weights"] = ck.lfcr.vec_kernel
+    for model in (m for m in (ck.lfcr, ck.vdsr) if m is not None):
+        recs.update((name, p.data) for name, p in model.named_parameters())
+    if ck.lfcr is not None:
+        recs["meta/sensor_kind"] = np.float32(SENSOR_CODES[ck.lfcr.sensor_kind])
+        mask = ck.lfcr.mask
+        if mask is not None:
+            recs["meta/mask_pattern"] = mask.pattern.astype(np.float32)
+            seed = mask.seed if isinstance(mask.seed, int) else -1  # a tag such as "external"
+            recs["meta/mask_seed"] = np.float32(seed)
+    if ck.epoch:
+        recs["meta/epoch"] = np.float32(ck.epoch)
+    if ck.phase is not None:
+        recs["meta/phase"] = np.float32(PHASE_CODES[ck.phase])
+    if ck.adam is not None:
+        recs["opt/step"] = np.float32(ck.adam.step)
+        for name, m in ck.adam.m.items():
+            recs[f"opt/{name}/m"] = m
+            recs[f"opt/{name}/v"] = ck.adam.v[name]
     return recs
 
 
 def save_checkpoint(path: str | Path, lfcr: LfcrModel | None = None,
                     vdsr: VdsrModel | None = None, adam: AdamState | None = None,
                     epoch: int = 0, phase: str | None = None) -> None:
-    records: dict[str, np.ndarray] = {}
-    if lfcr is not None:
-        records["lfcr/vec/weights"] = lfcr.vec_kernel
-        for name, p in lfcr.named_parameters():
-            records[name] = p.data
-    if vdsr is not None:
-        for name, p in vdsr.named_parameters():
-            records[name] = p.data
-    records.update(_meta_records(lfcr, epoch, phase))
-    if adam is not None:
-        records["opt/step"] = np.float32(adam.step)
-        for name, m in adam.m.items():
-            records[f"opt/{name}/m"] = m
-            records[f"opt/{name}/v"] = adam.v[name]
-    write_records(path, records)
+    write_records(path, _records(Checkpoint(lfcr, vdsr, adam, epoch, phase)))
 
 
 def _model(records: dict[str, np.ndarray], prefix: str, build):
@@ -184,11 +177,12 @@ def _decode(records: dict[str, np.ndarray], name: str, table: dict) -> str:
     return table[arr.item()]
 
 
-def _count(records: dict[str, np.ndarray], name: str) -> int:
-    """Integer value of the scalar record ``name`` (an epoch, seed or step)."""
+def _count(records: dict[str, np.ndarray], name: str, signed: bool = False) -> int:
+    """Integer value of the scalar record ``name``: an epoch or step count, or a signed seed."""
     arr = records[name]
-    if arr.size != 1:
-        raise CheckpointError(f"{name} must be one number, got {arr.tolist()}")
+    if arr.size != 1 or (arr.item() < 0 and not signed):
+        raise CheckpointError(f"{name} must be one {'' if signed else 'non-negative '}number, "
+                              f"got {arr.tolist()}")
     return int(arr.item())
 
 
@@ -199,13 +193,12 @@ def _sensor(records: dict[str, np.ndarray]) -> tuple[str | None, SamplingMask | 
     kind = _decode(records, "meta/sensor_kind", SENSOR_FROM_CODE)
     if kind not in MASKED_KINDS:
         return kind, None
-    seed = _count(records, "meta/mask_seed") if "meta/mask_seed" in records else -1
-    pattern = records["meta/mask_pattern"]
-    if not np.array_equal(pattern, np.trunc(pattern)):
-        raise CheckpointError("meta/mask_pattern: quadrant digits must be whole numbers")
+    seed = _count(records, "meta/mask_seed", signed=True)
+    # clipped to just outside the digits, so a huge value fails the range check, not the cast
+    pattern = np.clip(records["meta/mask_pattern"], -1, 4).astype(np.int64)
     try:
-        return kind, SamplingMask(kind=kind, pattern=pattern.astype(np.int64),
-                                  seed=seed if seed >= 0 else "external")
+        return kind, SamplingMask(kind=kind, pattern=pattern,
+                                  seed="external" if seed == -1 else seed)
     except MaskFormatError as exc:
         raise CheckpointError(f"meta/mask_pattern: {exc}") from exc
 
@@ -221,24 +214,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         ck.epoch = _count(records, "meta/epoch")
     if "meta/phase" in records:
         ck.phase = _decode(records, "meta/phase", PHASE_FROM_CODE)
-    if "lfcr/vec/weights" in records:
-        if not np.array_equal(records["lfcr/vec/weights"],
-                              build_vectorizing_kernel(mask, sensor_kind)):
-            raise CheckpointError(f"lfcr/vec/weights is not the vectorizing kernel of the "
-                                  f"'{sensor_kind}' sensor that the meta/ records name")
+    if sensor_kind is not None:
         ck.lfcr = _model(records, "lfcr/",
                          lambda params: LfcrModel.from_parameters(mask, sensor_kind, params))
     if any(name.startswith("vdsr/") for name in records):
         ck.vdsr = _model(records, "vdsr/", VdsrModel.from_parameters)
     if "opt/step" in records:
         ck.adam = _adam_state(records, {"lfcr": ck.lfcr, "vdsr": ck.vdsr}.get(ck.phase))
-    named = {"lfcr/vec/weights", *META_FIELDS}
-    for model in (m for m in (ck.lfcr, ck.vdsr) if m is not None):
-        named.update(name for name, _ in model.named_parameters())
-    if ck.adam is not None:
-        named.update(["opt/step"] + [f"opt/{name}/{mv}" for name in ck.adam.m for mv in "mv"])
-    unnamed = [name for name in records if name not in named]
-    if unnamed:
-        raise CheckpointError(f"unexpected record '{unnamed[0]}': no parameter table, meta/ "
-                              f"field or optimizer state of this checkpoint names it")
+    # the file must hold exactly what saving the decoded checkpoint writes back
+    expected = _records(ck)
+    for name in [*records, *(n for n in expected if n not in records)]:
+        if name not in expected:
+            raise CheckpointError(f"unexpected record '{name}': saving would not write it")
+        if not np.array_equal(records[name], expected[name]):
+            raise CheckpointError(f"{name} is not what saving this checkpoint would write")
     return ck

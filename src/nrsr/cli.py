@@ -431,11 +431,12 @@ def cmd_curves(args) -> int:
 
     results: dict[int, float | None] = {}
     for factor, path in paths.items():
-        if not path.exists():
+        ck = _checkpoint_models(str(path)) if path.exists() else None
+        # like evaluate, a checkpoint without the stage's models scores as absent
+        if ck is None or (args.stage == "full" and ck.vdsr is None):
             results[factor] = None
             continue
-        ck = _checkpoint_models(str(path))
-        method = "lfcr" if (args.stage == "lfcr" or ck.vdsr is None) else "lfcr+vdsr"
+        method = "lfcr" if args.stage == "lfcr" else "lfcr+vdsr"
         rep = evaluate(method, args.dataset, lfcr=ck.lfcr, vdsr=ck.vdsr)
         results[factor] = rep.mean_psnr
 

@@ -89,8 +89,11 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if not np.all(np.isfinite([self.initial_lr, self.lr_decay_factor, self.lr_floor])):
             raise ConfigError("initial_lr, lr_decay_factor and lr_floor must be finite")
-        if self.initial_lr <= 0 or self.lr_decay_every < 1 or self.lr_decay_factor <= 0:
+        if self.initial_lr <= 0 or self.lr_decay_every < 1:
             raise ConfigError("learning-rate schedule values must be positive")
+        if self.lr_decay_factor < 1:
+            raise ConfigError(f"lr_decay_factor must be >= 1, so a decay never raises the lr, "
+                              f"got {self.lr_decay_factor}")
         if self.lr_floor < 0:
             raise ConfigError(f"lr_floor must be >= 0, got {self.lr_floor}")
         if self.seed < 0:
@@ -117,8 +120,12 @@ def save_config(config: TrainConfig, path: str | Path) -> None:
 
 
 def load_config(path: str | Path) -> TrainConfig:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     kwargs = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -249,11 +256,11 @@ def write_log_csv(path: str | Path, rows: list[LogRow]) -> None:
 
 def read_log_csv(path: str | Path) -> list[LogRow]:
     """Rows of a log that ``write_log_csv`` wrote."""
-    with open(path, newline="") as fh:
-        lines = list(csv.reader(fh))[1:]
     try:
+        with open(path, newline="") as fh:
+            lines = list(csv.reader(fh))[1:]
         return [LogRow(int(e), int(s), float(lr), float(loss)) for e, s, lr, loss in lines]
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError is a ValueError
         raise ConfigError(f"{path}: malformed training log ({exc})") from exc
 
 

@@ -2,6 +2,7 @@
 
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,3 +240,23 @@ def test_every_saved_file_loads(tmp_path, kind, phase):
     for name, model in models.items():
         save_checkpoint(path, **{name: model})
         assert getattr(load_checkpoint(path), name) is not None
+    # save -> load -> save writes the same bytes, whatever the mask's seed
+    for seed in (3, -5, "external", "tag7"):
+        seeded = None if mask is None else replace(mask, seed=seed)
+        models["lfcr"] = build_lfcr(seeded, kind, seed=1)
+        save_checkpoint(path, **models, adam=adam, epoch=3, phase=phase)
+        ck = load_checkpoint(path)
+        again = tmp_path / "again.nrsr"
+        save_checkpoint(again, lfcr=ck.lfcr, vdsr=ck.vdsr, adam=ck.adam, epoch=ck.epoch,
+                        phase=ck.phase)
+        assert again.read_bytes() == path.read_bytes(), seed
+
+
+def test_low_resolution_checkpoint_with_a_mask_pattern_rejected(tmp_path):
+    path = tmp_path / "lr.nrsr"
+    save_checkpoint(path, lfcr=build_lfcr(None, "low-resolution", seed=0))
+    records = read_records(path)
+    records["meta/mask_pattern"] = generate_mask("quarter", 0).pattern.astype(np.float32)
+    write_records(path, records)
+    with pytest.raises(CheckpointError, match="^unexpected record 'meta/mask_pattern'"):
+        load_checkpoint(path)

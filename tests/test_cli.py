@@ -348,7 +348,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("source, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("config", "initial_lr=nan"),
-        ("config", "lr_decay_factor=inf"), ("config", "lr_floor=-1e-8")])
+        ("config", "lr_decay_factor=inf"), ("config", "lr_floor=-1e-8"),
+        ("config", "lr_decay_factor=1e-200")])
     def test_bad_learning_rate_exits_2_before_training(self, workdir, tmp_path, source, value):
         if source == "config":
             (tmp_path / "cfg.txt").write_text(value + "\n")
@@ -543,6 +544,19 @@ class TestBadCheckpoint:
         ("vdsr/conv05/weights", one_nan((64, 64, 3, 3))),
         ("opt/vdsr/conv02/weights/m", one_nan((64, 64, 3, 3))),
         ("lfcr/deconv/bias", np.full(1, np.inf, dtype=np.float32)),
+        # a negative count: a resumed Adam step at t <= 0 would divide by a bias correction <= 0
+        ("meta/epoch", np.float32(-4)),
+        ("opt/step", np.float32(-2)),
+        # values that decode, but that saving the decoded checkpoint would not write back
+        ("meta/epoch", np.float32(2.5)),
+        ("opt/step", np.float32(3.7)),
+        ("meta/mask_seed", np.float32(2.5)),
+        ("meta/epoch", np.ones(1, dtype=np.float32)),
+        ("meta/epoch", np.float32(0)),
+        ("lfcr/vec/weights", None),
+        ("meta/mask_seed", None),
+        # a digit too large for an integer cast: one error line, no cast warning
+        ("meta/mask_pattern", np.full((8, 8), 1e30, dtype=np.float32)),
     ])
     def test_evaluate_exits_2_naming_the_record(self, workdir, resumable_checkpoint, tmp_path,
                                                 name, value):
@@ -677,6 +691,20 @@ class TestCurvesCommand:
         for line in lines[2:]:
             factor, p, g = line.split(",")
             assert p == "absent" and g == "absent"
+
+    def test_full_stage_of_an_lfcr_only_checkpoint_is_absent(self, workdir, trained, tmp_path):
+        (tmp_path / "run-f1").mkdir()
+        shutil.copy(trained[0] / "checkpoints" / "lfcr-epoch0001.nrsr",
+                    tmp_path / "run-f1" / "final.nrsr")
+        rows = {}
+        for stage in ("full", "lfcr"):
+            res = run_cli("curves", "--dataset", workdir / "holdout", "--factors", "1",
+                          "--checkpoint-pattern", tmp_path / "run-f{factor}" / "final.nrsr",
+                          "--stage", stage)
+            assert res.returncode == 0, res.stderr
+            rows[stage] = res.stdout.splitlines()[1].split(",")
+        assert rows["full"] == ["1", "absent", "absent"]
+        assert rows["lfcr"][1] != "absent" and rows["lfcr"][2] == "0.0000"
 
 
 class TestThreadControl:

@@ -3,7 +3,11 @@
 Each parser gets seeded truncate/overwrite/insert/delete mutations of a
 valid file, run in-process through the command that reads it: an NRSR1
 checkpoint through `nrsr reconstruct --stage lfcr`, and an NRSMASK file
-and a P5 image through `nrsr sample`.
+and a P5 and a P6 image through `nrsr sample`. The key=value training
+config and the CSV training log are fed to their parsers directly,
+since a mutated but valid config can ask `nrsr train` for any number of
+epochs; each of those ends in a return or in a ValueError, which
+`nrsr` turns into exit 2.
 """
 
 import struct
@@ -17,6 +21,7 @@ from nrsr.checkpoint import save_checkpoint
 from nrsr.imageio import load_raw, write_pgm
 from nrsr.lfcr import build_lfcr
 from nrsr.masks import generate_mask, save_mask
+from nrsr.training import LogRow, TrainConfig, load_config, read_log_csv, save_config, write_log_csv
 
 MUTATIONS = 200
 
@@ -57,6 +62,10 @@ def inputs(tmp_path_factory):
     save_mask(mask, root / "mask.nrsmask")
     save_checkpoint(root / "lfcr.nrsr", lfcr=build_lfcr(mask, "quarter", seed=0))
     write_pgm(root / "image.pgm", synth_image_u8(3, 16, 24))
+    rgb = np.stack([synth_image_u8(s, 16, 24) for s in (4, 5, 6)], axis=-1)
+    (root / "image.ppm").write_bytes(b"P6\n24 16\n255\n" + rgb.tobytes())
+    save_config(TrainConfig(), root / "config.txt")
+    write_log_csv(root / "log.csv", [LogRow(e, 3 * e, 1e-4 / e, 0.5 / e) for e in range(1, 6)])
     return root
 
 
@@ -84,6 +93,20 @@ def fuzz(original: bytes, spans, run, seed: int) -> dict[int, int]:
         code = run(mutate(original, rng, lo, hi))
         codes[code] = codes.get(code, 0) + 1
     return codes
+
+
+def parse_run(parse, path):
+    """A ``fuzz`` run of ``parse`` on the mutated bytes: 0 if it returns, 2 on a ValueError."""
+
+    def run(data):
+        path.write_bytes(data)
+        try:
+            parse(path)
+        except ValueError:
+            return 2
+        return 0
+
+    return run
 
 
 @pytest.fixture(autouse=True)
@@ -129,4 +152,35 @@ def test_mutated_images(inputs, tmp_path, capsys):
 
     header_end = len(b"P5\n24 16\n255\n")
     codes = fuzz(original, [(0, header_end)], run, seed=1603)
+    assert codes.get(0, 0) > 0 and codes.get(2, 0) > 0
+
+
+def test_mutated_color_images(inputs, tmp_path, capsys):
+    original = (inputs / "image.ppm").read_bytes()
+    bad, out = tmp_path / "bad.ppm", tmp_path / "out"
+
+    def run(data):
+        bad.write_bytes(data)
+        return check_run(["sample", "--sensor", "quarter", "--mask", inputs / "mask.nrsmask",
+                          "--in", bad, "--out", out], out, capsys)
+
+    codes = fuzz(original, [(0, len(b"P6\n24 16\n255\n"))], run, seed=1701)
+    assert codes.get(0, 0) > 0 and codes.get(2, 0) > 0
+
+
+def test_mutated_configs(inputs, tmp_path):
+    original = (inputs / "config.txt").read_bytes()
+    # the values, where a mutation is most likely to leave a line that still parses
+    spans, off = [], 0
+    for line in original.splitlines(keepends=True):
+        spans.append((off + line.index(b"=") + 1, off + len(line)))
+        off += len(line)
+    codes = fuzz(original, spans, parse_run(load_config, tmp_path / "bad.txt"), seed=1702)
+    assert codes.get(0, 0) > 0 and codes.get(2, 0) > 0
+
+
+def test_mutated_logs(inputs, tmp_path):
+    original = (inputs / "log.csv").read_bytes()
+    codes = fuzz(original, [(0, original.index(b"\n"))],
+                 parse_run(read_log_csv, tmp_path / "bad.csv"), seed=1703)
     assert codes.get(0, 0) > 0 and codes.get(2, 0) > 0

@@ -3,6 +3,7 @@
 import ctypes
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,8 +20,8 @@ from nrsr.lfcr import build_lfcr, lfcr_forward
 from nrsr.masks import generate_mask
 from nrsr.metrics import psnr
 from nrsr.training import (SHIFT_FACTORS, ConfigError, NonFiniteLossError, PatchSet, TrainConfig,
-                           build_patch_set, load_config, lr_schedule, save_config, train_lfcr,
-                           train_vdsr, write_log_csv)
+                           build_patch_set, load_config, lr_schedule, read_log_csv, save_config,
+                           train_lfcr, train_vdsr, write_log_csv)
 from nrsr.vdsr import build_vdsr, vdsr_forward
 
 
@@ -65,6 +66,22 @@ class TestConfig:
         path = tmp_path / "cfg.txt"
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match="must be finite|lr_floor must be >= 0"):
+            load_config(path)
+
+    @pytest.mark.parametrize("line", [
+        "lr_decay_factor=1e-200", "lr_decay_factor=0.5", "lr_decay_factor=0",
+        "lr_decay_factor=-10"])
+    def test_lr_decay_factor_below_one_rejected(self, tmp_path, line):
+        # a factor < 1 raises the lr at every decay, until factor ** -decays overflows
+        path = tmp_path / "cfg.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="lr_decay_factor must be >= 1"):
+            load_config(path)
+
+    def test_undecodable_config_names_the_file(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"epochs=\xff\xfe\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
             load_config(path)
 
     def test_zero_lr_floor_accepted(self):
@@ -373,6 +390,19 @@ def test_log_csv_format(tmp_path):
     assert int(epoch) == 1 and int(step) == 1
     assert float(lr) == res.rows[0].lr
     assert float(loss) == res.rows[0].loss
+    assert read_log_csv(path) == res.rows
+
+
+@pytest.mark.parametrize("tail", [
+    # an opening quote runs the field past csv's 131072-character limit
+    b'"' + b"1,2,0.1,0.5\n" * 12000,
+    b"1,2,\xff,0.5\n",
+], ids=["past-field-limit", "undecodable"])
+def test_malformed_log_names_the_file(tmp_path, tail):
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"epoch,step,lr,loss\n" + tail)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed training log"):
+        read_log_csv(path)
 
 
 class FakeMallopt:
