@@ -125,6 +125,8 @@ def _records(ck: Checkpoint) -> dict[str, np.ndarray]:
         if mask is not None:
             recs["meta/mask_pattern"] = mask.pattern.astype(np.float32)
             seed = mask.seed if isinstance(mask.seed, int) else -1  # a tag such as "external"
+            if abs(seed) > 2**127 or int(np.float32(seed)) != seed:
+                seed = -1  # a seed float32 cannot hold saves as a tag, not as another seed
             recs["meta/mask_seed"] = np.float32(seed)
     if ck.epoch:
         recs["meta/epoch"] = np.float32(ck.epoch)

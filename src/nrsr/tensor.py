@@ -31,8 +31,11 @@ so a training step's activations and interior gradients are freed layer
 by layer during the sweep. Gradients persist on leaves only.
 
 Every op is a pure function of its inputs and safe to call from
-multiple threads; a given Tensor's backward()/grad state must be
-driven by one thread at a time.
+multiple threads, except that conv2d writes its output into an ``out``
+array when given one; off the graph that may be its input's own
+buffer, which the VDSR's 64->64 layers use to hold one activation at a
+time. A given Tensor's backward()/grad state must be driven by one
+thread at a time.
 
 Inside ``with no_grad():`` ops build no graph: each returns a plain
 leaf Tensor holding the values the graph path computes, and keeps
@@ -171,9 +174,14 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
+def records_graph(*inputs: Tensor) -> bool:
+    """Whether an op on ``inputs`` run now links its output to them for backward()."""
+    return _grad_mode.enabled and any(t.requires_grad for t in inputs)
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
+    if records_graph(*parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -280,8 +288,8 @@ def _tap_sum(taps: np.ndarray, band: np.ndarray, m: int, offsets: list[int],
     return y
 
 
-def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec,
-           slopes: Tensor | None = None) -> Tensor:
+def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec, *,
+           slopes: Tensor | None = None, out: np.ndarray | None = None) -> Tensor:
     """Stride-1, same-padded 2-D cross-correlation of ``prelu(x, slopes)``.
 
     ``weights`` is (out_channels, in_channels, k, k) for the spec's kernel
@@ -301,6 +309,14 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec,
     gradient sums dz * min(x, 0). The graph keeps only the input itself.
     Backward runs one path: it computes all four gradients and hands each
     to its input, which keeps it only if it requires one.
+
+    ``out``, if given, receives the output and must have its shape and
+    dtype (else ShapeMismatchError). It may be ``x.data`` itself when the
+    call builds no graph, since backward reads ``x``; any other overlap
+    with ``x`` raises ValueError. Each band's result is written one band
+    late, after the next band has read its halo of p rows above it, and a
+    band holds at least p rows (k = 3: p = 1), so no band reads a row
+    already overwritten.
     """
     _require_4d(x, "input")
     k, p, o, c = spec.kernel_h, spec.pad, spec.out_channels, spec.in_channels
@@ -322,22 +338,41 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec,
 
     wp, xd = w + 2 * p, x.data
     a = slopes.data[:, None, None]
-    rows = min(h, max(1, BAND_PIXELS // wp))  # whole rows per band
+    rows = min(h, max(1, p, BAND_PIXELS // wp))  # whole rows per band, at least p
     halo_rows = min(h, rows + 2 * p)  # input rows a band reads
     offsets = [u * wp + v for u in range(k) for v in range(k)]  # of tap (u, v), at u*k + v
     taps = weights.data.transpose(2, 3, 0, 1).reshape(k * k, o, c)
     dtype = np.result_type(xd, taps, a)
+    if out is None:
+        out = np.empty((b, o, h, w), dtype=dtype)
+    elif out.shape != (b, o, h, w) or out.dtype != dtype:
+        raise ShapeMismatchError(
+            f"out is {out.dtype} {out.shape}, expected {np.dtype(dtype)} {(b, o, h, w)}")
+    elif np.shares_memory(out, xd) and (records_graph(x, weights, bias, slopes)
+                                        or (out.ctypes.data, out.strides)
+                                        != (xd.ctypes.data, xd.strides)):
+        raise ValueError("out overlaps the input: it may only be the input's own buffer, "
+                         "and only for a call that builds no graph")
     scratch = np.empty((2, c, halo_rows, w), dtype=dtype)
 
     def fill(dst, src):  # the band's PReLU, then one copy into the strided buffer
         z, pos = scratch[:, :, : src.shape[1]]
         np.copyto(dst, _prelu_into(src, a, z, pos))
 
-    out = np.empty((b, o, h, w), dtype=dtype)
-    acc, tmp = np.empty((2, o * rows * wp), dtype=dtype)
-    for n, r0, nr, band in _bands(xd, rows, p, dtype, fill):
-        y = _tap_sum(taps, band, nr * wp, offsets, acc, tmp).reshape(o, nr, wp)[:, :, :w]
+    def write(n, r0, nr, y):
         np.add(y, bias.data[:, None, None], out=out[n, :, r0 : r0 + nr])
+
+    # a band's result waits in its accumulator until the next band's fill has read
+    # its halo, so ``out`` may be the input itself; two accumulators take turns
+    *accs, tmp = np.empty((3, o * rows * wp), dtype=dtype)
+    waiting = ()
+    for i, (n, r0, nr, band) in enumerate(_bands(xd, rows, p, dtype, fill)):
+        if waiting:
+            write(*waiting)
+        y = _tap_sum(taps, band, nr * wp, offsets, accs[i % 2], tmp)
+        waiting = (n, r0, nr, y.reshape(o, nr, wp)[:, :, :w])
+    if waiting:
+        write(*waiting)
 
     def bw(g: np.ndarray):
         bias.accumulate_grad(g.sum(axis=(0, 2, 3)))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
+import math
 import os
 import warnings
 from collections.abc import Sequence
@@ -255,13 +256,22 @@ def write_log_csv(path: str | Path, rows: list[LogRow]) -> None:
 
 
 def read_log_csv(path: str | Path) -> list[LogRow]:
-    """Rows of a log that ``write_log_csv`` wrote."""
+    """Rows of a log that ``write_log_csv`` wrote.
+
+    Training writes epochs and steps from 1 and a finite, non-negative
+    lr and loss; any other row is rejected.
+    """
     try:
         with open(path, newline="") as fh:
             lines = list(csv.reader(fh))[1:]
-        return [LogRow(int(e), int(s), float(lr), float(loss)) for e, s, lr, loss in lines]
+        rows = [LogRow(int(e), int(s), float(lr), float(loss)) for e, s, lr, loss in lines]
     except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError is a ValueError
         raise ConfigError(f"{path}: malformed training log ({exc})") from exc
+    for row in rows:
+        if (min(row.epoch, row.step) < 1
+                or not (0 <= row.lr < math.inf and 0 <= row.loss < math.inf)):
+            raise ConfigError(f"{path}: malformed training log (training never writes {row})")
+    return rows
 
 
 # glibc's mallopt parameters (malloc.h) and the values training runs with

@@ -4,7 +4,9 @@ Twenty 3x3 convolutions (zero pad 1, stride 1): 1 -> 64, eighteen
 64 -> 64, 64 -> 1, with per-channel PReLU after all but the last.
 Each PReLU runs inside the convolution that follows it
 (``conv2d(..., slopes=...)``), so a training graph keeps one
-activation per layer, its pre-activation.
+activation per layer, its pre-activation. Off the graph each 64 -> 64
+convolution writes its output over its input (``conv2d(..., out=...)``),
+so inference holds one activation at a time.
 The network predicts a residual r; the enhanced image is f_hat + r.
 Same pixel-scale convention as the LFCR: inputs are divided by 255
 internally and the final layer's output is rescaled by 255 before its
@@ -20,7 +22,7 @@ import numpy as np
 
 from .netutil import as_batch, from_batch, initial_parameters, take_parameters
 from .tensor import (ConvSpec, ShapeMismatchError, Tensor, add, add_channel_bias, conv2d,
-                     no_grad, scale)
+                     no_grad, records_graph, scale)
 from .tensor import prelu  # noqa: F401  (perfbench's tracer wraps nrsr.vdsr.prelu by name)
 
 DEPTH = 20
@@ -82,12 +84,16 @@ class VdsrModel:
         """Residual prediction graph on a (B,1,H,W) input."""
         if x.data.ndim != 4 or x.shape[1] != 1:
             raise ShapeMismatchError(f"input must be (B,1,H,W), got {x.shape}")
-        t, slopes = scale(x, 1.0 / PIXEL_SCALE), None
-        for layer in self.layers[:-1]:
+        first = self.layers[0]
+        t = conv2d(scale(x, 1.0 / PIXEL_SCALE), first.weights, first.bias, first.spec)
+        slopes = first.slopes
+        for layer in self.layers[1:-1]:
             # each conv applies the PReLU of the layer before it, so the graph keeps
-            # only pre-activations; slopes go by keyword, since perfbench's tracer
-            # names a conv2d call from its four positional arguments
-            t = conv2d(t, layer.weights, layer.bias, layer.spec, slopes=slopes)
+            # only pre-activations; off the graph nothing else holds t, so the layer
+            # writes over it. slopes and out go by keyword: perfbench's tracer names
+            # a conv2d call from its four positional arguments
+            out = None if records_graph(t, layer.weights, layer.bias, slopes) else t.data
+            t = conv2d(t, layer.weights, layer.bias, layer.spec, slopes=slopes, out=out)
             slopes = layer.slopes
         last = self.layers[-1]
         r = conv2d(t, last.weights, None, last.spec, slopes=slopes)

@@ -241,7 +241,7 @@ def test_every_saved_file_loads(tmp_path, kind, phase):
         save_checkpoint(path, **{name: model})
         assert getattr(load_checkpoint(path), name) is not None
     # save -> load -> save writes the same bytes, whatever the mask's seed
-    for seed in (3, -5, "external", "tag7"):
+    for seed in (3, -5, "external", "tag7", 16777217):
         seeded = None if mask is None else replace(mask, seed=seed)
         models["lfcr"] = build_lfcr(seeded, kind, seed=1)
         save_checkpoint(path, **models, adam=adam, epoch=3, phase=phase)
@@ -250,6 +250,18 @@ def test_every_saved_file_loads(tmp_path, kind, phase):
         save_checkpoint(again, lfcr=ck.lfcr, vdsr=ck.vdsr, adam=ck.adam, epoch=ck.epoch,
                         phase=ck.phase)
         assert again.read_bytes() == path.read_bytes(), seed
+
+
+@pytest.mark.parametrize("seed,loaded", [(16777216, 16777216), (2**25, 2**25), (-16777216, -16777216),
+                                         (16777217, "external"), (-16777217, "external"),
+                                         pytest.param(10**40, "external", id="1e40")])
+def test_mask_seed_float32_cannot_hold_loads_as_a_tag(tmp_path, seed, loaded):
+    # meta/mask_seed is a float32 record, exact for integers of 24 significant bits
+    path = tmp_path / "seed.nrsr"
+    mask = replace(generate_mask("quarter", 3), seed=seed)
+    save_checkpoint(path, lfcr=build_lfcr(mask, "quarter", seed=1))
+    ck = load_checkpoint(path)
+    assert ck.lfcr.mask.seed == loaded and np.array_equal(ck.lfcr.mask.pattern, mask.pattern)
 
 
 def test_low_resolution_checkpoint_with_a_mask_pattern_rejected(tmp_path):

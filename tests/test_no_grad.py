@@ -118,16 +118,28 @@ class TestSameValues:
         assert np.array_equal(out, graph.data[0, 0, :h, :w])
 
 
-def test_vdsr_forward_peak_memory_bounded(models):
-    # one 64-channel float32 activation at 64x64 is 1 MiB; a kept graph
-    # holds about three per layer (60+ MiB), a graph-free pass a few at once
-    _, vdsr = models
-    x = synth_image(9, 64, 64)
+def vdsr_forward_peak(vdsr, x) -> int:
+    """tracemalloc's peak over a second vdsr_forward call on ``x``."""
     vdsr_forward(vdsr, x)  # first call outside the measurement
     tracemalloc.start()
     try:
         vdsr_forward(vdsr, x)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 64 * 64 * 64 * 4
+
+
+def test_vdsr_forward_peak_memory_bounded(models):
+    # one 64-channel float32 activation at 64x64 is 1 MiB; a kept graph
+    # holds about three per layer (60+ MiB), a graph-free pass a few at once
+    _, vdsr = models
+    assert vdsr_forward_peak(vdsr, synth_image(9, 64, 64)) < 16 * 64 * 64 * 64 * 4
+
+
+def test_vdsr_forward_holds_one_activation_and_band_buffers(models):
+    # Each 64->64 layer writes its output over its input, so the pass holds one
+    # activation (12 MiB at 192x256) and conv2d's band buffers, whose size does
+    # not grow with the image height: 1.52 activations here, 1.10 at 512x512.
+    # It held 2.44 here while each layer's output was a fresh array.
+    _, vdsr = models
+    assert vdsr_forward_peak(vdsr, synth_image(9, 192, 256)) <= 1.6 * 64 * 192 * 256 * 4

@@ -273,6 +273,55 @@ class TestConv2dPrelu:
             conv2d(t(x), t(wt), t(b), spec, slopes=t(s[:3]))
 
 
+class TestConv2dInPlace:
+    """conv2d(..., out=x.data) writes its output over its own input, off the graph."""
+
+    @staticmethod
+    def case(k, seed=61):
+        rng = np.random.default_rng(seed)
+        return ConvSpec(k, k, in_channels=4, out_channels=4), [
+            rng.standard_normal((2, 4, 7, 5)).astype(np.float32),
+            rng.standard_normal((4, 4, k, k)).astype(np.float32),
+            rng.standard_normal(4).astype(np.float32),
+            np.array([-0.5, 0.0, 0.25, 1.5], dtype=np.float32)]
+
+    # rows None: one band per sample; 2: bands of 2, 2, 2 and 1 rows; 1: one-row
+    # bands, which conv2d widens to p rows when p > 1
+    @pytest.mark.parametrize("rows", [None, 2, 1])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_equals_the_out_of_place_output(self, monkeypatch, k, rows):
+        spec, (x, wt, b, s) = self.case(k)
+        if rows is not None:
+            band_rows(monkeypatch, rows, 5, k)
+        want = conv2d(t(x), t(wt), t(b), spec, slopes=t(s)).data
+        buf = x.copy()
+        got = conv2d(t(buf), t(wt), t(b), spec, slopes=t(s), out=buf)
+        assert got.data is buf and np.array_equal(buf, want)
+
+    @pytest.mark.parametrize("trained", ["x", "weights"])
+    def test_overlap_under_a_graph_rejected(self, trained):
+        spec, (x, wt, b, s) = self.case(3)
+        leaves = {"x": t(x), "weights": t(wt)}
+        leaves[trained].requires_grad = True
+        with pytest.raises(ValueError, match="overlaps the input"):
+            conv2d(leaves["x"], leaves["weights"], t(b), spec, slopes=t(s), out=x)
+        with no_grad():  # the same call off the graph writes in place
+            conv2d(leaves["x"], leaves["weights"], t(b), spec, slopes=t(s), out=x)
+
+    def test_overlap_other_than_the_input_itself_rejected(self):
+        spec, (x, wt, b, s) = self.case(3)
+        buf = np.concatenate([x, x[:1]])
+        with pytest.raises(ValueError, match="overlaps the input"):
+            conv2d(t(buf[:2]), t(wt), t(b), spec, slopes=t(s), out=buf[1:])
+
+    @pytest.mark.parametrize("shape,dtype", [((2, 4, 7, 6), np.float32), ((1, 4, 7, 5), np.float32),
+                                             ((2, 3, 7, 5), np.float32), ((2, 4, 7, 5), np.float64)])
+    def test_wrong_out_shape_or_dtype_rejected(self, shape, dtype):
+        spec, (x, wt, b, s) = self.case(3)
+        with pytest.raises(ShapeMismatchError, match="^out is"):
+            conv2d(t(x), t(wt), t(b), spec, slopes=t(s), out=np.zeros(shape, dtype=dtype))
+
+
 def deconv2d_oracle(rows, w, batch, height, width):
     """Float64 loop: row (b, i, j) @ W painted into block (i, j) of sample b."""
     c, o, kh, kw = w.shape

@@ -405,6 +405,15 @@ def test_malformed_log_names_the_file(tmp_path, tail):
         read_log_csv(path)
 
 
+@pytest.mark.parametrize("row", ["-7,3,nan,inf", "1,-2,-0.5,nan", "0,1,0.1,0.5", "1,0,0.1,0.5",
+                                 "1,1,inf,0.5", "1,1,0.1,-0.0001"])
+def test_log_rows_training_never_writes_rejected(tmp_path, row):
+    path = tmp_path / "log.csv"
+    path.write_text(f"epoch,step,lr,loss\n1,1,0.1,0.5\n{row}\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed training log"):
+        read_log_csv(path)
+
+
 class FakeMallopt:
     """Stands in for libc's ``mallopt``: records its calls and answers ``answer``."""
 

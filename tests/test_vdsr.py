@@ -6,6 +6,7 @@ import pytest
 from conftest import synth_image
 from nrsr.gradcheck import grad_check, vdsr_case
 from nrsr.netutil import param_count, to_dtype_params
+from nrsr.tensor import Tensor
 from nrsr.vdsr import build_vdsr, receptive_field, vdsr_forward
 
 
@@ -102,3 +103,19 @@ class TestGradient:
         fn, leaves, _ = vdsr_case(seed=1, depth=20, param_samples=2)
         err = grad_check(fn, leaves, max_checks_per_leaf=2, rng=np.random.default_rng(1))
         assert err <= 1e-4
+
+    def test_partly_frozen_model_gives_its_trained_layers_their_gradients(self):
+        # frozen 64->64 layers run off the graph and write over their inputs; the
+        # first trained layer keeps its input for backward
+        x = Tensor(synth_image(5, 12, 10)[None, None])
+        grads = []
+        for trained in ((3, 4), range(1, 6)):
+            m = build_vdsr(seed=6, depth=5)
+            for i, layer in enumerate(m.layers, 1):
+                for p in (layer.weights, layer.bias, layer.slopes):
+                    if p is not None:
+                        p.requires_grad = i in trained
+            m.forward_t(x)[1].backward()
+            grads.append([m.layers[i - 1].weights.grad for i in (3, 4)])
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
