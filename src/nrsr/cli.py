@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -25,6 +26,7 @@ EXIT_NUMERIC = 3
 
 SENSOR_CHOICES = ("quarter", "three-quarter", "low-resolution")
 SHIFT_FACTOR_CHOICES = (1, 2, 4, 8, 16)
+STAGE_METHODS = {"lfcr": "lfcr", "full": "lfcr+vdsr"}   # --stage: the method it runs
 
 
 def _set_threads(threads: int | None) -> None:
@@ -200,25 +202,29 @@ def _load_dataset_images(data_dir: str):
     return images, [p.name for p in paths]
 
 
-def _checkpoint_models(path: str):
+def _checkpoint_for(path, sensor: str | None = None, mask=None):
+    """Load ``path``; with ``sensor`` (and ``mask``), check it was trained for them."""
+    import numpy as np
+
     from .checkpoint import load_checkpoint
 
     ck = load_checkpoint(path)
     if ck.lfcr is None:
         raise UsageError(f"{path}: no LFCR model records")
-    return ck
-
-
-def _checkpoint_for(path, sensor: str, mask):
-    """Load ``path`` and check it was trained for ``sensor`` and ``mask``."""
-    import numpy as np
-
-    ck = _checkpoint_models(path)
-    if ck.lfcr.sensor_kind != sensor:
+    if sensor is not None and ck.lfcr.sensor_kind != sensor:
         raise UsageError(f"checkpoint was trained for sensor '{ck.lfcr.sensor_kind}', not '{sensor}'")
     if mask is not None and not np.array_equal(mask.pattern, ck.lfcr.mask.pattern):
         raise UsageError("mask file does not match the checkpoint's mask pattern")
     return ck
+
+
+def _models_for(method: str, ck) -> dict | None:
+    """The models ``method`` runs on, as keyword arguments; None when ``ck`` lacks them."""
+    if method not in STAGE_METHODS.values():
+        return {}
+    if ck is None or (method == "lfcr+vdsr" and ck.vdsr is None):
+        return None
+    return {"lfcr": ck.lfcr, "vdsr": ck.vdsr}
 
 
 def _start_checkpoint(args, ckdir, mask):
@@ -226,14 +232,17 @@ def _start_checkpoint(args, ckdir, mask):
 
     With --resume it is the newest phase-2 checkpoint in ``ckdir``, else
     the newest phase-1 one; --phase vdsr starts from the newest phase-1
-    checkpoint and needs one. It must match --sensor and --mask.
+    checkpoint and needs one. Newest means the highest epoch number. It
+    must match --sensor and --mask.
     """
     prefixes = ("vdsr", "lfcr") if args.resume else ("lfcr",) if args.phase == "vdsr" else ()
     for prefix in prefixes:
-        files = sorted(ckdir.glob(f"{prefix}-epoch*.nrsr"))
-        if files:
-            ck = _checkpoint_for(files[-1], args.sensor, mask)
-            print(f"{'resuming' if args.resume else 'starting'} from {files[-1]} "
+        by_epoch = {int(m[1]): path for path in ckdir.glob(f"{prefix}-epoch*.nrsr")
+                    if (m := re.fullmatch(rf"{prefix}-epoch(\d+)\.nrsr", path.name))}
+        if by_epoch:
+            path = by_epoch[max(by_epoch)]
+            ck = _checkpoint_for(path, args.sensor, mask)
+            print(f"{'resuming' if args.resume else 'starting'} from {path} "
                   f"(phase {ck.phase}, epoch {ck.epoch})")
             return ck
     if args.phase == "vdsr":
@@ -294,18 +303,20 @@ def cmd_train(args) -> int:
     # Adam state and start epoch continue only the phase the checkpoint was saved in
     resumed = {ck.phase: {"state": ck.adam, "start_epoch": ck.epoch}} if ck else {}
 
-    def report(phase: str, res) -> None:
-        write_log_csv(out / f"{phase}_train_log.csv", kept.get(phase, []) + res.rows)
+    def run(phase: str, train, *models) -> None:
+        # the phase appends each finished epoch's rows to the kept ones
+        log = out / f"{phase}_train_log.csv"
+        write_log_csv(log, kept.get(phase, []))
+        res = train(*models, patch_set, config, checkpoint_dir=ckdir, log_path=log,
+                    **resumed.get(phase, {}))
         print(f"phase {phase} done: {len(res.rows)} steps" + (
             f", final epoch loss {res.epoch_losses[-1]:.6g}" if res.epoch_losses else ""))
 
     if args.phase != "vdsr" and "vdsr" not in resumed:
-        report("lfcr", train_lfcr(lfcr_model, patch_set, config, checkpoint_dir=ckdir,
-                                  **resumed.get("lfcr", {})))
+        run("lfcr", train_lfcr, lfcr_model)
     if args.phase != "lfcr":
         vdsr_model = vdsr_model or build_vdsr(seed=config.seed + 1)
-        report("vdsr", train_vdsr(lfcr_model, vdsr_model, patch_set, config, checkpoint_dir=ckdir,
-                                  **resumed.get("vdsr", {})))
+        run("vdsr", train_vdsr, lfcr_model, vdsr_model)
 
     final = out / "final.nrsr"
     save_checkpoint(final, lfcr=lfcr_model, vdsr=vdsr_model)
@@ -318,15 +329,15 @@ def cmd_reconstruct(args) -> int:
     from .imageio import read_image_gray, save_raw, write_pgm
 
     mask = _load_mask_for(args.sensor, args.mask)
-    ck = _checkpoint_for(args.checkpoint, args.sensor, mask)
-    if args.stage == "full" and ck.vdsr is None:
+    method = STAGE_METHODS[args.stage]
+    models = _models_for(method, _checkpoint_for(args.checkpoint, args.sensor, mask))
+    if models is None:
         raise UsageError(f"{args.checkpoint}: no VDSR records; use --stage lfcr")
 
     image = read_image_gray(args.input)
-    method = "lfcr" if args.stage == "lfcr" else "lfcr+vdsr"
-    out = reconstruct_image(image, method, lfcr=ck.lfcr, vdsr=ck.vdsr)
+    out = reconstruct_image(image, method, **models)
     if args.out.endswith(".f32"):
-        save_raw(args.out[: -len(".f32")], out,
+        save_raw(args.out, out,
                  {"sensor": args.sensor, "stage": args.stage,
                   "source": os.path.basename(args.input)})
     else:
@@ -347,18 +358,16 @@ def cmd_evaluate(args) -> int:
 
     ck = None
     if args.checkpoint and Path(args.checkpoint).exists():
-        ck = _checkpoint_models(args.checkpoint)
+        ck = _checkpoint_for(args.checkpoint)
 
     reports = []
     absent = []
     for method in methods:
-        if method in ("lfcr", "lfcr+vdsr"):
-            if ck is None or (method == "lfcr+vdsr" and ck.vdsr is None):
-                absent.append(method)
-                continue
-            reports.append(evaluate(method, args.dataset, lfcr=ck.lfcr, vdsr=ck.vdsr))
+        models = _models_for(method, ck)
+        if models is None:
+            absent.append(method)
         else:
-            reports.append(evaluate(method, args.dataset))
+            reports.append(evaluate(method, args.dataset, **models))
 
     csv_lines = ["image,method,sensor,psnr_db,ssim"]
     for rep in reports:
@@ -429,24 +438,21 @@ def cmd_curves(args) -> int:
         raise UsageError(f"--checkpoint-pattern must contain {{factor}} and no other field, "
                          f"got '{pattern}'")
 
-    results: dict[int, float | None] = {}
+    method = STAGE_METHODS[args.stage]
+    results: dict[int, float] = {}
     for factor, path in paths.items():
-        ck = _checkpoint_models(str(path)) if path.exists() else None
-        # like evaluate, a checkpoint without the stage's models scores as absent
-        if ck is None or (args.stage == "full" and ck.vdsr is None):
-            results[factor] = None
-            continue
-        method = "lfcr" if args.stage == "lfcr" else "lfcr+vdsr"
-        rep = evaluate(method, args.dataset, lfcr=ck.lfcr, vdsr=ck.vdsr)
-        results[factor] = rep.mean_psnr
+        # like evaluate, a checkpoint without the stage's models scores as absent (NaN)
+        models = _models_for(method, _checkpoint_for(path) if path.exists() else None)
+        results[factor] = (math.nan if models is None
+                           else evaluate(method, args.dataset, **models).mean_psnr)
 
-    base = results.get(factors[0]) if factors else None
+    base = results[factors[0]] if factors else math.nan
     lines = ["factor,psnr_db,gain_db"]
     for factor in factors:
         v = results[factor]
-        if v is None or math.isnan(v):
+        if math.isnan(v):
             lines.append(f"{factor},absent,absent")
-        elif base is None or math.isnan(base):
+        elif math.isnan(base):
             lines.append(f"{factor},{v:.4f},absent")
         else:
             lines.append(f"{factor},{v:.4f},{v - base:.4f}")

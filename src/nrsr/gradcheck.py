@@ -134,56 +134,65 @@ def vdsr_case(seed: int, depth: int = 4, param_samples: int | None = 48):
 
 def run_standard_checks(seed: int = 0) -> dict[str, float]:
     """Max relative gradient error for every differentiable operator and both networks."""
-    from .tensor import ConvSpec, concat_channels, conv2d, deconv2d, linear, mse_loss, prelu
+    from .masks import generate_mask
+    from .sensors import sensitivity_tile, vectorize_tensor
+    from .tensor import (ConvSpec, add, add_channel_bias, concat_channels, conv2d, deconv2d,
+                         linear, mse_loss, prelu, scale, take_channels)
 
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
 
+    def check(name, fn, leaves, samples=None):
+        # a fresh probe generator per check, so no check's probes depend on another's
+        results[name] = grad_check(fn, leaves, max_checks_per_leaf=samples,
+                                   rng=np.random.default_rng(seed))
+
+    def off_kink(x):
+        # keep PReLU inputs away from the kink so |x| >> h
+        return np.where(np.abs(x) < 0.1, 0.5, x)
+
     spec = ConvSpec(3, 3, in_channels=2, out_channels=3)
-    leaves = [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((3, 2, 3, 3)),
-              rng.standard_normal(3)]
-    results["conv2d"] = grad_check(
-        lambda ts: conv2d(ts[0], ts[1], ts[2], spec), leaves, rng=np.random.default_rng(seed))
+    check("conv2d", lambda ts: conv2d(ts[0], ts[1], ts[2], spec),
+          [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((3, 2, 3, 3)),
+           rng.standard_normal(3)])
 
     # rows of a 1x3x3 block grid, 2 channels in, 3 channels of 4x4 blocks out
-    leaves = [rng.standard_normal((9, 2)), rng.standard_normal((2, 3, 4, 4))]
-    results["deconv2d"] = grad_check(
-        lambda ts: deconv2d(ts[0], ts[1], 1, 3, 3), leaves, rng=np.random.default_rng(seed))
+    check("deconv2d", lambda ts: deconv2d(ts[0], ts[1], 1, 3, 3),
+          [rng.standard_normal((9, 2)), rng.standard_normal((2, 3, 4, 4))])
 
-    # keep inputs away from the kink so |x| >> h
-    x = rng.standard_normal((2, 3, 4, 4))
-    x = np.where(np.abs(x) < 0.1, 0.5, x)
-    leaves = [x, rng.uniform(0.1, 0.5, size=3)]
-    results["prelu"] = grad_check(
-        lambda ts: prelu(ts[0], ts[1]), leaves, rng=np.random.default_rng(seed))
+    check("prelu", lambda ts: prelu(ts[0], ts[1]),
+          [off_kink(rng.standard_normal((2, 3, 4, 4))), rng.uniform(0.1, 0.5, size=3)])
 
-    leaves = [rng.standard_normal((2, 3, 4, 4)), rng.standard_normal((2, 2, 4, 4))]
-    results["concat_channels"] = grad_check(
-        lambda ts: concat_channels(ts[0], ts[1]), leaves, rng=np.random.default_rng(seed))
+    check("concat_channels", lambda ts: concat_channels(ts[0], ts[1]),
+          [rng.standard_normal((2, 3, 4, 4)), rng.standard_normal((2, 2, 4, 4))])
 
-    leaves = [rng.standard_normal((2, 1, 4, 4)), rng.standard_normal((2, 1, 4, 4))]
-    results["mse_loss"] = grad_check(
-        lambda ts: mse_loss(ts[0], ts[1]), leaves, rng=np.random.default_rng(seed))
+    check("mse_loss", lambda ts: mse_loss(ts[0], ts[1]),
+          [rng.standard_normal((2, 1, 4, 4)), rng.standard_normal((2, 1, 4, 4))])
 
-    leaves = [rng.standard_normal((6, 3)), rng.standard_normal((4, 3, 1, 1)),
-              rng.standard_normal(4)]
-    results["linear"] = grad_check(
-        lambda ts: linear(ts[0], ts[1], ts[2]), leaves, rng=np.random.default_rng(seed))
+    check("linear", lambda ts: linear(ts[0], ts[1], ts[2]),
+          [rng.standard_normal((6, 3)), rng.standard_normal((4, 3, 1, 1)), rng.standard_normal(4)])
 
-    # the VDSR's fused op: PReLU applied inside the conv; inputs kept away from the kink
-    x = rng.standard_normal((1, 2, 4, 4))
-    x = np.where(np.abs(x) < 0.1, 0.5, x)
-    leaves = [x, rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3),
-              rng.uniform(0.1, 0.5, size=2)]
-    results["conv2d_prelu"] = grad_check(
-        lambda ts: conv2d(ts[0], ts[1], ts[2], spec, slopes=ts[3]), leaves,
-        rng=np.random.default_rng(seed))
+    # the VDSR's fused op: PReLU applied inside the conv
+    check("conv2d_prelu", lambda ts: conv2d(ts[0], ts[1], ts[2], spec, slopes=ts[3]),
+          [off_kink(rng.standard_normal((1, 2, 4, 4))), rng.standard_normal((3, 2, 3, 3)),
+           rng.standard_normal(3), rng.uniform(0.1, 0.5, size=2)])
 
-    fn, leaves, samples = lfcr_case(seed)
-    results["lfcr_16x16"] = grad_check(fn, leaves, max_checks_per_leaf=samples,
-                                       rng=np.random.default_rng(seed))
+    # a repeated index: its gradient is the sum of both picks
+    check("take_channels", lambda ts: take_channels(ts[0], [4, 1, 4]),
+          [rng.standard_normal((2, 5, 3, 3))])
 
-    fn, leaves, samples = vdsr_case(seed)
-    results["vdsr_depth4"] = grad_check(fn, leaves, max_checks_per_leaf=samples,
-                                        rng=np.random.default_rng(seed))
+    check("add", lambda ts: add(ts[0], ts[1]),
+          [rng.standard_normal((2, 3, 4, 4)), rng.standard_normal((2, 3, 4, 4))])
+
+    check("scale", lambda ts: scale(ts[0], 255.0), [rng.standard_normal((2, 3, 4, 4))])
+
+    check("add_channel_bias", lambda ts: add_channel_bias(ts[0], ts[1]),
+          [rng.standard_normal((2, 3, 4, 4)), rng.standard_normal(3)])
+
+    tile = sensitivity_tile(generate_mask("quarter", seed), "quarter")
+    check("vectorize_tensor", lambda ts: vectorize_tensor(ts[0], tile),
+          [rng.uniform(0.0, 255.0, size=(2, 1, 16, 16))])
+
+    check("lfcr_16x16", *lfcr_case(seed))
+    check("vdsr_depth4", *vdsr_case(seed))
     return results

@@ -93,11 +93,15 @@ def read_image_gray(path: str | Path) -> np.ndarray:
     return image if image.ndim == 2 else to_grayscale(image)
 
 
+def _raw_paths(base_path: str | Path) -> tuple[Path, Path]:
+    """<base>.f32 and <base>.json: ``base_path`` less one trailing .f32; other dots stay."""
+    base = str(base_path).removesuffix(".f32")
+    return Path(base + ".f32"), Path(base + ".json")
+
+
 def save_raw(base_path: str | Path, values: np.ndarray, meta: dict) -> tuple[Path, Path]:
     """Write <base>.f32 (little-endian float32) and <base>.json sidecar."""
-    base = Path(base_path)
-    raw_path = base.with_suffix(".f32")
-    json_path = base.with_suffix(".json")
+    raw_path, json_path = _raw_paths(base_path)
     arr = np.ascontiguousarray(values, dtype="<f4")
     raw_path.write_bytes(arr.tobytes())
     sidecar = {"dtype": "float32", "shape": list(arr.shape), **meta}
@@ -106,7 +110,7 @@ def save_raw(base_path: str | Path, values: np.ndarray, meta: dict) -> tuple[Pat
 
 
 def load_raw(base_path: str | Path) -> tuple[np.ndarray, dict]:
-    base = Path(base_path)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    arr = np.frombuffer(base.with_suffix(".f32").read_bytes(), dtype="<f4")
+    raw_path, json_path = _raw_paths(base_path)
+    meta = json.loads(json_path.read_text())
+    arr = np.frombuffer(raw_path.read_bytes(), dtype="<f4")
     return arr.reshape(meta["shape"]).copy(), meta

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import sensors
 from .masks import SamplingMask
-from .netutil import as_batch, from_batch, initial_parameters, param_count, take_parameters
+from .netutil import as_batch, from_batch, initial_parameters, take_parameters
 from .sensors import central_channel_indices
 from .tensor import (Tensor, add_channel_bias, concat_channels, deconv2d, linear, no_grad, prelu,
                      scale, take_channels)
@@ -41,7 +41,7 @@ CONCAT_CHANNELS = 16
 DECONV_IN = HIDDEN_CHANNELS + CONCAT_CHANNELS
 PIXEL_SCALE = 255.0
 
-__all__ = ["LfcrModel", "build_lfcr", "lfcr_forward", "param_count", "parameter_shapes"]
+__all__ = ["LfcrModel", "build_lfcr", "lfcr_forward", "parameter_shapes"]
 
 
 def parameter_shapes() -> dict[str, tuple[int, ...]]:

@@ -247,10 +247,12 @@ class TrainResult:
     checkpoints: list[str] = field(default_factory=list)
 
 
-def write_log_csv(path: str | Path, rows: list[LogRow]) -> None:
-    with open(path, "w", newline="") as fh:
+def write_log_csv(path: str | Path, rows: list[LogRow], append: bool = False) -> None:
+    """Write a log of ``rows``, or with ``append`` add them to the end of one this wrote."""
+    with open(path, "a" if append else "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "step", "lr", "loss"])
+        if not append:
+            writer.writerow(["epoch", "step", "lr", "loss"])
         for row in rows:
             writer.writerow([row.epoch, row.step, repr(row.lr), repr(row.loss)])
 
@@ -316,13 +318,16 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: TrainConfig,
                lr_scale: float, checkpoint_dir: str | Path | None, state: AdamState | None,
-               start_epoch: int) -> TrainResult:
+               start_epoch: int, log_path: str | Path | None) -> TrainResult:
     """The training loop of both phases: fit ``models[phase]`` to ``loss_fn``.
 
     ``loss_fn`` maps a batch of reference patches to the scalar loss
     Tensor. Every model in ``models`` (keyed like ``save_checkpoint``'s
     arguments) goes into the per-epoch ``<phase>-epochNNNN.nrsr``
-    checkpoint, together with the Adam state. Every phase calls
+    checkpoint, together with the Adam state. With ``log_path``, a log
+    that ``write_log_csv`` started, each epoch's rows are appended to it
+    before that epoch's checkpoint is saved, so a phase that stops early
+    keeps the rows of its finished epochs. Every phase calls
     ``keep_freed_memory``, which tunes the allocator once per process.
     """
     if len(patch_set) == 0:
@@ -363,6 +368,8 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
             rows.append(LogRow(epoch=epoch, step=state.step, lr=lr, loss=loss))
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
+        if log_path is not None:
+            write_log_csv(log_path, rows[-len(losses):], append=True)
         if checkpoint_dir is not None:
             path = checkpoint_dir / f"{phase}-epoch{epoch:04d}.nrsr"
             save_checkpoint(path, **models, adam=state, epoch=epoch, phase=phase)
@@ -372,19 +379,21 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
 
 def train_lfcr(model: LfcrModel, patch_set: PatchSet, config: TrainConfig,
                checkpoint_dir: str | Path | None = None,
-               state: AdamState | None = None, start_epoch: int = 0) -> TrainResult:
+               state: AdamState | None = None, start_epoch: int = 0,
+               log_path: str | Path | None = None) -> TrainResult:
     """Phase 1: fit the LFCR to reproduce reference patches from its own sampling."""
 
     def loss_fn(batch: np.ndarray) -> Tensor:
         return mse_loss(model.forward_t(Tensor(batch[:, None])), Tensor(batch[:, None]))
 
     return _run_phase("lfcr", {"lfcr": model}, loss_fn, patch_set, config, 1.0,
-                      checkpoint_dir, state, start_epoch)
+                      checkpoint_dir, state, start_epoch, log_path)
 
 
 def train_vdsr(lfcr_model: LfcrModel, vdsr_model: VdsrModel, patch_set: PatchSet,
                config: TrainConfig, checkpoint_dir: str | Path | None = None,
-               state: AdamState | None = None, start_epoch: int = 0) -> TrainResult:
+               state: AdamState | None = None, start_epoch: int = 0,
+               log_path: str | Path | None = None) -> TrainResult:
     """Phase 2: freeze the LFCR, fit the VDSR on its outputs at a tenth of the base lr."""
 
     def loss_fn(batch: np.ndarray) -> Tensor:
@@ -393,4 +402,4 @@ def train_vdsr(lfcr_model: LfcrModel, vdsr_model: VdsrModel, patch_set: PatchSet
         return mse_loss(f_tilde, Tensor(batch[:, None]))
 
     return _run_phase("vdsr", {"lfcr": lfcr_model, "vdsr": vdsr_model}, loss_fn, patch_set,
-                      config, 0.1, checkpoint_dir, state, start_epoch)
+                      config, 0.1, checkpoint_dir, state, start_epoch, log_path)

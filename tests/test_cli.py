@@ -162,6 +162,16 @@ class TestSampleCommand:
                       "--in", workdir / "data" / "t0.pgm", "--out", tmp_path / "lr")
         assert res.returncode == 0
 
+    @pytest.mark.parametrize("out, base", [
+        ("run.v2", "run.v2"), ("meas", "meas"), ("meas.f32", "meas"), ("m.f32.f32", "m.f32")])
+    def test_out_names_the_base_of_both_files(self, workdir, tmp_path, out, base):
+        res = run_cli("sample", "--sensor", "low-resolution",
+                      "--in", workdir / "data" / "t0.pgm", "--out", tmp_path / out)
+        assert res.returncode == 0, res.stderr
+        raw, sidecar = tmp_path / f"{base}.f32", tmp_path / f"{base}.json"
+        assert sorted(tmp_path.iterdir()) == [raw, sidecar]
+        assert res.stdout == f"wrote {raw} and {sidecar}\n"
+
     def test_missing_mask_exits_2(self, workdir, tmp_path):
         res = run_cli("sample", "--sensor", "quarter",
                       "--in", workdir / "data" / "t0.pgm", "--out", tmp_path / "x")
@@ -309,6 +319,30 @@ class TestTrainCommand:
         assert res.stderr == f"error: {message}\n"
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    def test_resume_picks_the_highest_epoch_number(self, workdir, tmp_path):
+        # zero-padded to four digits, epoch 9999 sorts after epoch 10000 by name
+        from nrsr.checkpoint import save_checkpoint
+        from nrsr.lfcr import build_lfcr
+        from nrsr.masks import load_mask
+        from nrsr.optim import AdamState
+
+        out = tmp_path / "run"
+        ckdir = out / "checkpoints"
+        ckdir.mkdir(parents=True)
+        mask = load_mask(workdir / "mask.nrsmask")
+        for epoch in (9999, 10000):
+            model = build_lfcr(mask, "quarter", seed=epoch)
+            save_checkpoint(ckdir / f"lfcr-epoch{epoch:04d}.nrsr", lfcr=model,
+                            adam=AdamState.for_params(model.named_parameters()),
+                            epoch=epoch, phase="lfcr")
+        res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                      "--data", workdir / "data", "--out", out, "--shift-da", "1", "--no-flips",
+                      "--phase", "lfcr", "--epochs", "10000", "--resume")
+        assert res.returncode == 0, res.stderr
+        newest = ckdir / "lfcr-epoch10000.nrsr"
+        assert f"resuming from {newest} (phase lfcr, epoch 10000)" in res.stdout
+        assert_same_params(load_checkpoint(out / "final.nrsr").lfcr, load_checkpoint(newest).lfcr)
+
     def test_resume_without_adam_record_exits_2(self, workdir, tmp_path):
         from nrsr.checkpoint import read_records, write_records
 
@@ -413,12 +447,19 @@ class TestTrainCommand:
         assert "warning: s.pgm: 32x32 smaller than patch size 48, skipped" in warned
 
     def test_divergence_exits_3_referencing_checkpoint(self, workdir, tmp_path):
+        out = tmp_path / "diverge"
         res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
-                      "--data", workdir / "data", "--out", tmp_path / "diverge",
+                      "--data", workdir / "data", "--out", out,
                       "--epochs", "8", "--shift-da", "1", "--no-flips",
                       "--phase", "lfcr", "--lr", "1e18", "--seed", "0")
         assert res.returncode == 3
         assert "numerical failure" in res.stderr
+        # epoch 1 (one step) finished and was saved; its row survives the failure at step 2
+        assert res.stderr.endswith(
+            f"at step 2; last good checkpoint: {out / 'checkpoints' / 'lfcr-epoch0001.nrsr'}\n")
+        log = (out / "lfcr_train_log.csv").read_text().splitlines()
+        assert log[0] == "epoch,step,lr,loss"
+        assert [line.split(",")[:3] for line in log[1:]] == [["1", "1", "1e+18"]]
 
 
 class TestReconstructCommand:
@@ -431,14 +472,19 @@ class TestReconstructCommand:
         assert read_pgm(out_img).shape == (48, 48)
 
     def test_stage_lfcr_differs_from_full(self, workdir, trained, tmp_path):
-        a, b = tmp_path / "full.f32", tmp_path / "lfcr.f32"
+        # dotted bases: each output keeps its own .f32 and .json
+        a, b = tmp_path / "h0.full.f32", tmp_path / "h0.lfcr.f32"
         base = ["--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
                 "--checkpoint", trained[0] / "final.nrsr",
                 "--in", workdir / "holdout" / "h0.pgm"]
-        assert run_cli("reconstruct", *base, "--out", a).returncode == 0
+        res = run_cli("reconstruct", *base, "--out", a)
+        assert res.returncode == 0 and res.stdout == f"wrote {a}\n"
         assert run_cli("reconstruct", *base, "--out", b, "--stage", "lfcr").returncode == 0
-        full, _ = load_raw(tmp_path / "full")
-        lfcr_only, _ = load_raw(tmp_path / "lfcr")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "h0.full.f32", "h0.full.json", "h0.lfcr.f32", "h0.lfcr.json"]
+        full, full_meta = load_raw(a)
+        lfcr_only, lfcr_meta = load_raw(tmp_path / "h0.lfcr")
+        assert (full_meta["stage"], lfcr_meta["stage"]) == ("full", "lfcr")
         assert not np.array_equal(full, lfcr_only)
 
     def test_mask_mismatch_exits_2(self, workdir, trained, tmp_path):
@@ -632,9 +678,11 @@ class TestGradcheckCommand:
         res = run_cli("gradcheck", "--seed", "0")
         assert res.returncode == 0, res.stdout + res.stderr
         assert "all gradient checks passed" in res.stdout
-        for op in ("conv2d", "deconv2d", "prelu", "concat_channels", "mse_loss", "linear",
-                   "conv2d_prelu", "lfcr_16x16", "vdsr_depth4"):
-            assert op in res.stdout
+        # one line per check, named in its first column
+        assert [line.split()[0] for line in res.stdout.splitlines()[:-1]] == [
+            "conv2d", "deconv2d", "prelu", "concat_channels", "mse_loss", "linear",
+            "conv2d_prelu", "take_channels", "add", "scale", "add_channel_bias",
+            "vectorize_tensor", "lfcr_16x16", "vdsr_depth4"]
 
     def test_impossible_tolerance_exits_3(self):
         res = run_cli("gradcheck", "--seed", "0", "--tolerance", "1e-30")
@@ -708,6 +756,14 @@ class TestCurvesCommand:
 
 
 class TestThreadControl:
+    def test_cli_imports_no_numpy_before_the_thread_cap(self):
+        # --threads must be applied before numpy loads, so none of this may load it
+        code = ("import sys, nrsr, nrsr.cli; nrsr.cli.build_parser(); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
+
     def test_threads_env_accepted(self, workdir, tmp_path):
         res = run_cli("evaluate", "--dataset", workdir / "holdout", "--methods", "reference",
                       "--out", tmp_path / "x.csv", env={"NRSR_THREADS": "1"})
