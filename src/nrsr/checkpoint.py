@@ -16,16 +16,17 @@ vectorizing kernel "lfcr/vec/weights", every parameter of each network
 by its parameter table, sensor metadata under "meta/", and, when saved
 mid-training, "opt/step" plus "opt/<param>/m" and "opt/<param>/v" for
 every parameter of the model that "meta/phase" names. Saving writes
-those records. Loading rejects a record that holds a NaN or an infinite
-value, decodes the models, metadata and optimizer state, and then
-accepts exactly the records that saving the decoded checkpoint would
-write back, value for value, naming the first record that differs,
-is missing or is unexpected.
+those records, whole or not at all. Loading rejects a repeated record
+name or a record that holds a NaN or an infinite value, decodes the
+models, metadata and optimizer state, and then accepts exactly the
+records that saving the decoded checkpoint would write back, value for
+value, naming the first record that differs, is missing or is unexpected.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,18 +60,24 @@ class _Records(dict):
 
 
 def write_records(path: str | Path, records: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(records)))
-        for name, arr in records.items():
-            a = np.asarray(arr, dtype="<f4")  # tobytes() serializes C-order
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", a.ndim))
-            for d in a.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(a.tobytes())
+    """Write ``records`` to ``<path>.tmp``, which no ``*.nrsr`` glob matches, then rename it."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(records)))
+            for name, arr in records.items():
+                a = np.asarray(arr, dtype="<f4")  # tobytes() serializes C-order
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<B", a.ndim))
+                for d in a.shape:
+                    fh.write(struct.pack("<I", d))
+                fh.write(a.tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone after a rename; a partial file after an error
 
 
 def read_records(path: str | Path) -> dict[str, np.ndarray]:
@@ -95,6 +102,8 @@ def read_records(path: str | Path) -> dict[str, np.ndarray]:
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         arr = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims).copy()
+        if name in records:
+            raise CheckpointError(f"{path}: repeated record '{name}'")
         records[name] = arr
     if off != len(data):
         raise CheckpointError(f"{path}: {len(data) - off} trailing bytes")

@@ -300,15 +300,15 @@ def cmd_train(args) -> int:
 
     lfcr_model = ck.lfcr if ck else build_lfcr(mask, args.sensor, seed=config.seed)
     vdsr_model = ck.vdsr if ck else None
-    # Adam state and start epoch continue only the phase the checkpoint was saved in
-    resumed = {ck.phase: {"state": ck.adam, "start_epoch": ck.epoch}} if ck else {}
+    # the checkpoint's Adam state and epoch continue only the phase it was saved in
+    resumed = {ck.phase: ck} if ck else {}
 
     def run(phase: str, train, *models) -> None:
         # the phase appends each finished epoch's rows to the kept ones
         log = out / f"{phase}_train_log.csv"
         write_log_csv(log, kept.get(phase, []))
         res = train(*models, patch_set, config, checkpoint_dir=ckdir, log_path=log,
-                    **resumed.get(phase, {}))
+                    resume_from=resumed.get(phase))
         print(f"phase {phase} done: {len(res.rows)} steps" + (
             f", final epoch loss {res.epoch_losses[-1]:.6g}" if res.epoch_losses else ""))
 

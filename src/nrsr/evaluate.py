@@ -93,11 +93,11 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def pad_to_multiple(f: np.ndarray, multiple: int = PAD_MULTIPLE) -> tuple[np.ndarray, tuple[int, int]]:
-    """Reflect-pad bottom/right so dims become multiples; returns padded and original dims."""
+def pad_to_multiple(f: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
+    """Reflect-pad bottom/right to multiples of PAD_MULTIPLE; returns padded and original dims."""
     h, w = f.shape
-    ph = (-h) % multiple
-    pw = (-w) % multiple
+    ph = (-h) % PAD_MULTIPLE
+    pw = (-w) % PAD_MULTIPLE
     if ph or pw:
         f = np.pad(f, ((0, ph), (0, pw)), mode="symmetric")
     return f, (h, w)

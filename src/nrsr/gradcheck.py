@@ -24,7 +24,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-DEFAULT_H = 1e-4
+DEFAULT_H = 1e-4  # the central-difference step
 
 # fraction of the one-sided slope jump treated as kink-attributable
 # (the exact bound is 1/2; the margin absorbs evaluation noise)
@@ -34,7 +34,6 @@ KINK_JUMP_FRACTION = 0.75
 def grad_check(
     fn: Callable[[Sequence[Tensor]], Tensor],
     leaves: Sequence[np.ndarray],
-    h: float = DEFAULT_H,
     max_checks_per_leaf: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
@@ -73,13 +72,13 @@ def grad_check(
             idx = np.arange(n)
         for j in idx:
             orig = flat[j]
-            flat[j] = orig + h
+            flat[j] = orig + DEFAULT_H
             plus, *_ = scalar(leaves)
-            flat[j] = orig - h
+            flat[j] = orig - DEFAULT_H
             minus, *_ = scalar(leaves)
             flat[j] = orig
-            jump = abs((plus - f0) / h - (f0 - minus) / h)
-            numeric = (plus - minus) / (2.0 * h)
+            jump = abs((plus - f0) / DEFAULT_H - (f0 - minus) / DEFAULT_H)
+            numeric = (plus - minus) / (2.0 * DEFAULT_H)
             a = analytic[i].reshape(-1)[j]
             if not np.isfinite([a, numeric]).all():
                 return float("inf")
@@ -100,8 +99,8 @@ def _leaves(model, x: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
     return [name for name, _ in named], [x] + [p.data for _, p in named]
 
 
-def lfcr_case(seed: int, param_samples: int | None = 48):
-    """Full LFCR forward on one 16x16 block; parameters spot-checked by sampling."""
+def lfcr_case(seed: int):
+    """Full LFCR forward on one 16x16 block; 48 entries of each parameter are probed."""
     from .lfcr import LfcrModel, build_lfcr
     from .masks import generate_mask
 
@@ -114,7 +113,7 @@ def lfcr_case(seed: int, param_samples: int | None = 48):
         model = LfcrModel.from_parameters(mask, "quarter", dict(zip(names, ts[1:])))
         return model.forward_t(ts[0])
 
-    return fn, leaves, param_samples
+    return fn, leaves, 48
 
 
 def vdsr_case(seed: int, depth: int = 4, param_samples: int | None = 48):

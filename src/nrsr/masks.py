@@ -33,7 +33,6 @@ SENSOR_KINDS = (QUARTER, THREE_QUARTER, LOW_RESOLUTION)
 
 PATTERN_CELLS = 8   # pattern grid is 8x8 cells (16x16 HR pixels)
 PERIOD_CELLS = 4    # free tile is 4x4 cells (8x8 HR pixels)
-PERIOD_HR = 8       # expanded mask period in HR pixels
 
 
 class MaskFormatError(ValueError):

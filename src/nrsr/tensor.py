@@ -31,11 +31,10 @@ so a training step's activations and interior gradients are freed layer
 by layer during the sweep. Gradients persist on leaves only.
 
 Every op is a pure function of its inputs and safe to call from
-multiple threads, except that conv2d writes its output into an ``out``
-array when given one; off the graph that may be its input's own
-buffer, which the VDSR's 64->64 layers use to hold one activation at a
-time. A given Tensor's backward()/grad state must be driven by one
-thread at a time.
+multiple threads, except that conv2d(..., overwrite=True) writes its
+output over its input's buffer, which the VDSR's 64->64 layers do off
+the graph to hold one activation at a time. A given Tensor's
+backward()/grad state must be driven by one thread at a time.
 
 Inside ``with no_grad():`` ops build no graph: each returns a plain
 leaf Tensor holding the values the graph path computes, and keeps
@@ -289,7 +288,7 @@ def _tap_sum(taps: np.ndarray, band: np.ndarray, m: int, offsets: list[int],
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec, *,
-           slopes: Tensor | None = None, out: np.ndarray | None = None) -> Tensor:
+           slopes: Tensor | None = None, overwrite: bool = False) -> Tensor:
     """Stride-1, same-padded 2-D cross-correlation of ``prelu(x, slopes)``.
 
     ``weights`` is (out_channels, in_channels, k, k) for the spec's kernel
@@ -310,13 +309,12 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec, *,
     Backward runs one path: it computes all four gradients and hands each
     to its input, which keeps it only if it requires one.
 
-    ``out``, if given, receives the output and must have its shape and
-    dtype (else ShapeMismatchError). It may be ``x.data`` itself when the
-    call builds no graph, since backward reads ``x``; any other overlap
-    with ``x`` raises ValueError. Each band's result is written one band
-    late, after the next band has read its halo of p rows above it, and a
-    band holds at least p rows (k = 3: p = 1), so no band reads a row
-    already overwritten.
+    ``overwrite=True`` writes the output over ``x.data``. That needs a
+    call that builds no graph, since backward reads ``x``, and an output
+    of the input's shape and dtype; otherwise it raises ValueError. Each
+    band's result is written one band late, after the next band has read
+    its halo of p rows above it, and a band holds at least p rows (k = 3:
+    p = 1), so no band reads a row already overwritten.
     """
     _require_4d(x, "input")
     k, p, o, c = spec.kernel_h, spec.pad, spec.out_channels, spec.in_channels
@@ -343,16 +341,10 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor | None, spec: ConvSpec, *,
     offsets = [u * wp + v for u in range(k) for v in range(k)]  # of tap (u, v), at u*k + v
     taps = weights.data.transpose(2, 3, 0, 1).reshape(k * k, o, c)
     dtype = np.result_type(xd, taps, a)
-    if out is None:
-        out = np.empty((b, o, h, w), dtype=dtype)
-    elif out.shape != (b, o, h, w) or out.dtype != dtype:
-        raise ShapeMismatchError(
-            f"out is {out.dtype} {out.shape}, expected {np.dtype(dtype)} {(b, o, h, w)}")
-    elif np.shares_memory(out, xd) and (records_graph(x, weights, bias, slopes)
-                                        or (out.ctypes.data, out.strides)
-                                        != (xd.ctypes.data, xd.strides)):
-        raise ValueError("out overlaps the input: it may only be the input's own buffer, "
-                         "and only for a call that builds no graph")
+    if overwrite and (records_graph(x, weights, bias, slopes) or o != c or dtype != xd.dtype):
+        raise ValueError("overwrite=True needs a call that builds no graph and an output of the "
+                         f"input's shape and dtype, got {o} {np.dtype(dtype)} over {c} {xd.dtype}")
+    out = xd if overwrite else np.empty((b, o, h, w), dtype=dtype)
     scratch = np.empty((2, c, halo_rows, w), dtype=dtype)
 
     def fill(dst, src):  # the band's PReLU, then one copy into the strided buffer

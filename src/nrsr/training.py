@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import save_checkpoint
+from .checkpoint import Checkpoint, save_checkpoint
 from .lfcr import LfcrModel, lfcr_forward
 from .optim import AdamState, adam_step
 from .tensor import Tensor, mse_loss
@@ -317,24 +317,29 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: TrainConfig,
-               lr_scale: float, checkpoint_dir: str | Path | None, state: AdamState | None,
-               start_epoch: int, log_path: str | Path | None) -> TrainResult:
+               lr_scale: float, checkpoint_dir: str | Path | None,
+               resume_from: Checkpoint | None, log_path: str | Path | None) -> TrainResult:
     """The training loop of both phases: fit ``models[phase]`` to ``loss_fn``.
 
     ``loss_fn`` maps a batch of reference patches to the scalar loss
     Tensor. Every model in ``models`` (keyed like ``save_checkpoint``'s
     arguments) goes into the per-epoch ``<phase>-epochNNNN.nrsr``
-    checkpoint, together with the Adam state. With ``log_path``, a log
-    that ``write_log_csv`` started, each epoch's rows are appended to it
+    checkpoint, together with the Adam state. A phase continues the
+    ``resume_from`` checkpoint, saved in the same phase (else
+    ConfigError), from its Adam state after its epoch. Each epoch's rows
+    are appended to ``log_path``, a log that ``write_log_csv`` started,
     before that epoch's checkpoint is saved, so a phase that stops early
-    keeps the rows of its finished epochs. Every phase calls
-    ``keep_freed_memory``, which tunes the allocator once per process.
+    keeps them. Every phase calls ``keep_freed_memory``, which tunes the
+    allocator once per process.
     """
     if len(patch_set) == 0:
         raise ConfigError("empty patch set")
+    resume_from = resume_from or Checkpoint(phase=phase)  # a fresh start: epoch 0, no state
+    if resume_from.phase != phase:
+        raise ConfigError(f"phase {phase} cannot resume a phase-{resume_from.phase} checkpoint")
     keep_freed_memory()
     params = models[phase].named_parameters()
-    state = state or AdamState.for_params(params)
+    state = resume_from.adam or AdamState.for_params(params)
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
@@ -357,7 +362,7 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
     epoch_losses: list[float] = []
     for epoch in range(1, config.epochs + 1):
         lr = lr_schedule(epoch, config) * lr_scale
-        if epoch <= start_epoch:
+        if epoch <= resume_from.epoch:
             # keep the data-order stream aligned when resuming
             for _ in _epoch_batches(len(patch_set), config.batch_size, rng):
                 pass
@@ -379,22 +384,22 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
 
 def train_lfcr(model: LfcrModel, patch_set: PatchSet, config: TrainConfig,
                checkpoint_dir: str | Path | None = None,
-               state: AdamState | None = None, start_epoch: int = 0,
+               resume_from: Checkpoint | None = None,
                log_path: str | Path | None = None) -> TrainResult:
-    """Phase 1: fit the LFCR to reproduce reference patches from its own sampling."""
+    """Phase 1: fit the LFCR to its own sampling, from scratch or from ``resume_from``."""
 
     def loss_fn(batch: np.ndarray) -> Tensor:
         return mse_loss(model.forward_t(Tensor(batch[:, None])), Tensor(batch[:, None]))
 
     return _run_phase("lfcr", {"lfcr": model}, loss_fn, patch_set, config, 1.0,
-                      checkpoint_dir, state, start_epoch, log_path)
+                      checkpoint_dir, resume_from, log_path)
 
 
 def train_vdsr(lfcr_model: LfcrModel, vdsr_model: VdsrModel, patch_set: PatchSet,
                config: TrainConfig, checkpoint_dir: str | Path | None = None,
-               state: AdamState | None = None, start_epoch: int = 0,
+               resume_from: Checkpoint | None = None,
                log_path: str | Path | None = None) -> TrainResult:
-    """Phase 2: freeze the LFCR, fit the VDSR on its outputs at a tenth of the base lr."""
+    """Phase 2: fit the VDSR on the frozen LFCR at lr / 10, from scratch or ``resume_from``."""
 
     def loss_fn(batch: np.ndarray) -> Tensor:
         f_hat = lfcr_forward(lfcr_model, batch)  # frozen: plain values, no graph
@@ -402,4 +407,4 @@ def train_vdsr(lfcr_model: LfcrModel, vdsr_model: VdsrModel, patch_set: PatchSet
         return mse_loss(f_tilde, Tensor(batch[:, None]))
 
     return _run_phase("vdsr", {"lfcr": lfcr_model, "vdsr": vdsr_model}, loss_fn, patch_set,
-                      config, 0.1, checkpoint_dir, state, start_epoch, log_path)
+                      config, 0.1, checkpoint_dir, resume_from, log_path)

@@ -5,7 +5,7 @@ Twenty 3x3 convolutions (zero pad 1, stride 1): 1 -> 64, eighteen
 Each PReLU runs inside the convolution that follows it
 (``conv2d(..., slopes=...)``), so a training graph keeps one
 activation per layer, its pre-activation. Off the graph each 64 -> 64
-convolution writes its output over its input (``conv2d(..., out=...)``),
+convolution writes its output over its input (``conv2d(..., overwrite=True)``),
 so inference holds one activation at a time.
 The network predicts a residual r; the enhanced image is f_hat + r.
 Same pixel-scale convention as the LFCR: inputs are divided by 255
@@ -90,10 +90,10 @@ class VdsrModel:
         for layer in self.layers[1:-1]:
             # each conv applies the PReLU of the layer before it, so the graph keeps
             # only pre-activations; off the graph nothing else holds t, so the layer
-            # writes over it. slopes and out go by keyword: perfbench's tracer names
-            # a conv2d call from its four positional arguments
-            out = None if records_graph(t, layer.weights, layer.bias, slopes) else t.data
-            t = conv2d(t, layer.weights, layer.bias, layer.spec, slopes=slopes, out=out)
+            # writes over it. slopes and overwrite go by keyword: perfbench's tracer
+            # names a conv2d call from its four positional arguments
+            t = conv2d(t, layer.weights, layer.bias, layer.spec, slopes=slopes,
+                       overwrite=not records_graph(t, layer.weights, layer.bias, slopes))
             slopes = layer.slopes
         last = self.layers[-1]
         r = conv2d(t, last.weights, None, last.spec, slopes=slopes)

@@ -121,6 +121,39 @@ def test_huge_dims_read_as_truncated_not_wrapped(tmp_path):
         read_records(path)
 
 
+def test_failed_write_leaves_the_older_file_and_no_temporary(tmp_path):
+    path = tmp_path / "lfcr-epoch0002.nrsr"
+    # the second record cannot convert to float32, after the first is written
+    bad = {"w": np.ones(3, dtype=np.float32), "x": "not a number"}
+    with pytest.raises(ValueError):
+        write_records(path, bad)
+    assert list(tmp_path.iterdir()) == []
+    write_records(path, {"w": np.full(3, 2.0, dtype=np.float32)})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_records(path, bad)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_repeated_record_rejected(tmp_path):
+    def record_bytes(name, arr):  # one record as write_records encodes it
+        one = tmp_path / "one.nrsr"
+        write_records(one, {name: arr})
+        return one.read_bytes()[len(MAGIC) + 4:]
+
+    path = tmp_path / "vdsr.nrsr"
+    save_checkpoint(path, vdsr=build_vdsr(seed=0, depth=3))
+    records = read_records(path)
+    name = "vdsr/conv01/weights"
+    body = b"".join(record_bytes(n, a) for n, a in
+                    [(name, np.full_like(records[name], 7)), *records.items()])
+    path.write_bytes(MAGIC + struct.pack("<I", len(records) + 1) + body)
+    with pytest.raises(CheckpointError,
+                       match=f"^{re.escape(str(path))}: repeated record '{name}'$"):
+        load_checkpoint(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "trail.nrsr"
     write_records(path, {"w": np.ones(3, dtype=np.float32)})

@@ -274,7 +274,7 @@ class TestConv2dPrelu:
 
 
 class TestConv2dInPlace:
-    """conv2d(..., out=x.data) writes its output over its own input, off the graph."""
+    """conv2d(..., overwrite=True) writes its output over its own input, off the graph."""
 
     @staticmethod
     def case(k, seed=61):
@@ -295,7 +295,7 @@ class TestConv2dInPlace:
             band_rows(monkeypatch, rows, 5, k)
         want = conv2d(t(x), t(wt), t(b), spec, slopes=t(s)).data
         buf = x.copy()
-        got = conv2d(t(buf), t(wt), t(b), spec, slopes=t(s), out=buf)
+        got = conv2d(t(buf), t(wt), t(b), spec, slopes=t(s), overwrite=True)
         assert got.data is buf and np.array_equal(buf, want)
 
     @pytest.mark.parametrize("trained", ["x", "weights"])
@@ -303,23 +303,22 @@ class TestConv2dInPlace:
         spec, (x, wt, b, s) = self.case(3)
         leaves = {"x": t(x), "weights": t(wt)}
         leaves[trained].requires_grad = True
-        with pytest.raises(ValueError, match="overlaps the input"):
-            conv2d(leaves["x"], leaves["weights"], t(b), spec, slopes=t(s), out=x)
+        with pytest.raises(ValueError, match="builds no graph"):
+            conv2d(leaves["x"], leaves["weights"], t(b), spec, slopes=t(s), overwrite=True)
         with no_grad():  # the same call off the graph writes in place
-            conv2d(leaves["x"], leaves["weights"], t(b), spec, slopes=t(s), out=x)
+            got = conv2d(leaves["x"], leaves["weights"], t(b), spec, slopes=t(s), overwrite=True)
+        assert got.data is x
 
-    def test_overlap_other_than_the_input_itself_rejected(self):
-        spec, (x, wt, b, s) = self.case(3)
-        buf = np.concatenate([x, x[:1]])
-        with pytest.raises(ValueError, match="overlaps the input"):
-            conv2d(t(buf[:2]), t(wt), t(b), spec, slopes=t(s), out=buf[1:])
+    def test_overwrite_with_another_channel_count_rejected(self):
+        _, (x, wt, b, s) = self.case(3)
+        spec = ConvSpec(3, 3, in_channels=4, out_channels=3)
+        with pytest.raises(ValueError, match="got 3 float32 over 4 float32$"):
+            conv2d(t(x), t(wt[:3]), t(b[:3]), spec, slopes=t(s), overwrite=True)
 
-    @pytest.mark.parametrize("shape,dtype", [((2, 4, 7, 6), np.float32), ((1, 4, 7, 5), np.float32),
-                                             ((2, 3, 7, 5), np.float32), ((2, 4, 7, 5), np.float64)])
-    def test_wrong_out_shape_or_dtype_rejected(self, shape, dtype):
+    def test_overwrite_with_a_wider_result_dtype_rejected(self):
         spec, (x, wt, b, s) = self.case(3)
-        with pytest.raises(ShapeMismatchError, match="^out is"):
-            conv2d(t(x), t(wt), t(b), spec, slopes=t(s), out=np.zeros(shape, dtype=dtype))
+        with pytest.raises(ValueError, match="got 4 float64 over 4 float32$"):
+            conv2d(t(x), t(wt.astype(np.float64)), t(b), spec, slopes=t(s), overwrite=True)
 
 
 def deconv2d_oracle(rows, w, batch, height, width):

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import synth_image
 from nrsr import training
-from nrsr.checkpoint import load_checkpoint
+from nrsr.checkpoint import Checkpoint, load_checkpoint
 from nrsr.lfcr import build_lfcr, lfcr_forward
 from nrsr.masks import generate_mask
 from nrsr.metrics import psnr
@@ -337,10 +337,19 @@ class TestTrainLfcr:
         train_lfcr(model, patches, cfg, checkpoint_dir=tmp_path)
         ck = load_checkpoint(tmp_path / "lfcr-epoch0002.nrsr")
         cfg6 = TrainConfig(epochs=6, batch_size=8, seed=1)
-        res = train_lfcr(ck.lfcr, patches, cfg6, checkpoint_dir=tmp_path,
-                         state=ck.adam, start_epoch=ck.epoch)
+        res = train_lfcr(ck.lfcr, patches, cfg6, checkpoint_dir=tmp_path, resume_from=ck)
         assert [r.step for r in res.rows] == [3, 4, 5, 6]
         assert [r.epoch for r in res.rows] == [3, 4, 5, 6]
+
+
+    def test_resume_from_the_other_phase_rejected(self):
+        model = build_lfcr(generate_mask("quarter", 6), "quarter", seed=0)
+        patches, cfg = PatchSet(patches=micro_patches(2)), TrainConfig(epochs=1, batch_size=8)
+        with pytest.raises(ConfigError, match="^phase lfcr cannot resume a phase-vdsr checkpoint$"):
+            train_lfcr(model, patches, cfg, resume_from=Checkpoint(lfcr=model, phase="vdsr"))
+        with pytest.raises(ConfigError, match="^phase vdsr cannot resume a phase-lfcr checkpoint$"):
+            train_vdsr(model, build_vdsr(seed=1, depth=3), patches, cfg,
+                       resume_from=Checkpoint(lfcr=model, phase="lfcr"))
 
 
 class TestTrainVdsr:
