@@ -26,13 +26,13 @@ value, naming the first record that differs, is missing or is unexpected.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .imageio import write_whole
 from .lfcr import LfcrModel
 from .masks import (LOW_RESOLUTION, MASKED_KINDS, QUARTER, THREE_QUARTER, MaskFormatError,
                     SamplingMask)
@@ -60,24 +60,19 @@ class _Records(dict):
 
 
 def write_records(path: str | Path, records: dict[str, np.ndarray]) -> None:
-    """Write ``records`` to ``<path>.tmp``, which no ``*.nrsr`` glob matches, then rename it."""
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(records)))
-            for name, arr in records.items():
-                a = np.asarray(arr, dtype="<f4")  # tobytes() serializes C-order
-                nb = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(nb)))
-                fh.write(nb)
-                fh.write(struct.pack("<B", a.ndim))
-                for d in a.shape:
-                    fh.write(struct.pack("<I", d))
-                fh.write(a.tobytes())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # gone after a rename; a partial file after an error
+    """Write ``records`` whole, through ``<path>.tmp``, which no ``*.nrsr`` glob matches."""
+    with write_whole(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", len(records)))
+        for name, arr in records.items():
+            a = np.asarray(arr, dtype="<f4")  # tobytes() serializes C-order
+            nb = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(nb)))
+            fh.write(nb)
+            fh.write(struct.pack("<B", a.ndim))
+            for d in a.shape:
+                fh.write(struct.pack("<I", d))
+            fh.write(a.tobytes())
 
 
 def read_records(path: str | Path) -> dict[str, np.ndarray]:

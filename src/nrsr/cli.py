@@ -231,11 +231,15 @@ def _start_checkpoint(args, ckdir, mask):
     """The checkpoint a training run starts from, or None for a fresh start.
 
     With --resume it is the newest phase-2 checkpoint in ``ckdir``, else
-    the newest phase-1 one; --phase vdsr starts from the newest phase-1
-    checkpoint and needs one. Newest means the highest epoch number. It
-    must match --sensor and --mask.
+    the newest phase-1 one; --phase lfcr --resume takes only a phase-1
+    checkpoint, which is the one a phase-1 run can continue. --phase vdsr
+    starts from the newest phase-1 checkpoint and needs one. Newest means
+    the highest epoch number. It must match --sensor and --mask.
     """
-    prefixes = ("vdsr", "lfcr") if args.resume else ("lfcr",) if args.phase == "vdsr" else ()
+    if args.resume:
+        prefixes = ("lfcr",) if args.phase == "lfcr" else ("vdsr", "lfcr")
+    else:
+        prefixes = ("lfcr",) if args.phase == "vdsr" else ()
     for prefix in prefixes:
         by_epoch = {int(m[1]): path for path in ckdir.glob(f"{prefix}-epoch*.nrsr")
                     if (m := re.fullmatch(rf"{prefix}-epoch(\d+)\.nrsr", path.name))}
@@ -304,7 +308,7 @@ def cmd_train(args) -> int:
     resumed = {ck.phase: ck} if ck else {}
 
     def run(phase: str, train, *models) -> None:
-        # the phase appends each finished epoch's rows to the kept ones
+        # the phase adds each finished epoch's rows to the kept ones
         log = out / f"{phase}_train_log.csv"
         write_log_csv(log, kept.get(phase, []))
         res = train(*models, patch_set, config, checkpoint_dir=ckdir, log_path=log,

@@ -4,11 +4,15 @@ Grayscale images travel as binary P5 PGM with maxval 255 and round-trip
 losslessly. Color inputs (binary P6 PPM) are accepted for reading only.
 Sampled sensor outputs are stored as raw little-endian 32-bit floats
 next to a JSON sidecar describing dims, sensor kind and mask reference.
+``write_whole`` writes a file whole or not at all; checkpoints and
+training logs are written through it.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,23 @@ import numpy as np
 
 class ImageFormatError(ValueError):
     """Raised for unreadable or unsupported image files."""
+
+
+@contextmanager
+def write_whole(path: str | Path, mode: str, newline: str | None = None):
+    """Open ``<path>.tmp`` for writing in ``mode``, then rename it onto ``path``.
+
+    The file streams to disk as it is written. ``path`` holds the old
+    file until the block ends, and the new one in whole after; a block
+    that raises leaves the old file and no temporary.
+    """
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone after a rename; a partial file after an error
 
 
 def _read_header_tokens(data: bytes, count: int, path: str | Path) -> tuple[list[int], int]:

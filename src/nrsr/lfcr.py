@@ -82,8 +82,8 @@ class LfcrModel:
 
     @property
     def vec_kernel(self) -> np.ndarray:
-        """The vectorizing layer as a dense (64, 1, 16, 16) convolution kernel."""
-        return sensors.build_vectorizing_kernel(self.mask, self.sensor_kind)
+        """The vectorizing layer as the dense kernel a checkpoint stores, drawn from the tile."""
+        return sensors.vectorizing_kernel(self.sensitivity)
 
     @classmethod
     def from_parameters(cls, mask: SamplingMask | None, kind: str,

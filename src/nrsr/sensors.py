@@ -22,12 +22,11 @@ Channel c corresponds to low-resolution cell c of the support block,
 cells enumerated row-major over the 8x8 cell grid. It measures the
 image once, pads the measurements by 2 cells and copies all windows,
 8x8 cells at a step of 4, in one strided copy; the backward pass adds
-each window back as four 4x4-cell blocks. Its dense kernel is drawn
-from the tile.
-The network's layer (``vectorize_tensor``) writes the windows as
-(blocks, 64) rows, one per target block in (image, block row, block
-column) order, which is the layout the LFCR's fully connected layers
-read; ``vectorize`` returns one image's windows as a (64, H/8, W/8) map.
+each window back as four 4x4-cell blocks. The layer
+(``vectorize_tensor``) writes the windows as (blocks, 64) rows, one per
+target block in (image, block row, block column) order, which is the
+layout the LFCR's fully connected layers read. Its dense kernel, which
+only a checkpoint stores, is drawn from the tile (``vectorizing_kernel``).
 """
 
 from __future__ import annotations
@@ -132,33 +131,17 @@ def sample_low_resolution(f: np.ndarray) -> np.ndarray:
     return measure(f, sensitivity_tile(None, LOW_RESOLUTION))
 
 
-def _draw_kernel(tile: np.ndarray) -> np.ndarray:
-    """Dense (64, 1, 16, 16) kernel: channel 8r+s weighs the sensitive pixels of window cell (r, s)."""
+def vectorizing_kernel(tile: np.ndarray) -> np.ndarray:
+    """The tile's sensor as a dense (64, 1, 16, 16) convolution kernel.
+
+    Channel 8r+s weighs the sensitive pixels of window cell (r, s)
+    equally: 1, 1/3 or 1/4.
+    """
     # the window starts 4 HR pixels before its target block, i.e. at tile offset 4
     window = np.tile(np.roll(tile.astype(bool), VEC_PAD, axis=(0, 1)), (2, 2))
     in_cell = np.arange(SUPPORT) // 2 == np.arange(SUPPORT_CELLS)[:, None]   # (cell, pixel)
     support = in_cell[:, None, :, None] & in_cell[None, :, None, :] & window
     return (support / _tap_count(tile)).astype(np.float32).reshape(VEC_CHANNELS, 1, SUPPORT, SUPPORT)
-
-
-def build_vectorizing_kernel(mask: SamplingMask | None, kind: str) -> np.ndarray:
-    """Fixed (64, 1, 16, 16) weights mimicking the sensor.
-
-    Each channel weighs the sensitive pixels of its cell equally: 1, 1/3
-    or 1/4.
-    """
-    return _draw_kernel(sensitivity_tile(mask, kind))
-
-
-def _tile_from_kernel(kernel: np.ndarray) -> np.ndarray:
-    """The sensitivity tile a dense kernel was drawn from; rejects any other kernel."""
-    if kernel.shape != (VEC_CHANNELS, 1, SUPPORT, SUPPORT):
-        raise ShapeMismatchError(f"kernel shape {kernel.shape} != (64, 1, 16, 16)")
-    support = np.any(kernel[:, 0] != 0, axis=0)
-    tile = support[VEC_PAD : VEC_PAD + TARGET, VEC_PAD : VEC_PAD + TARGET].astype(np.uint8)
-    if not np.array_equal(kernel, _draw_kernel(tile)):
-        raise ShapeMismatchError("kernel is not the vectorizing kernel drawn from its own support")
-    return tile
 
 
 def _windows(m: np.ndarray) -> np.ndarray:
@@ -171,23 +154,6 @@ def _windows(m: np.ndarray) -> np.ndarray:
     padded = np.pad(m, ((0, 0), (p, p), (p, p)))
     windows = sliding_window_view(padded, (SUPPORT_CELLS, SUPPORT_CELLS), axis=(1, 2))
     return windows[:, ::HALF, ::HALF].reshape(-1, VEC_CHANNELS)
-
-
-def vectorize(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Support-block measurements of one image, shape (64, H/8, W/8).
-
-    Padding 4 and stride 8 put each output position over the 16x16
-    support block centred on its 8x8 target block. The arithmetic is
-    measure-then-copy, exactly equivalent to convolving with ``kernel``.
-    """
-    f = _as_float(f)
-    if f.ndim != 2:
-        raise ShapeMismatchError(f"image must be 2-D, got {f.shape}")
-    h, w = f.shape
-    if h % TARGET or w % TARGET:
-        raise ShapeMismatchError(f"image dims must be multiples of 8, got {f.shape}")
-    rows = _windows(measure(f, _tile_from_kernel(kernel))[None])
-    return rows.T.reshape(VEC_CHANNELS, h // TARGET, w // TARGET)
 
 
 def vectorize_tensor(x: Tensor, tile: np.ndarray) -> Tensor:

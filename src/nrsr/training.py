@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, save_checkpoint
+from .imageio import write_whole
 from .lfcr import LfcrModel, lfcr_forward
 from .optim import AdamState, adam_step
 from .tensor import Tensor, mse_loss
@@ -247,12 +248,11 @@ class TrainResult:
     checkpoints: list[str] = field(default_factory=list)
 
 
-def write_log_csv(path: str | Path, rows: list[LogRow], append: bool = False) -> None:
-    """Write a log of ``rows``, or with ``append`` add them to the end of one this wrote."""
-    with open(path, "a" if append else "w", newline="") as fh:
+def write_log_csv(path: str | Path, rows: list[LogRow]) -> None:
+    """Write a log of ``rows``, whole or not at all (``write_whole``)."""
+    with write_whole(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if not append:
-            writer.writerow(["epoch", "step", "lr", "loss"])
+        writer.writerow(["epoch", "step", "lr", "loss"])
         for row in rows:
             writer.writerow([row.epoch, row.step, repr(row.lr), repr(row.loss)])
 
@@ -326,11 +326,12 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
     arguments) goes into the per-epoch ``<phase>-epochNNNN.nrsr``
     checkpoint, together with the Adam state. A phase continues the
     ``resume_from`` checkpoint, saved in the same phase (else
-    ConfigError), from its Adam state after its epoch. Each epoch's rows
-    are appended to ``log_path``, a log that ``write_log_csv`` started,
-    before that epoch's checkpoint is saved, so a phase that stops early
-    keeps them. Every phase calls ``keep_freed_memory``, which tunes the
-    allocator once per process.
+    ConfigError), from its Adam state after its epoch. ``log_path`` is a
+    log that ``write_log_csv`` started; after each epoch the phase
+    rewrites it whole with that epoch's rows added, before that epoch's
+    checkpoint is saved, so a phase that stops early, even inside the
+    write, keeps a whole log of its finished epochs. Every phase calls
+    ``keep_freed_memory``, which tunes the allocator once per process.
     """
     if len(patch_set) == 0:
         raise ConfigError("empty patch set")
@@ -358,6 +359,7 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
         return value
 
     rng = np.random.default_rng(config.seed)
+    logged = read_log_csv(log_path) if log_path is not None else []
     rows: list[LogRow] = []
     epoch_losses: list[float] = []
     for epoch in range(1, config.epochs + 1):
@@ -374,7 +376,7 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
         if log_path is not None:
-            write_log_csv(log_path, rows[-len(losses):], append=True)
+            write_log_csv(log_path, logged + rows)
         if checkpoint_dir is not None:
             path = checkpoint_dir / f"{phase}-epoch{epoch:04d}.nrsr"
             save_checkpoint(path, **models, adam=state, epoch=epoch, phase=phase)

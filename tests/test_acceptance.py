@@ -22,7 +22,8 @@ from nrsr.lfcr import build_lfcr, lfcr_forward
 from nrsr.masks import generate_mask
 from nrsr.metrics import psnr, ssim
 from nrsr.netutil import param_count
-from nrsr.sensors import build_vectorizing_kernel, central_channel_indices, vectorize
+from nrsr.sensors import central_channel_indices, sensitivity_tile, vectorize_tensor
+from nrsr.tensor import Tensor
 from nrsr.training import PatchSet, TrainConfig, build_patch_set, train_lfcr, write_log_csv
 from nrsr.vdsr import build_vdsr
 
@@ -74,14 +75,15 @@ def test_criterion_3_measurement_oracle_equivalence():
         for kind in ("quarter", "three-quarter", "low-resolution"):
             for mask_seed in range(10):
                 mask = None if kind == "low-resolution" else generate_mask(kind, mask_seed)
-                kernel = build_vectorizing_kernel(mask, kind)
+                tile = sensitivity_tile(mask, kind)
                 for img_seed in range(10):
                     f = integer_image(1000 * mask_seed + img_seed, 16, 16)
-                    got = vectorize(f, kernel)
-                    want = vectorize_oracle(f, mask, kind).astype(np.float32)
+                    # the op the LFCR runs: one (blocks, 64) row per target block
+                    got = vectorize_tensor(Tensor(f[None, None]), tile).data
+                    want = vectorize_oracle(f, mask, kind).reshape(64, -1).T.astype(np.float32)
                     assert np.array_equal(got, want), (kind, mask_seed, img_seed)
                 if kind == "low-resolution":
-                    break  # maskless: one kernel covers all image seeds
+                    break  # maskless: one tile covers all image seeds
 
 
 def test_criterion_4_gradient_validation():

@@ -13,7 +13,7 @@ from conftest import synth_image_u8
 from nrsr.checkpoint import load_checkpoint
 from nrsr.imageio import load_raw, read_pgm, write_pgm
 from nrsr.masks import generate_mask
-from nrsr.sensors import build_vectorizing_kernel
+from nrsr.sensors import sensitivity_tile, vectorizing_kernel
 
 TOP_HELP_SNAPSHOT = """\
 usage: nrsr [-h] command ...
@@ -191,6 +191,30 @@ class TestSampleCommand:
         assert res.stderr == f"error: {image}: {message}\n"
 
 
+# runs nrsr.cli.main with a CSV writer that is interrupted halfway through the log's
+# second epoch-2 row, after part of it is written, as a kill during the write would be
+KILL_IN_EPOCH_2_LOG_WRITE = """
+import csv, sys
+from nrsr import cli
+
+write_csv = csv.writer
+
+class Interrupted:
+    def __init__(self, fh, *args, **kwargs):
+        self.fh, self.rows, self.writer = fh, 0, write_csv(fh, *args, **kwargs)
+
+    def writerow(self, row):
+        self.rows += row[0] == 2
+        if self.rows == 2:
+            self.fh.write("2,")
+            raise KeyboardInterrupt
+        self.writer.writerow(row)
+
+csv.writer = Interrupted
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def train_both_phases(workdir, out):
     """One fast full training run (both phases, 1 epoch, no augmentation) into ``out``."""
     return run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
@@ -295,12 +319,47 @@ class TestTrainCommand:
         shutil.copytree(trained[0], out)
         res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
                       "--data", workdir / "data", "--out", out, "--epochs", "1",
-                      "--shift-da", "1", "--no-flips", "--seed", "5", "--phase", "lfcr", "--resume")
+                      "--shift-da", "1", "--no-flips", "--seed", "5", "--resume")
         assert res.returncode == 0, res.stderr
         final = load_checkpoint(out / "final.nrsr")
         assert final.vdsr is not None
         resumed = load_checkpoint(out / "checkpoints" / "vdsr-epoch0001.nrsr")
         assert_same_params(final.vdsr, resumed.vdsr)
+
+    def test_phase_lfcr_resume_continues_phase_1(self, workdir, trained, tmp_path):
+        # a phase-2 checkpoint cannot continue phase 1, so --phase lfcr resumes lfcr-epoch*
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        shutil.copytree(trained[0], out)
+        common = ["--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                  "--data", workdir / "data", "--epochs", "2", "--shift-da", "1", "--no-flips",
+                  "--seed", "5", "--threads", "1", "--phase", "lfcr"]
+        res = run_cli("train", *common, "--out", out, "--resume")
+        assert res.returncode == 0, res.stderr
+        assert (f"resuming from {out / 'checkpoints' / 'lfcr-epoch0001.nrsr'} "
+                "(phase lfcr, epoch 1)") in res.stdout
+        assert run_cli("train", *common, "--out", fresh).returncode == 0
+        for name in ("checkpoints/lfcr-epoch0002.nrsr", "lfcr_train_log.csv", "final.nrsr"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_killed_log_write_keeps_the_last_whole_log(self, workdir, tmp_path):
+        whole, cut = tmp_path / "whole", tmp_path / "cut"
+        # 8 patches in batches of 2: four rows per epoch
+        common = ["train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                  "--data", workdir / "data", "--shift-da", "4", "--no-flips", "--batch-size", "2",
+                  "--phase", "lfcr", "--seed", "5", "--threads", "1", "--epochs", "2"]
+        assert run_cli(*common, "--out", whole).returncode == 0
+        log = (whole / "lfcr_train_log.csv").read_bytes()
+        assert log.count(b"\n") == 1 + 2 * 4
+        killed = subprocess.run([sys.executable, "-c", KILL_IN_EPOCH_2_LOG_WRITE,
+                                 *map(str, common), "--out", cut], capture_output=True, text=True)
+        assert "KeyboardInterrupt" in killed.stderr and killed.returncode != 0, killed.stderr
+        # the epoch-1 log is whole, its checkpoint saved, and the cut write left no temporary
+        assert (cut / "lfcr_train_log.csv").read_bytes() == b"".join(log.splitlines(True)[:5])
+        assert sorted(p.name for p in cut.rglob("*.nrsr")) == ["lfcr-epoch0001.nrsr"]
+        assert not list(cut.rglob("*.tmp"))
+        res = run_cli(*common, "--out", cut, "--resume")
+        assert res.returncode == 0, res.stderr
+        assert (cut / "lfcr_train_log.csv").read_bytes() == log
 
     @pytest.mark.parametrize("sensor,seed,message", [
         ("three-quarter", 7, "checkpoint was trained for sensor 'quarter', not 'three-quarter'"),
@@ -575,7 +634,7 @@ class TestBadCheckpoint:
         ("meta/mask_pattern", None),
         # the kernel of another sensor, as if swapped in from another checkpoint
         ("lfcr/vec/weights",
-         build_vectorizing_kernel(generate_mask("three-quarter", 7), "three-quarter")),
+         vectorizing_kernel(sensitivity_tile(generate_mask("three-quarter", 7), "three-quarter"))),
         # every digit raised by 0.5: truncating would load the same mask
         ("meta/mask_pattern", generate_mask("quarter", 7).pattern.astype(np.float32) + 0.5),
         # Adam state is read for every parameter of the saved phase, at its shape

@@ -151,11 +151,9 @@ class TestConcatChannels:
         v = vectorize_tensor(scale(x, 1.0 / 255.0), quarter_model.sensitivity)
         central = v.data[:, central_channel_indices()]   # one row per 8x8 block, 2x2 blocks
         rescaled = 255.0 * central
-        # scale-consistency with the sensor-level measurements
-        from nrsr.sensors import vectorize
-
-        raw = vectorize(f, quarter_model.vec_kernel)[central_channel_indices()]
-        np.testing.assert_allclose(rescaled.reshape(2, 2, 16).transpose(2, 0, 1), raw, rtol=1e-5)
+        # scale-consistency with the layer run on the 0..255 scale
+        raw = vectorize_tensor(x, quarter_model.sensitivity).data[:, central_channel_indices()]
+        np.testing.assert_allclose(rescaled, raw, rtol=1e-5)
 
     def test_measured_pixel_recoverable_through_concat_path(self):
         # a deconv reading only one concat channel reproduces that cell's

@@ -7,15 +7,25 @@ from conftest import (conv2d_oracle, integer_image, sample_low_resolution_oracle
                       sample_three_quarter_oracle, synth_image, vectorize_oracle)
 from nrsr.gradcheck import grad_check
 from nrsr.masks import SamplingMask, expand_mask, generate_mask
-from nrsr.sensors import (build_vectorizing_kernel, central_channel_indices,
-                          sample_low_resolution, sample_quarter, sample_three_quarter,
-                          sensitivity_tile, vectorize, vectorize_tensor)
+from nrsr.sensors import (central_channel_indices, sample_low_resolution, sample_quarter,
+                          sample_three_quarter, sensitivity_tile, vectorize_tensor,
+                          vectorizing_kernel)
 from nrsr.tensor import ShapeMismatchError, Tensor
 
 
 def make_mask_with_top_left(kind, quadrant):
     tile = np.full((4, 4), quadrant, dtype=int)
     return SamplingMask(kind=kind, pattern=np.tile(tile, (2, 2)))
+
+
+def layer_rows(f, mask, kind):
+    """The vectorizing layer's (blocks, 64) rows of one (H, W) image."""
+    return vectorize_tensor(Tensor(f[None, None]), sensitivity_tile(mask, kind)).data
+
+
+def oracle_rows(f, mask, kind):
+    """The gather oracle's (64, H/8, W/8) map as (blocks, 64) rows in block order."""
+    return vectorize_oracle(f, mask, kind).reshape(64, -1).T
 
 
 class TestSampleQuarter:
@@ -110,27 +120,29 @@ class TestSampleLowResolution:
 
 class TestVectorizingKernel:
     def test_quarter_channels_have_single_unit_weight(self):
-        kernel = build_vectorizing_kernel(generate_mask("quarter", 4), "quarter")
+        kernel = vectorizing_kernel(sensitivity_tile(generate_mask("quarter", 4), "quarter"))
         assert kernel.shape == (64, 1, 16, 16)
         for ch in range(64):
             nz = kernel[ch, 0][kernel[ch, 0] != 0]
             assert nz.shape == (1,) and nz[0] == 1.0
 
     def test_three_quarter_channels_sum_to_one(self):
-        kernel = build_vectorizing_kernel(generate_mask("three-quarter", 4), "three-quarter")
+        tile = sensitivity_tile(generate_mask("three-quarter", 4), "three-quarter")
+        kernel = vectorizing_kernel(tile)
         for ch in range(64):
             nz = kernel[ch, 0][kernel[ch, 0] != 0]
             assert nz.shape == (3,)
             assert abs(nz.sum() - 1.0) < 1e-6
 
     def test_low_resolution_quarter_weights(self):
-        kernel = build_vectorizing_kernel(None, "low-resolution")
+        kernel = vectorizing_kernel(sensitivity_tile(None, "low-resolution"))
         for ch in range(64):
             nz = kernel[ch, 0][kernel[ch, 0] != 0]
             assert nz.shape == (4,) and np.all(nz == 0.25)
 
     def test_channel_support_confined_to_its_cell(self):
-        kernel = build_vectorizing_kernel(generate_mask("three-quarter", 11), "three-quarter")
+        tile = sensitivity_tile(generate_mask("three-quarter", 11), "three-quarter")
+        kernel = vectorizing_kernel(tile)
         for r in range(8):
             for c in range(8):
                 ch = kernel[8 * r + c, 0]
@@ -141,7 +153,7 @@ class TestVectorizingKernel:
     def test_conv_with_kernel_matches_gather_oracle(self):
         for kind, seed in (("quarter", 0), ("three-quarter", 1), ("low-resolution", 2)):
             mask = None if kind == "low-resolution" else generate_mask(kind, seed)
-            kernel = build_vectorizing_kernel(mask, kind)
+            kernel = vectorizing_kernel(sensitivity_tile(mask, kind))
             f = integer_image(seed, 24, 24)
             # the kernel as a 16x16, stride-8, pad-4 convolution
             out = conv2d_oracle(f[None, None], kernel, None, (8, 8), 4)
@@ -150,82 +162,48 @@ class TestVectorizingKernel:
 
     def test_mask_kind_agreement_enforced(self):
         with pytest.raises(ShapeMismatchError, match="does not match"):
-            build_vectorizing_kernel(generate_mask("quarter", 0), "three-quarter")
+            sensitivity_tile(generate_mask("quarter", 0), "three-quarter")
         with pytest.raises(ShapeMismatchError, match="requires a mask"):
-            build_vectorizing_kernel(None, "quarter")
+            sensitivity_tile(None, "quarter")
 
 
 class TestVectorize:
     def test_output_spatial_size(self):
-        mask = generate_mask("quarter", 0)
-        kernel = build_vectorizing_kernel(mask, "quarter")
-        out = vectorize(integer_image(0, 16, 16), kernel)
-        assert out.shape == (64, 2, 2)
+        out = layer_rows(integer_image(0, 16, 16), generate_mask("quarter", 0), "quarter")
+        assert out.shape == (2 * 2, 64)
 
     def test_constant_three_quarter_interior(self):
-        mask = generate_mask("three-quarter", 3)
-        kernel = build_vectorizing_kernel(mask, "three-quarter")
-        out = vectorize(np.full((32, 32), 100.0, dtype=np.float32), kernel)
-        assert np.all(out[:, 1:3, 1:3] == 100.0)
+        f = np.full((32, 32), 100.0, dtype=np.float32)
+        out = layer_rows(f, generate_mask("three-quarter", 3), "three-quarter").reshape(4, 4, 64)
+        assert np.all(out[1:3, 1:3] == 100.0)
 
     def test_bit_exact_against_oracle_on_integer_images(self):
         for kind in ("quarter", "three-quarter", "low-resolution"):
             for seed in range(4):
                 mask = None if kind == "low-resolution" else generate_mask(kind, seed)
-                kernel = build_vectorizing_kernel(mask, kind)
                 f = integer_image(100 + seed, 24, 16)
-                got = vectorize(f, kernel)
-                want = vectorize_oracle(f, mask, kind).astype(np.float32)
+                got = layer_rows(f, mask, kind)
+                want = oracle_rows(f, mask, kind).astype(np.float32)
                 assert np.array_equal(got, want), f"{kind} seed {seed}"
 
     def test_close_on_float_images(self):
         mask = generate_mask("three-quarter", 9)
-        kernel = build_vectorizing_kernel(mask, "three-quarter")
         f = synth_image(9, 24, 24)
-        got = vectorize(f, kernel)
-        want = vectorize_oracle(f, mask, "three-quarter")
-        np.testing.assert_allclose(got, want, rtol=1e-6)
+        got = layer_rows(f, mask, "three-quarter")
+        np.testing.assert_allclose(got, oracle_rows(f, mask, "three-quarter"), rtol=1e-6)
 
     def test_dims_must_be_multiples_of_8(self):
-        mask = generate_mask("quarter", 0)
-        kernel = build_vectorizing_kernel(mask, "quarter")
         with pytest.raises(ShapeMismatchError, match="multiples of 8"):
-            vectorize(np.zeros((12, 16), dtype=np.float32), kernel)
-
-    @pytest.mark.parametrize("edit,match", [
-        (lambda k: np.zeros_like(k), "has 0 pixels"),
-        (lambda k: 2 * k, "own support"),
-        (lambda k: k[:, :, :8, :8], "kernel shape"),
-    ])
-    def test_functional_path_rejects_other_kernels(self, edit, match):
-        kernel = build_vectorizing_kernel(generate_mask("three-quarter", 2), "three-quarter")
-        with pytest.raises(ShapeMismatchError, match=match):
-            vectorize(np.zeros((16, 16), dtype=np.float32), edit(kernel))
-
-    @pytest.mark.parametrize("kind", ["quarter", "three-quarter", "low-resolution"])
-    def test_tensor_op_matches_functional_path(self, kind):
-        mask = None if kind == "low-resolution" else generate_mask(kind, 2)
-        kernel = build_vectorizing_kernel(mask, kind)
-        tile = sensitivity_tile(mask, kind)
-        fs = np.stack([integer_image(s, 16, 16) for s in range(3)])
-        out = vectorize_tensor(Tensor(fs[:, None]), tile).data
-        assert out.shape == (3 * 2 * 2, 64)
-        for i in range(3):
-            assert np.array_equal(out.reshape(3, 2, 2, 64)[i].transpose(2, 0, 1),
-                                  vectorize(fs[i], kernel))
+            layer_rows(np.zeros((12, 16), dtype=np.float32), generate_mask("quarter", 0), "quarter")
 
     def test_rows_in_block_order(self):
         # row b*(H/8)*(W/8) + i*(W/8) + j holds the window over block (i, j) of image b
         mask = generate_mask("three-quarter", 5)
-        kernel = build_vectorizing_kernel(mask, "three-quarter")
         fs = np.stack([integer_image(10 + s, 24, 40) for s in range(2)])
         out = vectorize_tensor(Tensor(fs[:, None]), sensitivity_tile(mask, "three-quarter")).data
         assert out.shape == (2 * 3 * 5, 64) and out.flags.c_contiguous
         for b in range(2):
-            want = vectorize(fs[b], kernel)
-            # vectorize shares the window code, so pin it to the gather oracle too
-            oracle = vectorize_oracle(fs[b], mask, "three-quarter").astype(np.float32)
-            assert np.array_equal(want, oracle)
+            want = vectorize_oracle(fs[b], mask, "three-quarter").astype(np.float32)
             for i in range(3):
                 for j in range(5):
                     assert np.array_equal(out[b * 15 + i * 5 + j], want[:, i, j]), (b, i, j)
