@@ -171,19 +171,14 @@ def cmd_sample(args) -> int:
     import numpy as np
 
     from .imageio import read_image_gray, save_raw
-    from .sensors import sample_low_resolution, sample_quarter, sample_three_quarter
+    from .sensors import sample, sensitivity_tile
 
     mask = _load_mask_for(args.sensor, args.mask)
     image = np.asarray(read_image_gray(args.input), dtype=np.float32)
     meta = {"sensor": args.sensor, "source": os.path.basename(args.input),
             "mask": os.path.basename(args.mask) if args.mask else None,
             "hr_dims": list(image.shape)}
-    if args.sensor == "quarter":
-        values = sample_quarter(image, mask)
-    elif args.sensor == "three-quarter":
-        values = sample_three_quarter(image, mask)
-    else:
-        values = sample_low_resolution(image)
+    values = sample(image, sensitivity_tile(mask, args.sensor))
     raw, sidecar = save_raw(args.out, values, meta)
     print(f"wrote {raw} and {sidecar}")
     return EXIT_OK
@@ -227,31 +222,22 @@ def _models_for(method: str, ck) -> dict | None:
     return {"lfcr": ck.lfcr, "vdsr": ck.vdsr}
 
 
-def _start_checkpoint(args, ckdir, mask):
-    """The checkpoint a training run starts from, or None for a fresh start.
+def _newest_checkpoint(args, ckdir, mask, phase: str):
+    """The newest ``<phase>-epochNNNN.nrsr`` in ``ckdir``, or None if there is none.
 
-    With --resume it is the newest phase-2 checkpoint in ``ckdir``, else
-    the newest phase-1 one; --phase lfcr --resume takes only a phase-1
-    checkpoint, which is the one a phase-1 run can continue. --phase vdsr
-    starts from the newest phase-1 checkpoint and needs one. Newest means
-    the highest epoch number. It must match --sensor and --mask.
+    Newest means the highest epoch number. It must match --sensor and
+    --mask. With --resume each phase that runs continues its own newest
+    checkpoint; --phase vdsr trains on the LFCR of the newest phase-1 one.
     """
-    if args.resume:
-        prefixes = ("lfcr",) if args.phase == "lfcr" else ("vdsr", "lfcr")
-    else:
-        prefixes = ("lfcr",) if args.phase == "vdsr" else ()
-    for prefix in prefixes:
-        by_epoch = {int(m[1]): path for path in ckdir.glob(f"{prefix}-epoch*.nrsr")
-                    if (m := re.fullmatch(rf"{prefix}-epoch(\d+)\.nrsr", path.name))}
-        if by_epoch:
-            path = by_epoch[max(by_epoch)]
-            ck = _checkpoint_for(path, args.sensor, mask)
-            print(f"{'resuming' if args.resume else 'starting'} from {path} "
-                  f"(phase {ck.phase}, epoch {ck.epoch})")
-            return ck
-    if args.phase == "vdsr":
-        raise UsageError(f"--phase vdsr needs a phase-1 checkpoint (lfcr-epoch*.nrsr) in {ckdir}")
-    return None
+    by_epoch = {int(m[1]): path for path in ckdir.glob(f"{phase}-epoch*.nrsr")
+                if (m := re.fullmatch(rf"{phase}-epoch(\d+)\.nrsr", path.name))}
+    if not by_epoch:
+        return None
+    path = by_epoch[max(by_epoch)]
+    ck = _checkpoint_for(path, args.sensor, mask)
+    print(f"{'resuming' if args.resume else 'starting'} from {path} "
+          f"(phase {ck.phase}, epoch {ck.epoch})")
+    return ck
 
 
 def cmd_train(args) -> int:
@@ -284,13 +270,18 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     ckdir = out / "checkpoints"
-    ck = _start_checkpoint(args, ckdir, mask)
+    # with --resume each phase that runs continues its own newest checkpoint, if it has one
+    resumed = {phase: _newest_checkpoint(args, ckdir, mask, phase) for phase in ("lfcr", "vdsr")
+               if args.resume and args.phase in ("both", phase)}
+    start = resumed.get("lfcr")
+    if args.phase == "vdsr" and not (start := _newest_checkpoint(args, ckdir, mask, "lfcr")):
+        raise UsageError(f"--phase vdsr needs a phase-1 checkpoint (lfcr-epoch*.nrsr) in {ckdir}")
     # a resumed phase keeps the logged rows of the epochs its checkpoint covers
     kept = {}
-    if ck and args.phase in ("both", ck.phase):
-        log = out / f"{ck.phase}_train_log.csv"
-        kept[ck.phase] = ([row for row in read_log_csv(log) if row.epoch <= ck.epoch]
-                          if ck.epoch and log.exists() else [])
+    for phase, ck in resumed.items():
+        log = out / f"{phase}_train_log.csv"
+        kept[phase] = ([row for row in read_log_csv(log) if row.epoch <= ck.epoch]
+                       if ck and ck.epoch and log.exists() else [])
     # read the data before anything is written to --out
     images, ids = _load_dataset_images(args.data)
     patch_set = build_patch_set(images, config, image_ids=ids)
@@ -302,10 +293,8 @@ def cmd_train(args) -> int:
           f"({len(images)} images, shift x{len(config.shift_set)}, "
           f"flips {'x8' if config.flips_rotations else 'off'})")
 
-    lfcr_model = ck.lfcr if ck else build_lfcr(mask, args.sensor, seed=config.seed)
-    vdsr_model = ck.vdsr if ck else None
-    # the checkpoint's Adam state and epoch continue only the phase it was saved in
-    resumed = {ck.phase: ck} if ck else {}
+    lfcr_model = start.lfcr if start else build_lfcr(mask, args.sensor, seed=config.seed)
+    vdsr_model = None
 
     def run(phase: str, train, *models) -> None:
         # the phase adds each finished epoch's rows to the kept ones
@@ -316,10 +305,17 @@ def cmd_train(args) -> int:
         print(f"phase {phase} done: {len(res.rows)} steps" + (
             f", final epoch loss {res.epoch_losses[-1]:.6g}" if res.epoch_losses else ""))
 
-    if args.phase != "vdsr" and "vdsr" not in resumed:
+    if args.phase != "vdsr":
         run("lfcr", train_lfcr, lfcr_model)
     if args.phase != "lfcr":
-        vdsr_model = vdsr_model or build_vdsr(seed=config.seed + 1)
+        # phase 2 continues its checkpoint only on the LFCR it is about to train on
+        ck = resumed.get("vdsr")
+        if ck and not all(p.data.tobytes() == q.data.tobytes() for (_, p), (_, q)
+                          in zip(ck.lfcr.named_parameters(), lfcr_model.named_parameters())):
+            print(f"phase vdsr starts afresh: its epoch-{ck.epoch} checkpoint holds another LFCR")
+            ck = resumed["vdsr"] = None
+            kept["vdsr"] = []
+        vdsr_model = ck.vdsr if ck else build_vdsr(seed=config.seed + 1)
         run("vdsr", train_vdsr, lfcr_model, vdsr_model)
 
     final = out / "final.nrsr"

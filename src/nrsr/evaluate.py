@@ -25,8 +25,9 @@ import numpy as np
 
 from .imageio import ImageFormatError, read_image_gray
 from .lfcr import LfcrModel, lfcr_forward
+from .masks import LOW_RESOLUTION
 from .metrics import SSIM_WINDOW, bicubic_upscale, psnr, ssim
-from .sensors import sample_low_resolution
+from .sensors import sample, sensitivity_tile
 from .vdsr import VdsrModel, vdsr_forward
 
 METHODS = ("reference", "bicubic", "lfcr", "lfcr+vdsr")
@@ -117,7 +118,7 @@ def reconstruct_image(f: np.ndarray, method: str, lfcr: LfcrModel | None = None,
         if method == "reference":
             out = padded
         elif method == "bicubic":
-            out = bicubic_upscale(sample_low_resolution(padded))
+            out = bicubic_upscale(sample(padded, sensitivity_tile(None, LOW_RESOLUTION)))
         elif method in ("lfcr", "lfcr+vdsr"):
             if lfcr is None:
                 raise ValueError(f"method '{method}' needs an LFCR model")

@@ -1,7 +1,9 @@
-"""PGM/PPM readers and writers plus the raw-float sidecar format.
+"""The image reader and writer plus the raw-float sidecar format.
 
 Grayscale images travel as binary P5 PGM with maxval 255 and round-trip
 losslessly. Color inputs (binary P6 PPM) are accepted for reading only.
+Every image is read through ``read_image_gray``, which returns a PGM as
+its uint8 raster and a PPM as float luma.
 Sampled sensor outputs are stored as raw little-endian 32-bit floats
 next to a JSON sidecar describing dims, sensor kind and mask reference.
 ``write_whole`` writes a file whole or not at all; checkpoints and
@@ -64,14 +66,12 @@ def _read_header_tokens(data: bytes, count: int, path: str | Path) -> tuple[list
     return tokens, i + 1  # single whitespace byte separates header from raster
 
 
-_NETPBM = {b"P5": ("PGM", 1), b"P6": ("PPM", 3)}   # magic: (name, channels)
+_NETPBM = {b"P5": 1, b"P6": 3}   # magic: channels (binary PGM and PPM)
 
 
-def _parse_netpbm(data: bytes, path: str | Path, magic: bytes) -> np.ndarray:
+def _parse_netpbm(data: bytes, path: str | Path) -> np.ndarray:
     """The uint8 raster of a binary PGM (H, W) or PPM (H, W, 3) file's bytes."""
-    name, channels = _NETPBM[magic]
-    if data[:2] != magic:
-        raise ImageFormatError(f"{path}: not a binary {name} ({magic.decode()}) file")
+    channels = _NETPBM[data[:2]]
     (w, h, maxval), off = _read_header_tokens(data, 3, path)
     if maxval != 255:
         raise ImageFormatError(f"{path}: only maxval 255 supported, got {maxval}")
@@ -81,10 +81,6 @@ def _parse_netpbm(data: bytes, path: str | Path, magic: bytes) -> np.ndarray:
         raise ImageFormatError(f"{path}: truncated raster")
     shape = (h, w) if channels == 1 else (h, w, channels)
     return np.frombuffer(raster, dtype=np.uint8).reshape(shape).copy()
-
-
-def read_pgm(path: str | Path) -> np.ndarray:
-    return _parse_netpbm(Path(path).read_bytes(), path, b"P5")
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:
@@ -99,10 +95,6 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def read_ppm(path: str | Path) -> np.ndarray:
-    return _parse_netpbm(Path(path).read_bytes(), path, b"P6")
-
-
 def read_image_gray(path: str | Path) -> np.ndarray:
     """Read PGM or PPM; color inputs are converted to float luma, PGM stays uint8."""
     from .metrics import to_grayscale
@@ -110,7 +102,7 @@ def read_image_gray(path: str | Path) -> np.ndarray:
     data = Path(path).read_bytes()
     if data[:2] not in _NETPBM:
         raise ImageFormatError(f"{path}: unsupported format (need binary P5/P6)")
-    image = _parse_netpbm(data, path, data[:2])
+    image = _parse_netpbm(data, path)
     return image if image.ndim == 2 else to_grayscale(image)
 
 

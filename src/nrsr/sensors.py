@@ -14,7 +14,9 @@ kinds, all ones for low-resolution). The map has period 8, so its 8x8
 tile (``sensitivity_tile``) is the whole sensor. A cell's measurement
 is the sum of its sensitive pixels in quadrant order divided by their
 count (1, 3 or 4), so results match a direct nested-loop gather bit for
-bit.
+bit. ``sample`` is every sensor's simulation from its tile: the quarter
+sensor keeps its measured pixels in place on the HR grid, the others
+give their (H/2, W/2) measurements.
 
 The vectorizing convolution gathers every 16x16 support block's
 measurements into 64 channels (kernel 16x16, stride 8, zero padding 4).
@@ -34,8 +36,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .masks import (LOW_RESOLUTION, QUARTER, SENSOR_KINDS, THREE_QUARTER, SamplingMask,
-                    expand_mask)
+from .masks import LOW_RESOLUTION, SENSOR_KINDS, SamplingMask, expand_mask
 from .tensor import ShapeMismatchError, Tensor, _result
 
 SUPPORT = 16        # support block edge in HR pixels
@@ -46,20 +47,6 @@ VEC_PAD = 4
 PAD_CELLS = VEC_PAD // 2
 HALF = SUPPORT_CELLS // 2   # window stride in cells; a window is 2x2 blocks of HALF x HALF cells
 HALVES = ((0, 0), (0, 1), (1, 0), (1, 1))   # (row, col) block of the window, in channel order
-
-
-def _check_even(f: np.ndarray) -> None:
-    if f.ndim != 2:
-        raise ShapeMismatchError(f"image must be 2-D, got shape {f.shape}")
-    if f.shape[0] % 2 or f.shape[1] % 2:
-        raise ShapeMismatchError(f"image dims must be multiples of 2, got {f.shape}")
-
-
-def _as_float(f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f)
-    if f.dtype.kind in "ui":
-        return f.astype(np.float32)
-    return f
 
 
 def sensitivity_tile(mask: SamplingMask | None, kind: str) -> np.ndarray:
@@ -105,30 +92,23 @@ def measure(f: np.ndarray, tile: np.ndarray) -> np.ndarray:
     return total / f.dtype.type(_tap_count(tile))
 
 
-def sample_quarter(f: np.ndarray, mask: SamplingMask) -> np.ndarray:
-    """Elementwise product with the expanded binary mask (zeros where unmeasured)."""
-    f = _as_float(f)
-    _check_even(f)
-    if mask.kind != QUARTER:
-        raise ShapeMismatchError(f"sample_quarter needs a quarter mask, got '{mask.kind}'")
-    b = expand_mask(mask, f.shape[0], f.shape[1])
-    return f * b.astype(f.dtype)
+def sample(f: np.ndarray, tile: np.ndarray) -> np.ndarray:
+    """The sensor's output for an (H, W) image with even H and W; integers become float32.
 
-
-def sample_three_quarter(f: np.ndarray, mask: SamplingMask) -> np.ndarray:
-    """Mean of the three uncovered HR pixels of every 2x2 cell, shape (H/2, W/2)."""
-    f = _as_float(f)
-    _check_even(f)
-    if mask.kind != THREE_QUARTER:
-        raise ShapeMismatchError(f"sample_three_quarter needs a three-quarter mask, got '{mask.kind}'")
-    return measure(f, sensitivity_tile(mask, THREE_QUARTER))
-
-
-def sample_low_resolution(f: np.ndarray) -> np.ndarray:
-    """Mean of each 2x2 HR cell (conventional sensor), shape (H/2, W/2)."""
-    f = _as_float(f)
-    _check_even(f)
-    return measure(f, sensitivity_tile(None, LOW_RESOLUTION))
+    A quarter tile (one sensitive pixel per cell) keeps each measured
+    pixel in place and zeros the rest, shape (H, W); any other tile gives
+    the cells' measurements, shape (H/2, W/2).
+    """
+    f = np.asarray(f)
+    if f.ndim != 2:
+        raise ShapeMismatchError(f"image must be 2-D, got shape {f.shape}")
+    if f.shape[0] % 2 or f.shape[1] % 2:
+        raise ShapeMismatchError(f"image dims must be multiples of 2, got {f.shape}")
+    if f.dtype.kind in "ui":
+        f = f.astype(np.float32)
+    if _tap_count(tile) == 1:
+        return f * _cells(tile, *f.shape).reshape(f.shape)
+    return measure(f, tile)
 
 
 def vectorizing_kernel(tile: np.ndarray) -> np.ndarray:

@@ -9,10 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import synth_image_u8
+from conftest import sample_low_resolution_oracle, sample_three_quarter_oracle, synth_image_u8
 from nrsr.checkpoint import load_checkpoint
-from nrsr.imageio import load_raw, read_pgm, write_pgm
-from nrsr.masks import generate_mask
+from nrsr.imageio import load_raw, read_image_gray, write_pgm
+from nrsr.masks import expand_mask, generate_mask, load_mask
 from nrsr.sensors import sensitivity_tile, vectorizing_kernel
 
 TOP_HELP_SNAPSHOT = """\
@@ -171,6 +171,38 @@ class TestSampleCommand:
         raw, sidecar = tmp_path / f"{base}.f32", tmp_path / f"{base}.json"
         assert sorted(tmp_path.iterdir()) == [raw, sidecar]
         assert res.stdout == f"wrote {raw} and {sidecar}\n"
+
+    @pytest.mark.parametrize("sensor", ["quarter", "three-quarter", "low-resolution"])
+    def test_writes_the_oracle_values(self, workdir, tmp_path, sensor):
+        image = workdir / "data" / "t0.pgm"
+        f = read_image_gray(image)
+        mask = None if sensor == "low-resolution" else tmp_path / "m.nrsmask"
+        if mask:
+            assert run_cli("mask", "--kind", sensor, "--seed", "3", "--out", mask).returncode == 0
+        res = run_cli("sample", "--sensor", sensor, *(["--mask", mask] if mask else []),
+                      "--in", image, "--out", tmp_path / "s")
+        assert res.returncode == 0, res.stderr
+        if sensor == "quarter":
+            want = f * expand_mask(load_mask(mask), 56, 56)
+        elif sensor == "three-quarter":
+            want = sample_three_quarter_oracle(f, load_mask(mask))
+        else:
+            want = sample_low_resolution_oracle(f)
+        values, _ = load_raw(tmp_path / "s")
+        assert values.tobytes() == want.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("sensor", ["quarter", "three-quarter", "low-resolution"])
+    def test_odd_image_dims_exit_2(self, workdir, tmp_path, sensor):
+        image = tmp_path / "odd.pgm"
+        write_pgm(image, synth_image_u8(1, 57, 56))
+        mask = tmp_path / "m.nrsmask"
+        if sensor != "low-resolution":
+            assert run_cli("mask", "--kind", sensor, "--out", mask).returncode == 0
+        res = run_cli("sample", "--sensor", sensor, *(["--mask", mask] if mask.exists() else []),
+                      "--in", image, "--out", tmp_path / "s")
+        assert res.returncode == 2
+        assert res.stderr == "error: image dims must be multiples of 2, got (57, 56)\n"
+        assert not (tmp_path / "s.f32").exists()
 
     def test_missing_mask_exits_2(self, workdir, tmp_path):
         res = run_cli("sample", "--sensor", "quarter",
@@ -339,6 +371,29 @@ class TestTrainCommand:
                 "(phase lfcr, epoch 1)") in res.stdout
         assert run_cli("train", *common, "--out", fresh).returncode == 0
         for name in ("checkpoints/lfcr-epoch0002.nrsr", "lfcr_train_log.csv", "final.nrsr"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    @pytest.mark.parametrize("runs", [
+        [["--phase", "lfcr", "--epochs", "2"], ["--epochs", "2"]],   # phase 1 extended first
+        [["--epochs", "2"]],                                          # both phases at once
+    ], ids=["phase-lfcr-then-both", "both"])
+    def test_resume_continues_each_phase_from_its_own_checkpoint(self, workdir, trained, tmp_path,
+                                                                 runs):
+        # phase 1 continues lfcr-epoch0001; vdsr-epoch0001 holds that older LFCR, so phase 2
+        # starts afresh, and the run ends as a fresh two-epoch run does
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        shutil.copytree(trained[0], out)
+        common = ["--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                  "--data", workdir / "data", "--shift-da", "1", "--no-flips", "--seed", "5",
+                  "--threads", "1"]
+        for args in runs:
+            res = run_cli("train", *common, "--out", out, *args, "--resume")
+            assert res.returncode == 0, res.stderr
+        assert "phase vdsr starts afresh: its epoch-1 checkpoint holds another LFCR\n" in res.stdout
+        assert run_cli("train", *common, "--out", fresh, "--epochs", "2").returncode == 0
+        files = sorted(str(p.relative_to(fresh)) for p in fresh.rglob("*") if p.is_file())
+        assert files == sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        for name in files:
             assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def test_killed_log_write_keeps_the_last_whole_log(self, workdir, tmp_path):
@@ -528,7 +583,8 @@ class TestReconstructCommand:
                       "--checkpoint", trained[0] / "final.nrsr",
                       "--in", workdir / "holdout" / "h0.pgm", "--out", out_img)
         assert res.returncode == 0, res.stderr
-        assert read_pgm(out_img).shape == (48, 48)
+        assert out_img.read_bytes().startswith(b"P5")
+        assert read_image_gray(out_img).shape == (48, 48)
 
     def test_stage_lfcr_differs_from_full(self, workdir, trained, tmp_path):
         # dotted bases: each output keeps its own .f32 and .json

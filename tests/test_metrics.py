@@ -7,7 +7,7 @@ import pytest
 
 from conftest import synth_image
 from nrsr.metrics import bicubic_upscale, psnr, ssim, to_grayscale
-from nrsr.sensors import sample_low_resolution
+from nrsr.sensors import sample, sensitivity_tile
 from nrsr.tensor import ShapeMismatchError
 
 
@@ -123,7 +123,7 @@ class TestBicubic:
         np.testing.assert_allclose(out[4, 4:20], expected, atol=1e-12)
 
     def test_accepts_measurement_grid(self):
-        grid = sample_low_resolution(synth_image(10, 16, 16))
+        grid = sample(synth_image(10, 16, 16), sensitivity_tile(None, "low-resolution"))
         out = bicubic_upscale(grid)
         assert out.shape == (16, 16)
 
@@ -133,6 +133,7 @@ class TestBicubic:
         for n in (16, 32, 64):
             y, x = np.mgrid[0:n, 0:n].astype(np.float64)
             f = 50 + 100 * (x / n) ** 2 + 60 * (y / n) * (x / n)
-            rec = bicubic_upscale(sample_low_resolution(f.astype(np.float32)))
+            tile = sensitivity_tile(None, "low-resolution")
+            rec = bicubic_upscale(sample(f.astype(np.float32), tile))
             errs.append(float(np.mean((rec[4:-4, 4:-4] - f[4:-4, 4:-4]) ** 2)))
         assert errs[0] > errs[1] > errs[2]

@@ -7,10 +7,12 @@ from conftest import (conv2d_oracle, integer_image, sample_low_resolution_oracle
                       sample_three_quarter_oracle, synth_image, vectorize_oracle)
 from nrsr.gradcheck import grad_check
 from nrsr.masks import SamplingMask, expand_mask, generate_mask
-from nrsr.sensors import (central_channel_indices, sample_low_resolution, sample_quarter,
-                          sample_three_quarter, sensitivity_tile, vectorize_tensor,
+from nrsr.sensors import (central_channel_indices, sample, sensitivity_tile, vectorize_tensor,
                           vectorizing_kernel)
 from nrsr.tensor import ShapeMismatchError, Tensor
+
+
+LOW_RESOLUTION_TILE = sensitivity_tile(None, "low-resolution")
 
 
 def make_mask_with_top_left(kind, quadrant):
@@ -33,52 +35,45 @@ class TestSampleQuarter:
         mask = generate_mask("quarter", 2)
         f = np.full((32, 32), 100.0, dtype=np.float32)
         b = expand_mask(mask, 32, 32)
-        out = sample_quarter(f, mask)
+        out = sample(f, sensitivity_tile(mask, "quarter"))
         assert np.array_equal(out, 100.0 * b)
 
     def test_measured_positions_keep_reference_values(self):
         mask = generate_mask("quarter", 5)
         f = synth_image(0, 48, 48)
         b = expand_mask(mask, 48, 48).astype(bool)
-        out = sample_quarter(f, mask)
+        out = sample(f, sensitivity_tile(mask, "quarter"))
         assert np.array_equal(out[b], f[b])
         assert np.all(out[~b] == 0)
 
     def test_nonzero_count_is_quarter(self):
         mask = generate_mask("quarter", 1)
         f = synth_image(1, 40, 56) + 1.0  # strictly positive
-        out = sample_quarter(f, mask)
+        out = sample(f, sensitivity_tile(mask, "quarter"))
         assert np.count_nonzero(out) == 40 * 56 // 4
-
-    def test_kind_checked(self):
-        with pytest.raises(ShapeMismatchError, match="quarter mask"):
-            sample_quarter(np.zeros((8, 8)), generate_mask("three-quarter", 0))
 
 
 class TestSampleThreeQuarter:
     def test_single_cell_arithmetic(self):
         mask = make_mask_with_top_left("three-quarter", 0)  # covered: top-left
         f = np.array([[3.0, 6.0], [9.0, 12.0]], dtype=np.float32)
-        grid = sample_three_quarter(f, mask)
+        grid = sample(f, sensitivity_tile(mask, "three-quarter"))
         assert grid.shape == (1, 1)
         assert grid[0, 0] == (6 + 9 + 12) / 3
 
     def test_constant_image(self):
         mask = generate_mask("three-quarter", 7)
-        grid = sample_three_quarter(np.full((16, 16), 100.0, dtype=np.float32), mask)
+        tile = sensitivity_tile(mask, "three-quarter")
+        grid = sample(np.full((16, 16), 100.0, dtype=np.float32), tile)
         assert np.all(grid == 100.0)
 
     def test_matches_nested_loop_oracle_bit_exact_on_integers(self):
         for seed in range(8):
             mask = generate_mask("three-quarter", seed)
             f = integer_image(seed, 24, 32)
-            got = sample_three_quarter(f, mask)
+            got = sample(f, sensitivity_tile(mask, "three-quarter"))
             want = sample_three_quarter_oracle(f, mask)
             assert np.array_equal(got, want.astype(np.float32))
-
-    def test_kind_checked(self):
-        with pytest.raises(ShapeMismatchError, match="three-quarter mask"):
-            sample_three_quarter(np.zeros((8, 8)), generate_mask("quarter", 0))
 
     def test_matches_masked_cell_sum_identity(self):
         # measurement == sum over (f * b) per cell, divided by 3
@@ -87,33 +82,33 @@ class TestSampleThreeQuarter:
             f = synth_image(seed, 32, 32)
             masked = f * expand_mask(mask, 32, 32)
             cells = masked.reshape(16, 2, 16, 2).sum(axis=(1, 3)) / 3.0
-            got = sample_three_quarter(f, mask)
+            got = sample(f, sensitivity_tile(mask, "three-quarter"))
             np.testing.assert_allclose(got, cells, rtol=1e-6)
 
 
 class TestSampleLowResolution:
     def test_single_cell_mean(self):
         f = np.array([[0.0, 4.0], [8.0, 12.0]], dtype=np.float32)
-        assert sample_low_resolution(f)[0, 0] == 6.0
+        assert sample(f, LOW_RESOLUTION_TILE)[0, 0] == 6.0
 
     def test_constant(self):
-        grid = sample_low_resolution(np.full((8, 8), 100.0, dtype=np.float32))
+        grid = sample(np.full((8, 8), 100.0, dtype=np.float32), LOW_RESOLUTION_TILE)
         assert np.all(grid == 100.0)
 
     def test_column_ramp_closed_form(self):
         # f(i, j) = j  ->  output(u, v) = 2v + 0.5
         f = np.tile(np.arange(16, dtype=np.float32), (16, 1))
-        got = sample_low_resolution(f)
+        got = sample(f, LOW_RESOLUTION_TILE)
         want = np.tile(2.0 * np.arange(8) + 0.5, (8, 1))
         assert np.array_equal(got, want.astype(np.float32))
 
     def test_matches_oracle(self):
         f = integer_image(3, 16, 24)
-        got = sample_low_resolution(f)
+        got = sample(f, LOW_RESOLUTION_TILE)
         assert np.array_equal(got, sample_low_resolution_oracle(f).astype(np.float32))
 
     def test_nearest_upsample_preserves_constants(self):
-        grid = sample_low_resolution(np.full((16, 16), 73.0, dtype=np.float32))
+        grid = sample(np.full((16, 16), 73.0, dtype=np.float32), LOW_RESOLUTION_TILE)
         up = np.repeat(np.repeat(grid, 2, axis=0), 2, axis=1)
         assert np.all(up == 73.0)
 

@@ -170,9 +170,9 @@ class TestAugmentations:
         assert np.array_equal(ps.batch(np.array([0])), img[None, :16, :16])
 
     def test_shift_changes_sampling_but_not_constants(self):
-        from nrsr.sensors import sample_quarter
+        from nrsr.sensors import sample, sensitivity_tile
 
-        mask = generate_mask("quarter", 3)
+        tile = sensitivity_tile(generate_mask("quarter", 3), "quarter")
         cfg = TrainConfig(patch_size=56, patch_stride=8, shift_set=((0, 0), (2, 0)),
                           flips_rotations=False)
 
@@ -182,9 +182,9 @@ class TestAugmentations:
             return ps.batch(np.array(rows))
 
         a, b = at_origin(synth_image(7, 64, 64))
-        assert not np.array_equal(sample_quarter(a, mask), sample_quarter(b, mask))
+        assert not np.array_equal(sample(a, tile), sample(b, tile))
         ca, cb = at_origin(np.full((64, 64), 50.0, dtype=np.float32))
-        assert np.array_equal(sample_quarter(ca, mask), sample_quarter(cb, mask))
+        assert np.array_equal(sample(ca, tile), sample(cb, tile))
 
     def test_oversized_shift_skipped(self):
         # a shift at or beyond the image's dims is one more crop smaller than a patch
