@@ -221,10 +221,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if "meta/phase" in records:
         ck.phase = _decode(records, "meta/phase", PHASE_FROM_CODE)
     if sensor_kind is not None:
-        ck.lfcr = _model(records, "lfcr/",
-                         lambda params: LfcrModel.from_parameters(mask, sensor_kind, params))
+        ck.lfcr = _model(records, "lfcr/", lambda params: LfcrModel(sensor_kind, mask, params))
     if any(name.startswith("vdsr/") for name in records):
-        ck.vdsr = _model(records, "vdsr/", VdsrModel.from_parameters)
+        ck.vdsr = _model(records, "vdsr/", VdsrModel)
     if "opt/step" in records:
         ck.adam = _adam_state(records, {"lfcr": ck.lfcr, "vdsr": ck.vdsr}.get(ck.phase))
     # the file must hold exactly what saving the decoded checkpoint writes back

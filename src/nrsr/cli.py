@@ -176,7 +176,7 @@ def cmd_sample(args) -> int:
     mask = _load_mask_for(args.sensor, args.mask)
     image = np.asarray(read_image_gray(args.input), dtype=np.float32)
     meta = {"sensor": args.sensor, "source": os.path.basename(args.input),
-            "mask": os.path.basename(args.mask) if args.mask else None,
+            "mask": os.path.basename(args.mask) if mask else None,
             "hr_dims": list(image.shape)}
     values = sample(image, sensitivity_tile(mask, args.sensor))
     raw, sidecar = save_raw(args.out, values, meta)
@@ -222,22 +222,27 @@ def _models_for(method: str, ck) -> dict | None:
     return {"lfcr": ck.lfcr, "vdsr": ck.vdsr}
 
 
-def _newest_checkpoint(args, ckdir, mask, phase: str):
-    """The newest ``<phase>-epochNNNN.nrsr`` in ``ckdir``, or None if there is none.
-
-    Newest means the highest epoch number. It must match --sensor and
-    --mask. With --resume each phase that runs continues its own newest
-    checkpoint; --phase vdsr trains on the LFCR of the newest phase-1 one.
-    """
+def _checkpoint_paths(ckdir, phase: str) -> list:
+    """The ``<phase>-epochNNNN.nrsr`` files in ``ckdir``, newest (highest epoch number) first."""
     by_epoch = {int(m[1]): path for path in ckdir.glob(f"{phase}-epoch*.nrsr")
                 if (m := re.fullmatch(rf"{phase}-epoch(\d+)\.nrsr", path.name))}
-    if not by_epoch:
-        return None
-    path = by_epoch[max(by_epoch)]
-    ck = _checkpoint_for(path, args.sensor, mask)
-    print(f"{'resuming' if args.resume else 'starting'} from {path} "
-          f"(phase {ck.phase}, epoch {ck.epoch})")
-    return ck
+    return [by_epoch[epoch] for epoch in sorted(by_epoch, reverse=True)]
+
+
+def _newest_checkpoint(args, paths, mask, lfcr=None):
+    """The first checkpoint of ``paths`` that holds ``lfcr`` (any LFCR if None), or None.
+
+    ``paths`` come newest first. Each one loads when it is reached and
+    must match --sensor and --mask.
+    """
+    for path in paths:
+        ck = _checkpoint_for(path, args.sensor, mask)
+        if lfcr is None or all(p.data.tobytes() == q.data.tobytes()
+                               for p, q in zip(ck.lfcr.params.values(), lfcr.params.values())):
+            print(f"{'resuming' if args.resume else 'starting'} from {path} "
+                  f"(phase {ck.phase}, epoch {ck.epoch})")
+            return ck
+    return None
 
 
 def cmd_train(args) -> int:
@@ -270,18 +275,20 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     ckdir = out / "checkpoints"
-    # with --resume each phase that runs continues its own newest checkpoint, if it has one
-    resumed = {phase: _newest_checkpoint(args, ckdir, mask, phase) for phase in ("lfcr", "vdsr")
-               if args.resume and args.phase in ("both", phase)}
-    start = resumed.get("lfcr")
-    if args.phase == "vdsr" and not (start := _newest_checkpoint(args, ckdir, mask, "lfcr")):
+    paths = {phase: _checkpoint_paths(ckdir, phase) for phase in ("lfcr", "vdsr")}
+    runs = [phase for phase in ("lfcr", "vdsr") if args.phase in ("both", phase)]
+    # with --resume phase 1 continues its newest checkpoint; --phase vdsr trains on its LFCR
+    start = (_newest_checkpoint(args, paths["lfcr"], mask)
+             if args.resume or args.phase == "vdsr" else None)
+    if args.phase == "vdsr" and not start:
         raise UsageError(f"--phase vdsr needs a phase-1 checkpoint (lfcr-epoch*.nrsr) in {ckdir}")
-    # a resumed phase keeps the logged rows of the epochs its checkpoint covers
-    kept = {}
-    for phase, ck in resumed.items():
-        log = out / f"{phase}_train_log.csv"
-        kept[phase] = ([row for row in read_log_csv(log) if row.epoch <= ck.epoch]
-                       if ck and ck.epoch and log.exists() else [])
+    # phase 2 picks its checkpoint once phase 1 is done; the newest one is checked now
+    newest_vdsr = (_checkpoint_for(paths["vdsr"][0], args.sensor, mask)
+                   if args.resume and "vdsr" in runs and paths["vdsr"] else None)
+    # so are the logs that the resumed phases continue
+    logs = {phase: read_log_csv(log) for phase, ck in (("lfcr", start), ("vdsr", newest_vdsr))
+            if args.resume and phase in runs and ck
+            and (log := out / f"{phase}_train_log.csv").exists()}
     # read the data before anything is written to --out
     images, ids = _load_dataset_images(args.data)
     patch_set = build_patch_set(images, config, image_ids=ids)
@@ -296,27 +303,26 @@ def cmd_train(args) -> int:
     lfcr_model = start.lfcr if start else build_lfcr(mask, args.sensor, seed=config.seed)
     vdsr_model = None
 
-    def run(phase: str, train, *models) -> None:
-        # the phase adds each finished epoch's rows to the kept ones
+    def run(phase: str, train, ck, *models) -> None:
+        # the phase adds each finished epoch's rows to the logged ones its checkpoint covers
         log = out / f"{phase}_train_log.csv"
-        write_log_csv(log, kept.get(phase, []))
+        write_log_csv(log, [row for row in logs.get(phase, []) if row.epoch <= ck.epoch]
+                      if ck else [])
         res = train(*models, patch_set, config, checkpoint_dir=ckdir, log_path=log,
-                    resume_from=resumed.get(phase))
+                    resume_from=ck)
         print(f"phase {phase} done: {len(res.rows)} steps" + (
             f", final epoch loss {res.epoch_losses[-1]:.6g}" if res.epoch_losses else ""))
 
-    if args.phase != "vdsr":
-        run("lfcr", train_lfcr, lfcr_model)
-    if args.phase != "lfcr":
-        # phase 2 continues its checkpoint only on the LFCR it is about to train on
-        ck = resumed.get("vdsr")
-        if ck and not all(p.data.tobytes() == q.data.tobytes() for (_, p), (_, q)
-                          in zip(ck.lfcr.named_parameters(), lfcr_model.named_parameters())):
-            print(f"phase vdsr starts afresh: its epoch-{ck.epoch} checkpoint holds another LFCR")
-            ck = resumed["vdsr"] = None
-            kept["vdsr"] = []
+    if "lfcr" in runs:
+        run("lfcr", train_lfcr, start, lfcr_model)
+    if "vdsr" in runs:
+        # phase 2 continues the newest checkpoint on the LFCR it is about to train on
+        ck = newest_vdsr and _newest_checkpoint(args, paths["vdsr"], mask, lfcr_model)
+        if newest_vdsr and not ck:
+            print(f"phase vdsr starts afresh: its epoch-{newest_vdsr.epoch} checkpoint "
+                  "holds another LFCR")
         vdsr_model = ck.vdsr if ck else build_vdsr(seed=config.seed + 1)
-        run("vdsr", train_vdsr, lfcr_model, vdsr_model)
+        run("vdsr", train_vdsr, ck, lfcr_model, vdsr_model)
 
     final = out / "final.nrsr"
     save_checkpoint(final, lfcr=lfcr_model, vdsr=vdsr_model)
@@ -350,6 +356,7 @@ def cmd_evaluate(args) -> int:
     from pathlib import Path
 
     from .evaluate import METHODS, evaluate
+    from .imageio import write_whole
 
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
@@ -376,7 +383,8 @@ def cmd_evaluate(args) -> int:
         csv_lines.append(f"absent,{method},absent,absent,absent")
     csv_text = "\n".join(csv_lines) + "\n"
     if args.out:
-        Path(args.out).write_text(csv_text)
+        with write_whole(args.out, "w") as fh:
+            fh.write(csv_text)
         print(f"wrote {args.out}")
     else:
         for rep in reports:
@@ -388,7 +396,8 @@ def cmd_evaluate(args) -> int:
         summary = {rep.method: rep.summary() for rep in reports}
         for method in absent:
             summary[method] = {"method": method, "absent": True}
-        Path(args.summary).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        with write_whole(args.summary, "w") as fh:
+            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.summary}")
     for method in absent:
         print(f"method {method}: checkpoint missing, marked absent")
@@ -417,6 +426,7 @@ def cmd_curves(args) -> int:
     from pathlib import Path
 
     from .evaluate import evaluate
+    from .imageio import write_whole
 
     factors = []
     for part in args.factors.split(","):
@@ -458,7 +468,8 @@ def cmd_curves(args) -> int:
             lines.append(f"{factor},{v:.4f},{v - base:.4f}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with write_whole(args.out, "w") as fh:
+            fh.write(text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")

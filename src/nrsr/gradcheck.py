@@ -110,7 +110,7 @@ def lfcr_case(seed: int):
                             rng.uniform(0.0, 255.0, size=(1, 1, 16, 16)))
 
     def fn(ts):
-        model = LfcrModel.from_parameters(mask, "quarter", dict(zip(names, ts[1:])))
+        model = LfcrModel("quarter", mask, dict(zip(names, ts[1:])))
         return model.forward_t(ts[0])
 
     return fn, leaves, 48
@@ -125,7 +125,7 @@ def vdsr_case(seed: int, depth: int = 4, param_samples: int | None = 48):
                             rng.uniform(0.0, 255.0, size=(1, 1, 12, 12)))
 
     def fn(ts):
-        _, f = VdsrModel.from_parameters(dict(zip(names, ts[1:]))).forward_t(ts[0])
+        _, f = VdsrModel(dict(zip(names, ts[1:]))).forward_t(ts[0])
         return f
 
     return fn, leaves, param_samples

@@ -6,8 +6,8 @@ Every image is read through ``read_image_gray``, which returns a PGM as
 its uint8 raster and a PPM as float luma.
 Sampled sensor outputs are stored as raw little-endian 32-bit floats
 next to a JSON sidecar describing dims, sensor kind and mask reference.
-``write_whole`` writes a file whole or not at all; checkpoints and
-training logs are written through it.
+``write_whole`` writes a file whole or not at all; every file the
+package writes goes through it.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
     if arr.dtype != np.uint8:
         arr = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
     h, w = arr.shape
-    with open(path, "wb") as fh:
+    with write_whole(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(arr.tobytes())
 
@@ -116,9 +116,11 @@ def save_raw(base_path: str | Path, values: np.ndarray, meta: dict) -> tuple[Pat
     """Write <base>.f32 (little-endian float32) and <base>.json sidecar."""
     raw_path, json_path = _raw_paths(base_path)
     arr = np.ascontiguousarray(values, dtype="<f4")
-    raw_path.write_bytes(arr.tobytes())
+    with write_whole(raw_path, "wb") as fh:
+        fh.write(arr.tobytes())
     sidecar = {"dtype": "float32", "shape": list(arr.shape), **meta}
-    json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    with write_whole(json_path, "w") as fh:
+        fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return raw_path, json_path
 
 

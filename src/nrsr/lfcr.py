@@ -9,9 +9,9 @@ of the 16 central measurement channels -> stride-8 deconvolution
 The network runs on (blocks, channels) row matrices, one row per target
 block of the batch, from end to end: the vectorizing layer emits the
 rows, each fully connected layer is one GEMM on them, and the
-deconvolution paints each row's 8x8 block into the output image. Layer
-weights keep the shape of the 1x1 convolutions they are equivalent to,
-(192, 64 | 192, 1, 1).
+deconvolution paints each row's 8x8 block into the output image. The
+model holds its parameters by the names ``parameter_shapes()`` states;
+FC weights keep the shape of their 1x1 convolutions, (192, 64 | 192, 1, 1).
 
 Pixel values cross the interface on the 0..255 scale. Internally the
 input is divided by 255 to keep activations of order one; the
@@ -22,7 +22,6 @@ deconvolution weights outputs exactly its bias).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,24 +59,16 @@ def parameter_shapes() -> dict[str, tuple[int, ...]]:
 
 
 @dataclass
-class FcBlock:
-    """One fully connected layer, (out, in, 1, 1) weights, with bias and PReLU slopes."""
-
-    weights: Tensor
-    bias: Tensor
-    slopes: Tensor
-
-
-@dataclass
 class LfcrModel:
+    """The sensor's LFCR on the ``parameter_shapes()`` tensors of ``params``, shape-checked."""
+
     sensor_kind: str
     mask: SamplingMask | None
-    blocks: list[FcBlock]
-    deconv_weights: Tensor            # (208, 1, 8, 8)
-    deconv_bias: Tensor               # (1,)
+    params: dict[str, Tensor]         # name -> tensor, in parameter_shapes() order
     sensitivity: np.ndarray = field(init=False, repr=False)   # (8, 8) sensitivity tile
 
     def __post_init__(self):
+        self.params = take_parameters(parameter_shapes(), self.params)
         self.sensitivity = sensors.sensitivity_tile(self.mask, self.sensor_kind)
 
     @property
@@ -85,30 +76,23 @@ class LfcrModel:
         """The vectorizing layer as the dense kernel a checkpoint stores, drawn from the tile."""
         return sensors.vectorizing_kernel(self.sensitivity)
 
-    @classmethod
-    def from_parameters(cls, mask: SamplingMask | None, kind: str,
-                        params: Mapping[str, Tensor]) -> LfcrModel:
-        """The sensor's model on the ``parameter_shapes()`` tensors of ``params``, shape-checked."""
-        t = take_parameters(parameter_shapes(), params)
-        blocks = [FcBlock(*t[i : i + 3]) for i in range(0, 3 * NUM_FC_LAYERS, 3)]
-        return cls(kind, mask, blocks, *t[-2:])
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        slots = [t for blk in self.blocks for t in (blk.weights, blk.bias, blk.slopes)]
-        slots += [self.deconv_weights, self.deconv_bias]
-        return list(zip(parameter_shapes(), slots, strict=True))
+        return list(self.params.items())
 
     def forward_t(self, x: Tensor) -> Tensor:
         """Graph-building forward pass; the vectorizing layer checks that x is (B,1,8m,8n)."""
+        p = self.params
         h = scale(x, 1.0 / PIXEL_SCALE)
         v = sensors.vectorize_tensor(h, self.sensitivity)
         t = v
-        for blk in self.blocks:
-            t = prelu(linear(t, blk.weights, blk.bias), blk.slopes)
+        for i in range(NUM_FC_LAYERS):
+            fc = f"lfcr/fc{i:02d}"
+            t = prelu(linear(t, p[f"{fc}/weights"], p[f"{fc}/bias"]), p[f"{fc}/slopes"])
         t = concat_channels(t, take_channels(v, central_channel_indices()))
         b, _, height, width = x.shape
-        y = deconv2d(t, self.deconv_weights, b, height // sensors.TARGET, width // sensors.TARGET)
-        return add_channel_bias(scale(y, PIXEL_SCALE), self.deconv_bias)
+        y = deconv2d(t, p["lfcr/deconv/weights"], b, height // sensors.TARGET,
+                     width // sensors.TARGET)
+        return add_channel_bias(scale(y, PIXEL_SCALE), p["lfcr/deconv/bias"])
 
 
 def build_lfcr(mask: SamplingMask | None, kind: str, seed: int = 0) -> LfcrModel:
@@ -116,7 +100,7 @@ def build_lfcr(mask: SamplingMask | None, kind: str, seed: int = 0) -> LfcrModel
     # stride = kernel, so each deconvolution output pixel reads DECONV_IN values
     params = initial_parameters(parameter_shapes(), np.random.default_rng(seed),
                                 lambda name, shape: DECONV_IN if "deconv" in name else shape[1])
-    return LfcrModel.from_parameters(mask, kind, params)
+    return LfcrModel(kind, mask, params)
 
 
 def lfcr_forward(model: LfcrModel, images: np.ndarray) -> np.ndarray:

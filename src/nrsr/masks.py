@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .imageio import write_whole
+
 QUARTER = "quarter"
 THREE_QUARTER = "three-quarter"
 LOW_RESOLUTION = "low-resolution"
@@ -99,7 +101,8 @@ def save_mask(mask: SamplingMask, path: str | Path) -> None:
     lines = [f"NRSMASK {mask.kind} {mask.seed}"]
     for row in mask.pattern:
         lines.append("".join(str(int(d)) for d in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with write_whole(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_mask(path: str | Path) -> SamplingMask:

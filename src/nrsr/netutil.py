@@ -1,4 +1,4 @@
-"""Helpers shared by the LFCR and VDSR model definitions."""
+"""Helpers shared by the LFCR and VDSR, each of which holds the tensors its table names."""
 
 from __future__ import annotations
 
@@ -25,14 +25,12 @@ def initial_parameters(shapes: Mapping[str, tuple[int, ...]], rng: np.random.Gen
 
 
 def take_parameters(shapes: Mapping[str, tuple[int, ...]],
-                    params: Mapping[str, Tensor]) -> list[Tensor]:
-    """The tensors of ``params`` that the table names, in its order; a wrong shape raises."""
-    taken = []
-    for name, shape in shapes.items():
-        t = params[name]
-        if t.shape != shape:
-            raise ShapeMismatchError(f"{name} has shape {t.shape}, expected {shape}")
-        taken.append(t)
+                    params: Mapping[str, Tensor]) -> dict[str, Tensor]:
+    """The tensors of ``params`` that the table names, by name in its order; wrong shapes raise."""
+    taken = {name: params[name] for name in shapes}
+    for name, t in taken.items():
+        if t.shape != shapes[name]:
+            raise ShapeMismatchError(f"{name} has shape {t.shape}, expected {shapes[name]}")
     return taken
 
 

@@ -118,7 +118,8 @@ def save_config(config: TrainConfig, path: str | Path) -> None:
         elif name == "flips_rotations":
             value = "true" if value else "false"
         lines.append(f"{name}={value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with write_whole(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_config(path: str | Path) -> TrainConfig:

@@ -8,14 +8,14 @@ activation per layer, its pre-activation. Off the graph each 64 -> 64
 convolution writes its output over its input (``conv2d(..., overwrite=True)``),
 so inference holds one activation at a time.
 The network predicts a residual r; the enhanced image is f_hat + r.
-Same pixel-scale convention as the LFCR: inputs are divided by 255
+As in the LFCR, the model holds the tensors ``parameter_shapes(depth)``
+names, and pixels keep their scale: inputs are divided by 255
 internally and the final layer's output is rescaled by 255 before its
 bias is added, so an all-zero model returns the input unchanged.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,56 +48,51 @@ def parameter_shapes(depth: int = DEPTH) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-@dataclass
-class ConvLayer:
-    weights: Tensor
-    bias: Tensor
-    slopes: Tensor | None  # None on the output layer
-
-    @property
-    def spec(self) -> ConvSpec:
-        o, i, kh, kw = self.weights.shape
-        return ConvSpec(kh, kw, in_channels=i, out_channels=o)
+def _spec(weights: Tensor) -> ConvSpec:
+    """The conv2d geometry of (out, in, kh, kw) weights."""
+    o, i, kh, kw = weights.shape
+    return ConvSpec(kh, kw, in_channels=i, out_channels=o)
 
 
 @dataclass
 class VdsrModel:
-    layers: list[ConvLayer]
+    """The shape-checked VDSR on ``params``, as deep as its run of convNN/weights keys."""
 
-    @classmethod
-    def from_parameters(cls, params: Mapping[str, Tensor]) -> VdsrModel:
-        """The shape-checked model on ``params``, as deep as its run of convNN/weights keys."""
+    params: dict[str, Tensor]         # name -> tensor, in parameter_shapes(depth) order
+
+    def __post_init__(self):
         depth = 0
-        while f"vdsr/conv{depth + 1:02d}/weights" in params:
+        while f"vdsr/conv{depth + 1:02d}/weights" in self.params:
             depth += 1
-        depth = max(depth, 2)
-        t = iter(take_parameters(parameter_shapes(depth), params))
-        return cls([ConvLayer(next(t), next(t), next(t) if i < depth else None)
-                    for i in range(1, depth + 1)])
+        self.params = take_parameters(parameter_shapes(max(depth, 2)), self.params)
+
+    @property
+    def depth(self) -> int:
+        return sum(name.endswith("/weights") for name in self.params)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        slots = [t for layer in self.layers for t in (layer.weights, layer.bias, layer.slopes)
-                 if t is not None]
-        return list(zip(parameter_shapes(len(self.layers)), slots, strict=True))
+        return list(self.params.items())
 
     def residual_t(self, x: Tensor) -> Tensor:
         """Residual prediction graph on a (B,1,H,W) input."""
         if x.data.ndim != 4 or x.shape[1] != 1:
             raise ShapeMismatchError(f"input must be (B,1,H,W), got {x.shape}")
-        first = self.layers[0]
-        t = conv2d(scale(x, 1.0 / PIXEL_SCALE), first.weights, first.bias, first.spec)
-        slopes = first.slopes
-        for layer in self.layers[1:-1]:
+        p = self.params
+        convs = [f"vdsr/conv{i:02d}" for i in range(1, self.depth + 1)]
+        # (weights, bias, slopes) per layer; the output layer has no slopes
+        (w, b, slopes), *middle, (w_last, b_last, _) = [
+            (p[f"{c}/weights"], p[f"{c}/bias"], p.get(f"{c}/slopes")) for c in convs]
+        t = conv2d(scale(x, 1.0 / PIXEL_SCALE), w, b, _spec(w))
+        for w, b, next_slopes in middle:
             # each conv applies the PReLU of the layer before it, so the graph keeps
             # only pre-activations; off the graph nothing else holds t, so the layer
             # writes over it. slopes and overwrite go by keyword: perfbench's tracer
             # names a conv2d call from its four positional arguments
-            t = conv2d(t, layer.weights, layer.bias, layer.spec, slopes=slopes,
-                       overwrite=not records_graph(t, layer.weights, layer.bias, slopes))
-            slopes = layer.slopes
-        last = self.layers[-1]
-        r = conv2d(t, last.weights, None, last.spec, slopes=slopes)
-        return add_channel_bias(scale(r, PIXEL_SCALE), last.bias)
+            t = conv2d(t, w, b, _spec(w), slopes=slopes,
+                       overwrite=not records_graph(t, w, b, slopes))
+            slopes = next_slopes
+        r = conv2d(t, w_last, None, _spec(w_last), slopes=slopes)
+        return add_channel_bias(scale(r, PIXEL_SCALE), b_last)
 
     def forward_t(self, x: Tensor) -> tuple[Tensor, Tensor]:
         r = self.residual_t(x)
@@ -108,7 +103,7 @@ def build_vdsr(seed: int = 0, depth: int = DEPTH) -> VdsrModel:
     """He-initialized VDSR stack; reduced depths are for gradient-check toys only."""
     params = initial_parameters(parameter_shapes(depth), np.random.default_rng(seed),
                                 lambda name, shape: shape[1] * KERNEL * KERNEL)
-    return VdsrModel.from_parameters(params)
+    return VdsrModel(params)
 
 
 def vdsr_forward(model: VdsrModel, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,4 +116,4 @@ def vdsr_forward(model: VdsrModel, images: np.ndarray) -> tuple[np.ndarray, np.n
 
 def receptive_field(model: VdsrModel) -> int:
     """Receptive-field edge of the stacked unit-stride convolutions."""
-    return 1 + sum(layer.spec.kernel_h - 1 for layer in model.layers)
+    return 1 + (KERNEL - 1) * model.depth

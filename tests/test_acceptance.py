@@ -64,9 +64,9 @@ def test_criterion_2_channel_geometry():
     with Crit(2, "hidden width 192, vectorizing depth 64, concat +16", budget_s=1.0):
         model = build_lfcr(generate_mask("three-quarter", 1), "three-quarter", seed=0)
         assert model.vec_kernel.shape[0] == 64
-        for blk in model.blocks:
-            assert blk.weights.shape[0] == 192
-        assert model.deconv_weights.shape[0] == 192 + 16
+        for i in range(10):
+            assert model.params[f"lfcr/fc{i:02d}/weights"].shape[0] == 192
+        assert model.params["lfcr/deconv/weights"].shape[0] == 192 + 16
         assert len(central_channel_indices()) == 16
 
 

@@ -206,7 +206,7 @@ def test_lfcr_layer_shapes_checked_on_load(tmp_path, name, shape):
 def test_vdsr_layer_shapes_checked_on_load(tmp_path, name, shape):
     path = tmp_path / "shapes.nrsr"
     save_checkpoint(path, vdsr=build_vdsr(seed=0, depth=4))
-    assert len(load_checkpoint(path).vdsr.layers) == 4  # reduced depths load
+    assert load_checkpoint(path).vdsr.depth == 4  # reduced depths load
     records = read_records(path)
     records[name] = np.zeros(shape, dtype=np.float32)
     write_records(path, records)
@@ -230,6 +230,22 @@ def test_named_parameters_follow_the_table_in_saved_order(tmp_path, prefix, mode
     saved = [(name, arr.shape) for name, arr in read_records(path).items()
              if name.startswith(prefix) and name != "lfcr/vec/weights"]
     assert saved == named
+
+
+@pytest.mark.parametrize("name,model,rebuild,table", [
+    ("lfcr", lambda: build_lfcr(generate_mask("quarter", 0), "quarter", seed=0),
+     lambda m, params: lfcr.LfcrModel(m.sensor_kind, m.mask, params), lfcr.parameter_shapes()),
+    ("vdsr", lambda: build_vdsr(seed=0, depth=4),
+     lambda m, params: vdsr.VdsrModel(params), vdsr.parameter_shapes(4)),
+])
+def test_parameters_given_in_reverse_order_are_held_in_table_order(tmp_path, name, model,
+                                                                   rebuild, table):
+    model = model()
+    rebuilt = rebuild(model, dict(reversed(model.named_parameters())))
+    assert [n for n, _ in rebuilt.named_parameters()] == list(table)
+    save_checkpoint(tmp_path / "table.nrsr", **{name: model})
+    save_checkpoint(tmp_path / "reverse.nrsr", **{name: rebuilt})
+    assert (tmp_path / "reverse.nrsr").read_bytes() == (tmp_path / "table.nrsr").read_bytes()
 
 
 @pytest.mark.parametrize("width,kernel", [(32, 3), (64, 5)])
@@ -268,7 +284,7 @@ def test_every_saved_file_loads(tmp_path, kind, phase):
     path = tmp_path / "all.nrsr"
     save_checkpoint(path, **models, adam=adam, epoch=3, phase=phase)
     ck = load_checkpoint(path)
-    assert ck.lfcr.sensor_kind == kind and len(ck.vdsr.layers) == 20
+    assert ck.lfcr.sensor_kind == kind and ck.vdsr.depth == 20
     assert (ck.adam is None) == (phase is None)
     for name, model in models.items():
         save_checkpoint(path, **{name: model})

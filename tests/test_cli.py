@@ -145,6 +145,7 @@ class TestSampleCommand:
         values, meta = load_raw(out)
         assert values.shape == (56, 56)
         assert meta["sensor"] == "quarter"
+        assert meta["mask"] == "mask.nrsmask"
         assert np.count_nonzero(values) <= 56 * 56 // 4
 
     def test_three_quarter_grid_dims(self, workdir, tmp_path):
@@ -161,6 +162,13 @@ class TestSampleCommand:
         res = run_cli("sample", "--sensor", "low-resolution",
                       "--in", workdir / "data" / "t0.pgm", "--out", tmp_path / "lr")
         assert res.returncode == 0
+
+    def test_low_resolution_records_no_mask(self, workdir, tmp_path):
+        # the low-resolution sensor reads no mask, so a --mask given with it is not recorded
+        res = run_cli("sample", "--sensor", "low-resolution", "--mask", workdir / "mask.nrsmask",
+                      "--in", workdir / "data" / "t0.pgm", "--out", tmp_path / "lr")
+        assert res.returncode == 0, res.stderr
+        assert load_raw(tmp_path / "lr")[1]["mask"] is None
 
     @pytest.mark.parametrize("out, base", [
         ("run.v2", "run.v2"), ("meas", "meas"), ("meas.f32", "meas"), ("m.f32.f32", "m.f32")])
@@ -395,6 +403,27 @@ class TestTrainCommand:
         assert files == sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
         for name in files:
             assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_restarted_phase_2_is_continued_not_restarted_again(self, workdir, tmp_path):
+        # vdsr-epoch0003.nrsr holds the epoch-3 LFCR; once phase 2 restarts on the epoch-4
+        # LFCR, a later --resume continues vdsr-epoch0002.nrsr, the newest on that LFCR
+        out = tmp_path / "run"
+        common = ["--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                  "--data", workdir / "data", "--out", out, "--shift-da", "1", "--no-flips",
+                  "--seed", "5", "--threads", "1"]
+        for args in (["--epochs", "3"], ["--phase", "lfcr", "--epochs", "4", "--resume"],
+                     ["--epochs", "2", "--resume"]):
+            res = run_cli("train", *common, *args)
+            assert res.returncode == 0, res.stderr
+        assert "phase vdsr starts afresh: its epoch-3 checkpoint holds another LFCR\n" in res.stdout
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        res = run_cli("train", *common, "--epochs", "2", "--resume")
+        assert res.returncode == 0, res.stderr
+        assert "starts afresh" not in res.stdout
+        assert (f"resuming from {out / 'checkpoints' / 'vdsr-epoch0002.nrsr'} "
+                "(phase vdsr, epoch 2)\n") in res.stdout
+        assert "phase vdsr done: 0 steps\n" in res.stdout
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_killed_log_write_keeps_the_last_whole_log(self, workdir, tmp_path):
         whole, cut = tmp_path / "whole", tmp_path / "cut"

@@ -1,14 +1,20 @@
 """PGM/PPM parsing and the raw-float sidecar format."""
 
+import builtins
 import gc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import synth_image_u8
+from nrsr import cli
+from nrsr.checkpoint import write_records
 from nrsr.imageio import ImageFormatError, load_raw, read_image_gray, save_raw, write_pgm
+from nrsr.masks import generate_mask, save_mask
 from nrsr.metrics import to_grayscale
+from nrsr.training import LogRow, TrainConfig, save_config, write_log_csv
 
 
 def test_pgm_round_trip(tmp_path):
@@ -110,3 +116,80 @@ def test_raw_sidecar_round_trip(tmp_path):
     assert loaded_meta["sensor"] == "three-quarter"
     assert loaded_meta["shape"] == [6, 9]
     assert loaded_meta["dtype"] == "float32"
+
+
+def run_command(*argv):
+    """A CLI command's handler on ``argv``; unlike ``cli.main`` it lets an OSError through."""
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    args.func(args)
+
+
+def dataset(root: Path) -> Path:
+    data = root / "data"
+    data.mkdir(exist_ok=True)
+    write_pgm(data / "a.pgm", synth_image_u8(1, 16, 16))
+    return data
+
+
+# every writer of an output file: (file it writes, call that writes version n of it)
+WRITERS = {
+    "write_pgm": ("img.pgm", lambda root, n: write_pgm(root / "img.pgm", synth_image_u8(n, 8, 8))),
+    "save_raw.f32": ("s.f32", lambda root, n: save_raw(root / "s", np.full(4, n), {"n": n})),
+    "save_raw.json": ("s.json", lambda root, n: save_raw(root / "s", np.full(4, n), {"n": n})),
+    "save_config": ("c.txt", lambda root, n: save_config(TrainConfig(seed=n), root / "c.txt")),
+    "save_mask": ("m.nrsmask", lambda root, n: save_mask(generate_mask("quarter", n),
+                                                          root / "m.nrsmask")),
+    "write_records": ("r.nrsr", lambda root, n: write_records(root / "r.nrsr",
+                                                              {"w": np.full(3, n)})),
+    "write_log_csv": ("log.csv", lambda root, n: write_log_csv(root / "log.csv",
+                                                               [LogRow(1, 1, 0.1, n)] * (n + 1))),
+    "evaluate --out": ("e.csv", lambda root, n: run_command(
+        "evaluate", "--dataset", dataset(root), "--methods", ("bicubic", "bicubic,lfcr")[n],
+        "--out", root / "e.csv")),
+    "evaluate --summary": ("e.json", lambda root, n: run_command(
+        "evaluate", "--dataset", dataset(root), "--methods", ("bicubic", "bicubic,lfcr")[n],
+        "--summary", root / "e.json")),
+    "curves --out": ("k.csv", lambda root, n: run_command(
+        "curves", "--dataset", dataset(root), "--factors", ("1", "1,4")[n],
+        "--checkpoint-pattern", root / "f{factor}.nrsr", "--out", root / "k.csv")),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_write_that_fails_halfway_keeps_the_older_file(tmp_path, monkeypatch, capsys, writer):
+    name, write = WRITERS[writer]
+    write(tmp_path, 0)
+    before = (tmp_path / name).read_bytes()
+    real_open = builtins.open
+
+    class HalfThenFail:
+        """A file whose first write stores half of its data, then raises."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, attr):
+            return getattr(self.fh, attr)
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+    def opener(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return HalfThenFail(fh) if "w" in mode and Path(file).name.startswith(name) else fh
+
+    with monkeypatch.context() as patched:
+        patched.setattr(builtins, "open", opener)
+        with pytest.raises(OSError, match="disk full"):
+            write(tmp_path, 1)
+    assert (tmp_path / name).read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))
+    write(tmp_path, 1)  # the second version differs from the first
+    assert (tmp_path / name).read_bytes() != before

@@ -24,16 +24,19 @@ def lfcr_blockwise_oracle(model, f: np.ndarray) -> np.ndarray:
     h, w = f.shape
     v = vectorize_oracle(f / 255.0, model.mask, model.sensor_kind)  # (64, h/8, w/8)
     central = central_channel_indices()
+    p = {name: t.data for name, t in model.params.items()}
     out = np.zeros((h, w))
     for i in range(h // 8):
         for j in range(w // 8):
             t = v[:, i, j]
-            for blk in model.blocks:
-                z = blk.weights.data.reshape(blk.weights.shape[:2]) @ t + blk.bias.data
-                t = np.where(z >= 0, z, blk.slopes.data * z)
+            for k in range(NUM_FC_LAYERS):
+                fc = f"lfcr/fc{k:02d}"
+                weights = p[f"{fc}/weights"]
+                z = weights.reshape(weights.shape[:2]) @ t + p[f"{fc}/bias"]
+                t = np.where(z >= 0, z, p[f"{fc}/slopes"] * z)
             cat = np.concatenate([t, v[central, i, j]])
-            block = np.tensordot(cat, model.deconv_weights.data[:, 0], axes=(0, 0))
-            out[8 * i : 8 * i + 8, 8 * j : 8 * j + 8] = 255.0 * block + model.deconv_bias.data[0]
+            block = np.tensordot(cat, p["lfcr/deconv/weights"][:, 0], axes=(0, 0))
+            out[8 * i : 8 * i + 8, 8 * j : 8 * j + 8] = 255.0 * block + p["lfcr/deconv/bias"][0]
     return out
 
 
@@ -46,14 +49,17 @@ class TestGeometry:
         assert CONCAT_CHANNELS == 16
 
     def test_layer_shapes(self, quarter_model):
-        assert len(quarter_model.blocks) == NUM_FC_LAYERS == 10
-        assert quarter_model.blocks[0].weights.shape == (192, 64, 1, 1)
-        for blk in quarter_model.blocks[1:]:
-            assert blk.weights.shape == (192, 192, 1, 1)
-            assert blk.bias.shape == (192,)
-            assert blk.slopes.shape == (192,)
-        assert quarter_model.deconv_weights.shape == (208, 1, 8, 8)
-        assert quarter_model.deconv_bias.shape == (1,)
+        p = quarter_model.params
+        fcs = [name.removesuffix("/weights") for name in p
+               if name.startswith("lfcr/fc") and name.endswith("/weights")]
+        assert fcs == [f"lfcr/fc{i:02d}" for i in range(NUM_FC_LAYERS)] and NUM_FC_LAYERS == 10
+        assert p["lfcr/fc00/weights"].shape == (192, 64, 1, 1)
+        for fc in fcs[1:]:
+            assert p[f"{fc}/weights"].shape == (192, 192, 1, 1)
+            assert p[f"{fc}/bias"].shape == (192,)
+            assert p[f"{fc}/slopes"].shape == (192,)
+        assert p["lfcr/deconv/weights"].shape == (208, 1, 8, 8)
+        assert p["lfcr/deconv/bias"].shape == (1,)
         assert quarter_model.vec_kernel.shape == (64, 1, 16, 16)
 
     def test_param_count_closed_form(self, quarter_model):
@@ -71,7 +77,7 @@ class TestGeometry:
         for kind, mask in (("three-quarter", generate_mask("three-quarter", 0)),
                            ("low-resolution", None)):
             model = build_lfcr(mask, kind, seed=0)
-            assert model.blocks[0].weights.shape[0] == 192
+            assert model.params["lfcr/fc00/weights"].shape[0] == 192
             assert param_count(model) == 361_217
 
 
@@ -88,8 +94,8 @@ class TestForward:
 
     def test_zeroed_deconv_with_bias_gives_constant(self):
         model = build_lfcr(generate_mask("quarter", 1), "quarter", seed=3)
-        model.deconv_weights.data[:] = 0.0
-        model.deconv_bias.data[:] = 128.0
+        model.params["lfcr/deconv/weights"].data[:] = 0.0
+        model.params["lfcr/deconv/bias"].data[:] = 128.0
         out = lfcr_forward(model, synth_image(2, 32, 32))
         assert np.all(out == 128.0)
 
@@ -161,13 +167,13 @@ class TestConcatChannels:
         # measurements reach the deconv untouched
         mask = generate_mask("quarter", 2)
         model = build_lfcr(mask, "quarter", seed=0)
-        model.deconv_weights.data[:] = 0.0
-        model.deconv_bias.data[:] = 0.0
+        model.params["lfcr/deconv/weights"].data[:] = 0.0
+        model.params["lfcr/deconv/bias"].data[:] = 0.0
         # concat channel k=0 is support cell (2,2): first cell of the target
         # block, HR offset (0, 0..1) within the block
         quad = int(mask.pattern[(2 + 2) % 8, (2 + 2) % 8])
         dy, dx = divmod(quad, 2)
-        model.deconv_weights.data[192 + 0, 0, dy, dx] = 1.0
+        model.params["lfcr/deconv/weights"].data[192 + 0, 0, dy, dx] = 1.0
         f = synth_image(11, 32, 32)
         out = lfcr_forward(model, f)
         for i in range(4):

@@ -17,13 +17,14 @@ def model():
 
 class TestStructure:
     def test_depth_and_widths(self, model):
-        assert len(model.layers) == 20
-        assert model.layers[0].weights.shape == (64, 1, 3, 3)
-        for layer in model.layers[1:-1]:
-            assert layer.weights.shape == (64, 64, 3, 3)
-            assert layer.slopes is not None
-        assert model.layers[-1].weights.shape == (1, 64, 3, 3)
-        assert model.layers[-1].slopes is None
+        p = model.params
+        assert model.depth == 20
+        assert p["vdsr/conv01/weights"].shape == (64, 1, 3, 3)
+        for i in range(2, 20):
+            assert p[f"vdsr/conv{i:02d}/weights"].shape == (64, 64, 3, 3)
+            assert f"vdsr/conv{i:02d}/slopes" in p
+        assert p["vdsr/conv20/weights"].shape == (1, 64, 3, 3)
+        assert "vdsr/conv20/slopes" not in p
 
     def test_param_count_closed_form(self, model):
         # 640 + 18 * 36928 + 577 convs, plus 19 * 64 PReLU slopes
@@ -73,8 +74,8 @@ class TestForward:
 
     def test_zeroed_final_layer_gives_constant_residual(self):
         m = build_vdsr(seed=1)
-        m.layers[-1].weights.data[:] = 0.0
-        m.layers[-1].bias.data[:] = 3.5
+        m.params["vdsr/conv20/weights"].data[:] = 0.0
+        m.params["vdsr/conv20/bias"].data[:] = 3.5
         f_hat = synth_image(3, 16, 16)
         r, f_tilde = vdsr_forward(m, f_hat)
         assert np.all(r == 3.5)
@@ -111,11 +112,9 @@ class TestGradient:
         grads = []
         for trained in ((3, 4), range(1, 6)):
             m = build_vdsr(seed=6, depth=5)
-            for i, layer in enumerate(m.layers, 1):
-                for p in (layer.weights, layer.bias, layer.slopes):
-                    if p is not None:
-                        p.requires_grad = i in trained
+            for name, p in m.named_parameters():
+                p.requires_grad = int(name.split("/")[1].removeprefix("conv")) in trained
             m.forward_t(x)[1].backward()
-            grads.append([m.layers[i - 1].weights.grad for i in (3, 4)])
+            grads.append([m.params[f"vdsr/conv{i:02d}/weights"].grad for i in (3, 4)])
         for got, want in zip(*grads):
             assert np.array_equal(got, want)
