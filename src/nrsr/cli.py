@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 import warnings
 
@@ -222,73 +221,38 @@ def _models_for(method: str, ck) -> dict | None:
     return {"lfcr": ck.lfcr, "vdsr": ck.vdsr}
 
 
-def _checkpoint_paths(ckdir, phase: str) -> list:
-    """The ``<phase>-epochNNNN.nrsr`` files in ``ckdir``, newest (highest epoch number) first."""
-    by_epoch = {int(m[1]): path for path in ckdir.glob(f"{phase}-epoch*.nrsr")
-                if (m := re.fullmatch(rf"{phase}-epoch(\d+)\.nrsr", path.name))}
-    return [by_epoch[epoch] for epoch in sorted(by_epoch, reverse=True)]
-
-
-def _newest_checkpoint(args, paths, mask, lfcr=None):
-    """The first checkpoint of ``paths`` that holds ``lfcr`` (any LFCR if None), or None.
-
-    ``paths`` come newest first. Each one loads when it is reached and
-    must match --sensor and --mask.
-    """
-    for path in paths:
-        ck = _checkpoint_for(path, args.sensor, mask)
-        if lfcr is None or all(p.data.tobytes() == q.data.tobytes()
-                               for p, q in zip(ck.lfcr.params.values(), lfcr.params.values())):
-            print(f"{'resuming' if args.resume else 'starting'} from {path} "
-                  f"(phase {ck.phase}, epoch {ck.epoch})")
-            return ck
-    return None
-
-
 def cmd_train(args) -> int:
     from dataclasses import replace
+    from functools import partial
     from pathlib import Path
 
     from .checkpoint import save_checkpoint
     from .lfcr import build_lfcr
     from .training import (SHIFT_FACTORS, ConfigError, TrainConfig, build_patch_set, load_config,
-                           read_log_csv, save_config, train_lfcr, train_vdsr, write_log_csv)
+                           resume_point, save_config, train_lfcr, train_vdsr)
     from .vdsr import build_vdsr
 
     mask = _load_mask_for(args.sensor, args.mask)
     config = load_config(args.config) if args.config else TrainConfig()
-    overrides = {}
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.lr is not None:
-        overrides["initial_lr"] = args.lr
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.shift_da is not None:
-        overrides["shift_set"] = SHIFT_FACTORS[args.shift_da]
-    if args.no_flips:
-        overrides["flips_rotations"] = False
-    if overrides:
-        config = replace(config, **overrides)
+    overrides = {"epochs": args.epochs, "batch_size": args.batch_size, "initial_lr": args.lr,
+                 "seed": args.seed, "shift_set": SHIFT_FACTORS.get(args.shift_da),
+                 "flips_rotations": False if args.no_flips else None}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
     out = Path(args.out)
     ckdir = out / "checkpoints"
-    paths = {phase: _checkpoint_paths(ckdir, phase) for phase in ("lfcr", "vdsr")}
+    load = partial(_checkpoint_for, sensor=args.sensor, mask=mask)
     runs = [phase for phase in ("lfcr", "vdsr") if args.phase in ("both", phase)]
     # with --resume phase 1 continues its newest checkpoint; --phase vdsr trains on its LFCR
-    start = (_newest_checkpoint(args, paths["lfcr"], mask)
+    start = (resume_point(out, "lfcr", load, log="lfcr" in runs)
              if args.resume or args.phase == "vdsr" else None)
-    if args.phase == "vdsr" and not start:
+    if start:
+        print(f"{'resuming' if args.resume else 'starting'} from {start[0]} "
+              f"(phase lfcr, epoch {start[1].epoch})")
+    elif args.phase == "vdsr":
         raise UsageError(f"--phase vdsr needs a phase-1 checkpoint (lfcr-epoch*.nrsr) in {ckdir}")
-    # phase 2 picks its checkpoint once phase 1 is done; the newest one is checked now
-    newest_vdsr = (_checkpoint_for(paths["vdsr"][0], args.sensor, mask)
-                   if args.resume and "vdsr" in runs and paths["vdsr"] else None)
-    # so are the logs that the resumed phases continue
-    logs = {phase: read_log_csv(log) for phase, ck in (("lfcr", start), ("vdsr", newest_vdsr))
-            if args.resume and phase in runs and ck
-            and (log := out / f"{phase}_train_log.csv").exists()}
+    # phase 2 picks its checkpoint once phase 1 is done; the newest one and its log are checked now
+    newest_vdsr = resume_point(out, "vdsr", load) if args.resume and "vdsr" in runs else None
     # read the data before anything is written to --out
     images, ids = _load_dataset_images(args.data)
     patch_set = build_patch_set(images, config, image_ids=ids)
@@ -300,29 +264,26 @@ def cmd_train(args) -> int:
           f"({len(images)} images, shift x{len(config.shift_set)}, "
           f"flips {'x8' if config.flips_rotations else 'off'})")
 
-    lfcr_model = start.lfcr if start else build_lfcr(mask, args.sensor, seed=config.seed)
+    lfcr_model = start[1].lfcr if start else build_lfcr(mask, args.sensor, seed=config.seed)
     vdsr_model = None
-
-    def run(phase: str, train, ck, *models) -> None:
-        # the phase adds each finished epoch's rows to the logged ones its checkpoint covers
-        log = out / f"{phase}_train_log.csv"
-        write_log_csv(log, [row for row in logs.get(phase, []) if row.epoch <= ck.epoch]
-                      if ck else [])
-        res = train(*models, patch_set, config, checkpoint_dir=ckdir, log_path=log,
-                    resume_from=ck)
+    for phase in runs:
+        if phase == "lfcr":
+            train, models, point = train_lfcr, (lfcr_model,), start
+        else:
+            # phase 2 continues the newest checkpoint on the LFCR it is about to train on
+            point = newest_vdsr and resume_point(out, "vdsr", load, lfcr_model)
+            if point:
+                print(f"resuming from {point[0]} (phase vdsr, epoch {point[1].epoch})")
+            elif newest_vdsr:
+                print(f"phase vdsr starts afresh: its epoch-{newest_vdsr[1].epoch} checkpoint "
+                      "holds another LFCR")
+            vdsr_model = point[1].vdsr if point else build_vdsr(seed=config.seed + 1)
+            train, models = train_vdsr, (lfcr_model, vdsr_model)
+        _, ck, rows = point or (None, None, [])
+        res = train(*models, patch_set, config, checkpoint_dir=ckdir, resume_from=ck,
+                    log_path=out / f"{phase}_train_log.csv", logged=rows)
         print(f"phase {phase} done: {len(res.rows)} steps" + (
             f", final epoch loss {res.epoch_losses[-1]:.6g}" if res.epoch_losses else ""))
-
-    if "lfcr" in runs:
-        run("lfcr", train_lfcr, start, lfcr_model)
-    if "vdsr" in runs:
-        # phase 2 continues the newest checkpoint on the LFCR it is about to train on
-        ck = newest_vdsr and _newest_checkpoint(args, paths["vdsr"], mask, lfcr_model)
-        if newest_vdsr and not ck:
-            print(f"phase vdsr starts afresh: its epoch-{newest_vdsr.epoch} checkpoint "
-                  "holds another LFCR")
-        vdsr_model = ck.vdsr if ck else build_vdsr(seed=config.seed + 1)
-        run("vdsr", train_vdsr, ck, lfcr_model, vdsr_model)
 
     final = out / "final.nrsr"
     save_checkpoint(final, lfcr=lfcr_model, vdsr=vdsr_model)

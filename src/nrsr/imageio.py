@@ -34,7 +34,12 @@ def write_whole(path: str | Path, mode: str, newline: str | None = None):
     """
     tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, mode, newline=newline) as fh:
+        fh = open(tmp, mode, newline=newline)
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # errors name the file asked for, not its temporary
+        raise
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:

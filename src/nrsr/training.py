@@ -1,9 +1,10 @@
-"""Patch sets, the learning-rate schedule and the two-phase training loop.
+"""Patch sets, the learning-rate schedule, the two-phase training loop and its resume rule.
 
 Phase 1 fits the LFCR alone (loss between its output and the
 reference); phase 2 freezes the LFCR and fits the VDSR on the combined
 output at a tenfold reduced initial learning rate. The joint
-fine-tuning phase is intentionally absent.
+fine-tuning phase is intentionally absent. ``resume_point`` picks the
+checkpoint and the log rows that a resumed phase continues.
 
 A patch set stores no patches: it keeps the source images and one
 ``(source, y, x, tag)`` row per patch, and each batch crops its rows and
@@ -22,14 +23,15 @@ import ctypes
 import functools
 import math
 import os
+import re
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, CheckpointError, save_checkpoint
 from .imageio import write_whole
 from .lfcr import LfcrModel, lfcr_forward
 from .optim import AdamState, adam_step
@@ -277,6 +279,38 @@ def read_log_csv(path: str | Path) -> list[LogRow]:
     return rows
 
 
+def resume_point(run_dir: str | Path, phase: str, load: Callable[[Path], Checkpoint],
+                 lfcr: LfcrModel | None = None, log: bool = True
+                 ) -> tuple[Path, Checkpoint, list[LogRow]] | None:
+    """The checkpoint that ``phase`` continues in ``run_dir``, and the log rows it keeps.
+
+    Each phase continues its newest ``<phase>-epochNNNN.nrsr``, meaning
+    the highest number, whose upstream models equal the ones it will
+    train on. Phase 1 has no upstream model. Phase 2's upstream is the
+    LFCR, compared parameter by parameter as bytes (any LFCR if ``lfcr``
+    is None). The phase's log keeps its rows up to that checkpoint's
+    epoch. With no such checkpoint the phase starts afresh with an empty
+    log, and no checkpoint is deleted: the result is None.
+
+    ``load`` reads each file of ``run_dir/checkpoints`` when the search
+    reaches it; one that holds another phase or epoch than its name says
+    is refused. ``log=False`` leaves the ``run_dir/<phase>_train_log.csv`` unread.
+    """
+    by_epoch = {int(m[1]): path for path in Path(run_dir, "checkpoints").glob("*.nrsr")
+                if (m := re.fullmatch(rf"{phase}-epoch(\d+)\.nrsr", path.name))}
+    for epoch, path in sorted(by_epoch.items(), reverse=True):
+        ck = load(path)
+        if (ck.phase, ck.epoch) != (phase, epoch):
+            raise CheckpointError(f"{path}: its name says phase {phase}, epoch {epoch}, "
+                                  f"but it holds phase {ck.phase}, epoch {ck.epoch}")
+        if lfcr is None or all(p.data.tobytes() == q.data.tobytes()
+                               for p, q in zip(ck.lfcr.params.values(), lfcr.params.values())):
+            log_path = Path(run_dir, f"{phase}_train_log.csv")
+            rows = read_log_csv(log_path) if log and log_path.exists() else []
+            return path, ck, [row for row in rows if row.epoch <= epoch]
+    return None
+
+
 # glibc's mallopt parameters (malloc.h) and the values training runs with
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 TRIM_THRESHOLD = 1 << 30
@@ -318,8 +352,8 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: TrainConfig,
-               lr_scale: float, checkpoint_dir: str | Path | None,
-               resume_from: Checkpoint | None, log_path: str | Path | None) -> TrainResult:
+               lr_scale: float, checkpoint_dir: str | Path | None, resume_from: Checkpoint | None,
+               log_path: str | Path | None, logged: Sequence[LogRow]) -> TrainResult:
     """The training loop of both phases: fit ``models[phase]`` to ``loss_fn``.
 
     ``loss_fn`` maps a batch of reference patches to the scalar loss
@@ -327,11 +361,11 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
     arguments) goes into the per-epoch ``<phase>-epochNNNN.nrsr``
     checkpoint, together with the Adam state. A phase continues the
     ``resume_from`` checkpoint, saved in the same phase (else
-    ConfigError), from its Adam state after its epoch. ``log_path`` is a
-    log that ``write_log_csv`` started; after each epoch the phase
-    rewrites it whole with that epoch's rows added, before that epoch's
-    checkpoint is saved, so a phase that stops early, even inside the
-    write, keeps a whole log of its finished epochs. Every phase calls
+    ConfigError), from its Adam state after its epoch. The phase writes
+    the ``logged`` rows to ``log_path`` first; after each epoch it
+    rewrites the log whole with that epoch's rows added, before that
+    epoch's checkpoint is saved, so a phase that stops early, even inside
+    the write, keeps a whole log of its finished epochs. Every phase calls
     ``keep_freed_memory``, which tunes the allocator once per process.
     """
     if len(patch_set) == 0:
@@ -339,6 +373,8 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
     resume_from = resume_from or Checkpoint(phase=phase)  # a fresh start: epoch 0, no state
     if resume_from.phase != phase:
         raise ConfigError(f"phase {phase} cannot resume a phase-{resume_from.phase} checkpoint")
+    if log_path is not None:
+        write_log_csv(log_path, logged)
     keep_freed_memory()
     params = models[phase].named_parameters()
     state = resume_from.adam or AdamState.for_params(params)
@@ -360,7 +396,6 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
         return value
 
     rng = np.random.default_rng(config.seed)
-    logged = read_log_csv(log_path) if log_path is not None else []
     rows: list[LogRow] = []
     epoch_losses: list[float] = []
     for epoch in range(1, config.epochs + 1):
@@ -377,7 +412,7 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
         if log_path is not None:
-            write_log_csv(log_path, logged + rows)
+            write_log_csv(log_path, [*logged, *rows])
         if checkpoint_dir is not None:
             path = checkpoint_dir / f"{phase}-epoch{epoch:04d}.nrsr"
             save_checkpoint(path, **models, adam=state, epoch=epoch, phase=phase)
@@ -386,22 +421,21 @@ def _run_phase(phase: str, models: dict, loss_fn, patch_set: PatchSet, config: T
 
 
 def train_lfcr(model: LfcrModel, patch_set: PatchSet, config: TrainConfig,
-               checkpoint_dir: str | Path | None = None,
-               resume_from: Checkpoint | None = None,
-               log_path: str | Path | None = None) -> TrainResult:
+               checkpoint_dir: str | Path | None = None, resume_from: Checkpoint | None = None,
+               log_path: str | Path | None = None, logged: Sequence[LogRow] = ()) -> TrainResult:
     """Phase 1: fit the LFCR to its own sampling, from scratch or from ``resume_from``."""
 
     def loss_fn(batch: np.ndarray) -> Tensor:
         return mse_loss(model.forward_t(Tensor(batch[:, None])), Tensor(batch[:, None]))
 
     return _run_phase("lfcr", {"lfcr": model}, loss_fn, patch_set, config, 1.0,
-                      checkpoint_dir, resume_from, log_path)
+                      checkpoint_dir, resume_from, log_path, logged)
 
 
 def train_vdsr(lfcr_model: LfcrModel, vdsr_model: VdsrModel, patch_set: PatchSet,
                config: TrainConfig, checkpoint_dir: str | Path | None = None,
                resume_from: Checkpoint | None = None,
-               log_path: str | Path | None = None) -> TrainResult:
+               log_path: str | Path | None = None, logged: Sequence[LogRow] = ()) -> TrainResult:
     """Phase 2: fit the VDSR on the frozen LFCR at lr / 10, from scratch or ``resume_from``."""
 
     def loss_fn(batch: np.ndarray) -> Tensor:
@@ -410,4 +444,4 @@ def train_vdsr(lfcr_model: LfcrModel, vdsr_model: VdsrModel, patch_set: PatchSet
         return mse_loss(f_tilde, Tensor(batch[:, None]))
 
     return _run_phase("vdsr", {"lfcr": lfcr_model, "vdsr": vdsr_model}, loss_fn, patch_set,
-                      config, 0.1, checkpoint_dir, resume_from, log_path)
+                      config, 0.1, checkpoint_dir, resume_from, log_path, logged)

@@ -128,6 +128,7 @@ class TestMaskCommand:
     def test_unwritable_path_exits_2(self):
         res = run_cli("mask", "--kind", "quarter", "--out", "/nonexistent-dir/x.nrsmask")
         assert res.returncode == 2
+        assert "x.nrsmask" in res.stderr and ".tmp" not in res.stderr, res.stderr
 
     def test_negative_seed_exits_2_naming_it(self, tmp_path):
         res = run_cli("mask", "--kind", "quarter", "--seed", "-1", "--out", tmp_path / "x.nrsmask")
@@ -460,6 +461,23 @@ class TestTrainCommand:
                       "--out", out, "--epochs", "2", "--shift-da", "1", "--no-flips", "--resume")
         assert res.returncode == 2
         assert res.stderr == f"error: {message}\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("phase", [["--phase", "vdsr"], []], ids=["phase-vdsr", "both"])
+    def test_resume_refuses_a_checkpoint_its_name_contradicts(self, workdir, trained, tmp_path,
+                                                               phase):
+        out = tmp_path / "run"
+        shutil.copytree(trained[0], out)
+        ckdir = out / "checkpoints"
+        shutil.copyfile(ckdir / "lfcr-epoch0001.nrsr", ckdir / "vdsr-epoch0001.nrsr")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        res = run_cli("train", "--sensor", "quarter", "--mask", workdir / "mask.nrsmask",
+                      "--data", workdir / "data", "--out", out, "--epochs", "2", "--shift-da", "1",
+                      "--no-flips", *phase, "--resume")
+        assert res.returncode == 2
+        assert res.stderr == (f"error: {ckdir / 'vdsr-epoch0001.nrsr'}: its name says phase vdsr, "
+                              "epoch 1, but it holds phase lfcr, epoch 1\n")
+        assert "training samples" not in res.stdout
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_resume_picks_the_highest_epoch_number(self, workdir, tmp_path):

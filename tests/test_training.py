@@ -15,13 +15,13 @@ import pytest
 
 from conftest import synth_image
 from nrsr import training
-from nrsr.checkpoint import Checkpoint, load_checkpoint
+from nrsr.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from nrsr.lfcr import build_lfcr, lfcr_forward
 from nrsr.masks import generate_mask
 from nrsr.metrics import psnr
-from nrsr.training import (SHIFT_FACTORS, ConfigError, NonFiniteLossError, PatchSet, TrainConfig,
-                           build_patch_set, load_config, lr_schedule, read_log_csv, save_config,
-                           train_lfcr, train_vdsr, write_log_csv)
+from nrsr.training import (SHIFT_FACTORS, ConfigError, LogRow, NonFiniteLossError, PatchSet,
+                           TrainConfig, build_patch_set, load_config, lr_schedule, read_log_csv,
+                           resume_point, save_config, train_lfcr, train_vdsr, write_log_csv)
 from nrsr.vdsr import build_vdsr, vdsr_forward
 
 
@@ -421,6 +421,120 @@ def test_log_rows_training_never_writes_rejected(tmp_path, row):
     path.write_text(f"epoch,step,lr,loss\n1,1,0.1,0.5\n{row}\n")
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed training log"):
         read_log_csv(path)
+
+
+# Run-directory states for resume_point. A checkpoint is file name -> (phase, epoch, k), where
+# k names the LFCR it holds: LFCR k stands for the LFCR after phase-1 epoch k. None is the
+# partial file of a killed save. A log is its epochs (one row each) or its raw text.
+ONE_EPOCH_RUN = {"lfcr-epoch0001.nrsr": ("lfcr", 1, 1), "vdsr-epoch0001.nrsr": ("vdsr", 1, 1)}
+ONE_EPOCH_LOGS = {"lfcr": [1], "vdsr": [1]}
+# `--epochs 1`, then `--phase lfcr --epochs 2 --resume`
+PHASE_1_EXTENDED = {**ONE_EPOCH_RUN, "lfcr-epoch0002.nrsr": ("lfcr", 2, 2)}
+# `--epochs 3`, `--phase lfcr --epochs 4 --resume`, `--epochs 2 --resume`: the third run
+# restarted phase 2 on LFCR 4 and overwrote vdsr-epoch0001 and -0002; vdsr-epoch0003 holds LFCR 3
+FOUR_RUNS = {**{f"lfcr-epoch{e:04d}.nrsr": ("lfcr", e, e) for e in (1, 2, 3, 4)},
+             "vdsr-epoch0001.nrsr": ("vdsr", 1, 4), "vdsr-epoch0002.nrsr": ("vdsr", 2, 4),
+             "vdsr-epoch0003.nrsr": ("vdsr", 3, 3)}
+CUT_LOG = "epoch,step,lr,loss\n1,1,0.0001,0.5\n2,"
+
+# state, logs, phase, the LFCR phase 2 trains on (None: any), log, and the result: the epoch
+# continued (None: a fresh start), the epochs of the rows kept, the files loaded in order
+RESUME_STATES = {
+    "fresh-phase-1": ({}, {}, "lfcr", None, True, (None, [], [])),
+    "fresh-phase-2": ({}, {}, "vdsr", 1, True, (None, [], [])),
+    "resume-phase-1": (ONE_EPOCH_RUN, ONE_EPOCH_LOGS, "lfcr", None, True,
+                       (1, [1], ["lfcr-epoch0001.nrsr"])),
+    "resume-phase-2-early-check": (ONE_EPOCH_RUN, ONE_EPOCH_LOGS, "vdsr", None, True,
+                                   (1, [1], ["vdsr-epoch0001.nrsr"])),
+    "resume-phase-2-same-lfcr": (ONE_EPOCH_RUN, ONE_EPOCH_LOGS, "vdsr", 1, True,
+                                 (1, [1], ["vdsr-epoch0001.nrsr"])),
+    "resume-phase-2-after-phase-1-trained-on": (ONE_EPOCH_RUN, ONE_EPOCH_LOGS, "vdsr", 2, True,
+                                                (None, [], ["vdsr-epoch0001.nrsr"])),
+    "phase-lfcr-resumed-then-phase-1": (PHASE_1_EXTENDED, {"lfcr": [1, 2], "vdsr": [1]}, "lfcr",
+                                        None, True, (2, [1, 2], ["lfcr-epoch0002.nrsr"])),
+    "phase-lfcr-resumed-then-phase-2": (PHASE_1_EXTENDED, {"lfcr": [1, 2], "vdsr": [1]}, "vdsr",
+                                        2, True, (None, [], ["vdsr-epoch0001.nrsr"])),
+    "four-runs-restarted-phase-2": (FOUR_RUNS, {"lfcr": [1, 2, 3, 4], "vdsr": [1, 2]}, "vdsr", 4,
+                                    True, (2, [1, 2], ["vdsr-epoch0003.nrsr",
+                                                       "vdsr-epoch0002.nrsr"])),
+    "phase-1-deleted-phase-1": ({"vdsr-epoch0001.nrsr": ("vdsr", 1, 1)}, ONE_EPOCH_LOGS, "lfcr",
+                                None, True, (None, [], [])),
+    "phase-1-deleted-phase-2": ({"vdsr-epoch0001.nrsr": ("vdsr", 1, 1)}, ONE_EPOCH_LOGS, "vdsr",
+                                1, True, (1, [1], ["vdsr-epoch0001.nrsr"])),
+    "stale-tmp-ignored": ({**ONE_EPOCH_RUN, "vdsr-epoch0004.nrsr.tmp": None}, ONE_EPOCH_LOGS,
+                          "vdsr", 1, True, (1, [1], ["vdsr-epoch0001.nrsr"])),
+    "epoch-10000-newer-than-9999": ({"lfcr-epoch9999.nrsr": ("lfcr", 9999, 1),
+                                     "lfcr-epoch10000.nrsr": ("lfcr", 10000, 2)}, {}, "lfcr",
+                                    None, True, (10000, [], ["lfcr-epoch10000.nrsr"])),
+    "log-rows-past-the-checkpoint": (ONE_EPOCH_RUN, {"lfcr": [1, 2, 3]}, "lfcr", None, True,
+                                     (1, [1], ["lfcr-epoch0001.nrsr"])),
+    "log-false-leaves-the-log-unread": (ONE_EPOCH_RUN, {"lfcr": CUT_LOG}, "lfcr", None, False,
+                                        (1, [], ["lfcr-epoch0001.nrsr"])),
+}
+
+
+@pytest.fixture(scope="module")
+def resume_models():
+    """LFCRs 1..4 and one VDSR, untrained."""
+    mask = generate_mask("quarter", 3)
+    return {k: build_lfcr(mask, "quarter", seed=k) for k in range(1, 5)}, build_vdsr(seed=1, depth=3)
+
+
+def run_dir_state(root, models, files, logs):
+    """Write the checkpoints ``files`` and the logs ``logs`` into the run directory ``root``."""
+    lfcrs, vdsr = models
+    ckdir = root / "checkpoints"
+    ckdir.mkdir()
+    for name, spec in files.items():
+        if spec is None:
+            (ckdir / name).write_bytes(b"NRSR1\x07")
+            continue
+        phase, epoch, k = spec
+        save_checkpoint(ckdir / name, lfcr=lfcrs[k], vdsr=vdsr if phase == "vdsr" else None,
+                        epoch=epoch, phase=phase)
+    for phase, epochs in logs.items():
+        log = root / f"{phase}_train_log.csv"
+        if isinstance(epochs, str):
+            log.write_text(epochs)
+        else:
+            write_log_csv(log, [LogRow(e, e, 1e-4, 0.5) for e in epochs])
+    loaded = []
+
+    def load(path):
+        loaded.append(path.name)
+        return load_checkpoint(path)
+
+    return load, loaded
+
+
+@pytest.mark.parametrize("files, logs, phase, lfcr, log, want", RESUME_STATES.values(),
+                         ids=RESUME_STATES.keys())
+def test_resume_point(tmp_path, resume_models, files, logs, phase, lfcr, log, want):
+    load, loaded = run_dir_state(tmp_path, resume_models, files, logs)
+    point = resume_point(tmp_path, phase, load, lfcr and resume_models[0][lfcr], log=log)
+    epoch, row_epochs, loaded_names = want
+    if epoch is None:
+        assert point is None
+    else:
+        path, ck, rows = point
+        assert path == tmp_path / "checkpoints" / f"{phase}-epoch{epoch:04d}.nrsr"
+        assert (ck.phase, ck.epoch) == (phase, epoch)
+        assert [row.epoch for row in rows] == row_epochs
+    assert loaded == loaded_names
+    assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("files, logs, phase, error, named", [
+    (ONE_EPOCH_RUN, {"lfcr": CUT_LOG}, "lfcr", ConfigError, "lfcr_train_log.csv"),
+    ({**ONE_EPOCH_RUN, "vdsr-epoch0001.nrsr": ("lfcr", 1, 1)}, {}, "vdsr", CheckpointError,
+     "vdsr-epoch0001.nrsr"),
+    ({"lfcr-epoch0005.nrsr": ("lfcr", 2, 1)}, {}, "lfcr", CheckpointError, "lfcr-epoch0005.nrsr"),
+], ids=["log-cut-inside-its-last-row", "phase-1-checkpoint-named-phase-2",
+        "epoch-2-checkpoint-named-epoch-5"])
+def test_resume_point_refuses(tmp_path, resume_models, files, logs, phase, error, named):
+    load, _ = run_dir_state(tmp_path, resume_models, files, logs)
+    with pytest.raises(error, match=f"^{re.escape(str(tmp_path))}/.*{re.escape(named)}"):
+        resume_point(tmp_path, phase, load)
 
 
 class FakeMallopt:
