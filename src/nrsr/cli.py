@@ -212,15 +212,6 @@ def _checkpoint_for(path, sensor: str | None = None, mask=None):
     return ck
 
 
-def _models_for(method: str, ck) -> dict | None:
-    """The models ``method`` runs on, as keyword arguments; None when ``ck`` lacks them."""
-    if method not in STAGE_METHODS.values():
-        return {}
-    if ck is None or (method == "lfcr+vdsr" and ck.vdsr is None):
-        return None
-    return {"lfcr": ck.lfcr, "vdsr": ck.vdsr}
-
-
 def cmd_train(args) -> int:
     from dataclasses import replace
     from functools import partial
@@ -292,12 +283,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    from .evaluate import reconstruct_image
+    from .evaluate import models_for, reconstruct_image
     from .imageio import read_image_gray, save_raw, write_pgm
 
     mask = _load_mask_for(args.sensor, args.mask)
     method = STAGE_METHODS[args.stage]
-    models = _models_for(method, _checkpoint_for(args.checkpoint, args.sensor, mask))
+    models = models_for(method, _checkpoint_for(args.checkpoint, args.sensor, mask))
     if models is None:
         raise UsageError(f"{args.checkpoint}: no VDSR records; use --stage lfcr")
 
@@ -316,7 +307,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_evaluate(args) -> int:
     from pathlib import Path
 
-    from .evaluate import METHODS, evaluate
+    from .evaluate import METHODS, evaluate, models_for
     from .imageio import write_whole
 
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -331,7 +322,7 @@ def cmd_evaluate(args) -> int:
     reports = []
     absent = []
     for method in methods:
-        models = _models_for(method, ck)
+        models = models_for(method, ck)
         if models is None:
             absent.append(method)
         else:
@@ -386,7 +377,7 @@ def cmd_curves(args) -> int:
     import string
     from pathlib import Path
 
-    from .evaluate import evaluate
+    from .evaluate import evaluate, models_for
     from .imageio import write_whole
 
     factors = []
@@ -413,7 +404,7 @@ def cmd_curves(args) -> int:
     results: dict[int, float] = {}
     for factor, path in paths.items():
         # like evaluate, a checkpoint without the stage's models scores as absent (NaN)
-        models = _models_for(method, _checkpoint_for(path) if path.exists() else None)
+        models = models_for(method, _checkpoint_for(path) if path.exists() else None)
         results[factor] = (math.nan if models is None
                            else evaluate(method, args.dataset, **models).mean_psnr)
 

@@ -1,12 +1,12 @@
 """Dataset-level evaluation reports.
 
-Each image in a dataset directory is reconstructed by the chosen method
-and scored with PSNR and SSIM against the grayscale reference. Images
-whose dims are not multiples of 16 are reflection-padded on the bottom
-and right (keeping the mask anchored at the origin) and cropped back
-before scoring. Unreadable files, and images smaller than the SSIM
-window, are skipped and logged; a reconstruction holding a NaN or an
-infinity raises NonFiniteReconstructionError, naming the image.
+Each image in a dataset directory is reconstructed by a method, which METHODS
+maps to the checkpoint models it runs on, and scored with PSNR and SSIM
+against the grayscale reference. Images whose dims are not multiples of 16 are
+reflection-padded on the bottom and right (keeping the mask anchored at the
+origin) and cropped back before scoring. Unreadable files, and images smaller
+than the SSIM window, are skipped with one warning each; a NaN or an infinity
+in a reconstruction raises NonFiniteReconstructionError, naming the image.
 
 Full-scale reference targets from the literature protocol (Urban100 /
 Tecnick, 100-epoch training on Set291) are context only and not
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .metrics import SSIM_WINDOW, bicubic_upscale, psnr, ssim
 from .sensors import sample, sensitivity_tile
 from .vdsr import VdsrModel, vdsr_forward
 
-METHODS = ("reference", "bicubic", "lfcr", "lfcr+vdsr")
+METHODS = {"reference": (), "bicubic": (), "lfcr": ("lfcr",), "lfcr+vdsr": ("lfcr", "vdsr")}
 
 PAD_MULTIPLE = 16
 
@@ -42,8 +43,6 @@ class NonFiniteReconstructionError(RuntimeError):
 @dataclass(frozen=True)
 class EvalRow:
     image: str
-    method: str
-    sensor: str
     psnr_db: float
     ssim: float
 
@@ -67,8 +66,7 @@ class EvalReport:
     def to_csv(self) -> str:
         lines = ["image,method,sensor,psnr_db,ssim"]
         for r in self.rows:
-            p = "inf" if math.isinf(r.psnr_db) else f"{r.psnr_db:.4f}"
-            lines.append(f"{r.image},{r.method},{r.sensor},{p},{r.ssim:.6f}")
+            lines.append(f"{r.image},{self.method},{self.sensor},{r.psnr_db:.4f},{r.ssim:.6f}")
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
@@ -86,11 +84,8 @@ class EvalReport:
     def table(self) -> str:
         lines = [f"{'image':24s} {'psnr_db':>10s} {'ssim':>8s}"]
         for r in self.rows:
-            p = "inf" if math.isinf(r.psnr_db) else f"{r.psnr_db:10.2f}"
-            lines.append(f"{r.image:24s} {p:>10s} {r.ssim:8.4f}")
-        mp = self.mean_psnr
-        mean_p = "inf" if math.isinf(mp) else f"{mp:10.2f}"
-        lines.append(f"{'mean':24s} {mean_p:>10s} {self.mean_ssim:8.4f}")
+            lines.append(f"{r.image:24s} {r.psnr_db:10.2f} {r.ssim:8.4f}")
+        lines.append(f"{'mean':24s} {self.mean_psnr:10.2f} {self.mean_ssim:8.4f}")
         return "\n".join(lines) + "\n"
 
 
@@ -112,6 +107,13 @@ def reconstruct_image(f: np.ndarray, method: str, lfcr: LfcrModel | None = None,
     that one check stands for numpy's overflow and invalid-value warnings
     on the way, which are not shown.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method '{method}' (expected one of {tuple(METHODS)})")
+    models = {"lfcr": lfcr, "vdsr": vdsr}
+    for name in METHODS[method]:
+        if models[name] is None:
+            article = "an" if name == "lfcr" else "a"
+            raise ValueError(f"method '{method}' needs {article} {name.upper()} model")
     f = np.asarray(f, dtype=np.float32)
     padded, (h, w) = pad_to_multiple(f)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -119,16 +121,10 @@ def reconstruct_image(f: np.ndarray, method: str, lfcr: LfcrModel | None = None,
             out = padded
         elif method == "bicubic":
             out = bicubic_upscale(sample(padded, sensitivity_tile(None, LOW_RESOLUTION)))
-        elif method in ("lfcr", "lfcr+vdsr"):
-            if lfcr is None:
-                raise ValueError(f"method '{method}' needs an LFCR model")
+        else:
             out = lfcr_forward(lfcr, padded)
             if method == "lfcr+vdsr":
-                if vdsr is None:
-                    raise ValueError("method 'lfcr+vdsr' needs a VDSR model")
                 _, out = vdsr_forward(vdsr, out)
-        else:
-            raise ValueError(f"unknown method '{method}' (expected one of {METHODS})")
         out = np.array(out[:h, :w], dtype=np.float32)
     if not np.isfinite(out).all():
         raise NonFiniteReconstructionError(f"the {method} reconstruction is not finite")
@@ -144,31 +140,33 @@ def list_dataset(dataset_dir: str | Path) -> list[Path]:
 def evaluate(method: str, dataset_dir: str | Path, lfcr: LfcrModel | None = None,
              vdsr: VdsrModel | None = None) -> EvalReport:
     """Score one method over every readable image of a dataset directory."""
-    if method == "bicubic":
-        sensor = "low-resolution"
-    elif lfcr is not None:
-        sensor = lfcr.sensor_kind
-    else:
-        sensor = "none"
+    sensor = ("low-resolution" if method == "bicubic"
+              else lfcr.sensor_kind if lfcr is not None else "none")
     report = EvalReport(method=method, sensor=sensor)
     start = time.perf_counter()
     for path in list_dataset(dataset_dir):
         try:
             ref = np.asarray(read_image_gray(path), dtype=np.float64)
         except (ImageFormatError, OSError) as exc:
-            report.skipped.append(f"{path.name}: {exc}")
-            continue
-        if min(ref.shape) < SSIM_WINDOW:
-            report.skipped.append(f"{path.name}: {ref.shape[0]}x{ref.shape[1]} is smaller than "
-                                  f"the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
+            reason = str(exc)
+        else:
+            reason = None if min(ref.shape) >= SSIM_WINDOW else (
+                f"{ref.shape[0]}x{ref.shape[1]} is smaller than the "
+                f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
+        if reason is not None:
+            report.skipped.append(f"{path.name}: {reason}")
+            warnings.warn(f"{path.name}: {reason}; skipped")
             continue
         try:
             rec = reconstruct_image(ref.astype(np.float32), method, lfcr=lfcr, vdsr=vdsr)
         except NonFiniteReconstructionError as exc:
             raise NonFiniteReconstructionError(f"{path.name}: {exc}") from None
-        report.rows.append(EvalRow(
-            image=path.name, method=method, sensor=sensor,
-            psnr_db=psnr(ref, rec), ssim=ssim(ref, rec),
-        ))
+        report.rows.append(EvalRow(path.name, psnr_db=psnr(ref, rec), ssim=ssim(ref, rec)))
     report.runtime_s = time.perf_counter() - start
     return report
+
+
+def models_for(method: str, ck) -> dict | None:
+    """Keyword arguments of the models ``method`` runs on; None if ``ck`` is None or lacks one."""
+    models = {name: getattr(ck, name, None) for name in METHODS[method]}
+    return None if any(m is None for m in models.values()) else models

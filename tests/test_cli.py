@@ -699,6 +699,72 @@ class TestEvaluateCommand:
         res = run_cli("evaluate", "--dataset", workdir / "holdout", "--methods", "fsr")
         assert res.returncode == 2
 
+    def test_perfect_scores_print_inf(self, workdir, tmp_path):
+        res = run_cli("evaluate", "--dataset", workdir / "holdout", "--methods", "reference")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (
+            "== reference (sensor none) ==\n"
+            "image                       psnr_db     ssim\n"
+            "h0.pgm                          inf   1.0000\n"
+            "mean                            inf   1.0000\n")
+        out, summary = tmp_path / "e.csv", tmp_path / "e.json"
+        res = run_cli("evaluate", "--dataset", workdir / "holdout", "--methods", "reference",
+                      "--out", out, "--summary", summary)
+        assert res.returncode == 0, res.stderr
+        assert out.read_text() == ("image,method,sensor,psnr_db,ssim\n"
+                                   "h0.pgm,reference,none,inf,1.000000\n")
+        assert '\n    "mean_psnr_db": "inf",\n    "mean_ssim": 1.0,\n' in summary.read_text()
+
+    def test_every_image_skipped_prints_nan_and_null(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "broken.pgm").write_bytes(b"P5\n9 9\n255\nshort")
+        write_pgm(data / "tiny.pgm", synth_image_u8(5, 5, 5))
+        res = run_cli("evaluate", "--dataset", data)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (
+            "== bicubic (sensor low-resolution) ==\n"
+            "image                       psnr_db     ssim\n"
+            "mean                            nan      nan\n")
+        out, summary = tmp_path / "e.csv", tmp_path / "e.json"
+        res = run_cli("evaluate", "--dataset", data, "--out", out, "--summary", summary)
+        assert res.returncode == 0, res.stderr
+        assert out.read_text() == "image,method,sensor,psnr_db,ssim\n"
+        text = summary.read_text()
+        assert '\n    "images": 0,\n    "mean_psnr_db": null,\n    "mean_ssim": null,\n' in text
+
+    def test_absent_method_bytes(self, workdir, tmp_path):
+        out, summary = tmp_path / "e.csv", tmp_path / "e.json"
+        res = run_cli("evaluate", "--dataset", workdir / "holdout", "--methods", "lfcr",
+                      "--checkpoint", tmp_path / "nope.nrsr", "--out", out, "--summary", summary)
+        assert res.returncode == 0, res.stderr
+        assert out.read_text() == ("image,method,sensor,psnr_db,ssim\n"
+                                   "absent,lfcr,absent,absent,absent\n")
+        assert summary.read_text() == (
+            '{\n  "lfcr": {\n    "absent": true,\n    "method": "lfcr"\n  }\n}\n')
+        assert res.stdout.endswith("method lfcr: checkpoint missing, marked absent\n")
+
+    @pytest.mark.parametrize("name,content,reason", [
+        ("broken.pgm", b"P5\n9 9\n255\nshort", "truncated raster"),
+        ("tiny.pgm", None, "5x5 is smaller than the 11x11 SSIM window"),
+    ], ids=["unreadable", "too-small"])
+    def test_skipped_image_warns_once(self, workdir, tmp_path, name, content, reason):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "holdout", data)
+        args = ("evaluate", "--dataset", data, "--methods", "reference,bicubic")
+        res = run_cli(*args, "--out", tmp_path / "before.csv")
+        assert res.returncode == 0 and res.stderr == ""
+        if content is None:
+            write_pgm(data / name, synth_image_u8(5, 5, 5))
+        else:
+            (data / name).write_bytes(content)
+        res = run_cli(*args, "--out", tmp_path / "after.csv")
+        assert res.returncode == 0, res.stderr
+        # one line however many methods score the dataset
+        [line] = res.stderr.splitlines()
+        assert line.startswith(f"warning: {name}: ") and line.endswith(f"{reason}; skipped"), line
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+
 
 @pytest.fixture(scope="module")
 def resumable_checkpoint(tmp_path_factory):

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import synth_image_u8
-from nrsr.evaluate import EvalReport, evaluate, pad_to_multiple, reconstruct_image
+from nrsr.checkpoint import load_checkpoint, save_checkpoint
+from nrsr.evaluate import (METHODS, EvalReport, evaluate, models_for, pad_to_multiple,
+                           reconstruct_image)
 from nrsr.imageio import write_pgm
 from nrsr.lfcr import build_lfcr
 from nrsr.masks import generate_mask
+from nrsr.optim import AdamState
 from nrsr.vdsr import build_vdsr
 
 
@@ -127,3 +130,59 @@ def test_empty_report_summary_is_strict_json():
     summary = EvalReport(method="bicubic", sensor="low-resolution").summary()
     assert summary["mean_psnr_db"] is None and summary["mean_ssim"] is None
     json.dumps(summary, allow_nan=False)
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """A missing checkpoint, a phase-1 one (LFCR only) and a final one (LFCR and VDSR)."""
+    d = tmp_path_factory.mktemp("ck")
+    lfcr = build_lfcr(generate_mask("quarter", 0), "quarter", seed=0)
+    save_checkpoint(d / "lfcr-epoch0001.nrsr", lfcr=lfcr,
+                    adam=AdamState.for_params(lfcr.named_parameters()), epoch=1, phase="lfcr")
+    save_checkpoint(d / "final.nrsr", lfcr=lfcr, vdsr=build_vdsr(seed=1))
+    return {"missing": None, "lfcr-only": load_checkpoint(d / "lfcr-epoch0001.nrsr"),
+            "full": load_checkpoint(d / "final.nrsr")}
+
+
+CHECKPOINT_KINDS = ("missing", "lfcr-only", "full")
+# method -> the models it gets from each of CHECKPOINT_KINDS (None: the method is absent)
+MODELS_FOR = {
+    "reference": ((), (), ()),
+    "bicubic": ((), (), ()),
+    "lfcr": (None, ("lfcr",), ("lfcr",)),
+    "lfcr+vdsr": (None, None, ("lfcr", "vdsr")),
+}
+
+
+def test_models_for_table_covers_every_method():
+    assert list(MODELS_FOR) == list(METHODS)
+
+
+@pytest.mark.parametrize("method", MODELS_FOR)
+@pytest.mark.parametrize("kind", CHECKPOINT_KINDS)
+def test_models_for(checkpoints, method, kind):
+    ck = checkpoints[kind]
+    expected = MODELS_FOR[method][CHECKPOINT_KINDS.index(kind)]
+    models = models_for(method, ck)
+    if expected is None:
+        assert models is None
+    else:
+        assert list(models) == list(expected)
+        assert all(models[name] is getattr(ck, name) for name in expected)
+
+
+def test_a_vdsr_passed_to_the_lfcr_method_is_unused(dataset):
+    # the benchmark passes both models to every network method
+    lfcr = build_lfcr(generate_mask("quarter", 0), "quarter", seed=0)
+    both = evaluate("lfcr", dataset, lfcr=lfcr, vdsr=build_vdsr(seed=1))
+    assert both.rows == evaluate("lfcr", dataset, lfcr=lfcr).rows
+    assert both.sensor == "quarter"
+
+
+def test_each_skipped_image_warns(dataset):
+    (dataset / "broken.pgm").write_bytes(b"P5\n9 9\n255\nshort")
+    write_pgm(dataset / "tiny.pgm", synth_image_u8(5, 8, 10))
+    with pytest.warns(UserWarning) as record:
+        rep = evaluate("bicubic", dataset)
+    assert [str(w.message) for w in record] == [f"{s}; skipped" for s in rep.skipped]
+    assert len(rep.skipped) == 2
